@@ -16,8 +16,9 @@ from .model import (
     ValidationError,
     compatible,
 )
-from .routing import RoutePolicy, min_load_route, path_cost, route, route_oracle, xy_route
+from .routing import RoutePolicy, min_load_route, path_cost, route, xy_route
 from .heuristics import ClusterGrid, HeuristicEngine, HeuristicKind, MapRequest, spiral_ring
+from .oracles import route_oracle
 from .sim import (
     DeadlockError,
     PlatformParams,

@@ -15,30 +15,20 @@ from __future__ import annotations
 import argparse
 import heapq
 import json
-import random
 import sys
 from typing import Callable, Sequence
 
-from .heuristics import (
-    HEURISTIC_NAMES,
-    MapRequest,
-    map_mac,
-    map_mmc,
-    map_pl,
-    ring_limit,
-    spiral_ring,
+from .heuristics import HEURISTIC_NAMES, map_channel_load, map_pl, ring_limit, spiral_ring
+from .model import ArchGraph, Coord, ValidationError
+from .oracles import (
+    arch_4x4,
+    enumerate_objectives,
+    oracle_channel_load,
+    oracle_path_load,
+    random_ledger,
+    random_partial_state,
 )
-from .model import (
-    ArchGraph,
-    ChannelLoadLedger,
-    Coord,
-    MappingState,
-    Task,
-    TaskKind,
-    ValidationError,
-    compatible,
-)
-from .routing import RoutePolicy, enumerate_objectives, min_load_route, route
+from .routing import RoutePolicy, min_load_route
 from .sim import DeadlockError, Scenario, SimReport, simulate, write_event_log
 from .workload import GenConfig, generate_workload, parse_workload_file, write_report, write_workload
 
@@ -73,7 +63,7 @@ def _build_arch(args: argparse.Namespace) -> ArchGraph:
                 manager=tuple(layout.get("manager", (0, 0))),
                 ra=[tuple(c) for c in layout.get("ra", ())],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"layout file {layout_file}: bad structure ({exc})") from None
     width = getattr(args, "width", 8)
     height = getattr(args, "height", 8)
@@ -210,16 +200,6 @@ def _hop_first_route(src, dst, ledger, arch):
     return tuple(path)
 
 
-def _random_ledger(arch: ArchGraph, seed: int) -> ChannelLoadLedger:
-    ledger = ChannelLoadLedger(arch)
-    if seed == 0:
-        return ledger  # all-zero edge case
-    rng = random.Random(seed)
-    for link in arch.links():
-        ledger.set_load(link, rng.randint(0, 500))
-    return ledger
-
-
 def verify_routing(ledgers: int, fault: bool, report: Callable[[str], None]) -> tuple[int, int]:
     """Router objective equals exhaustive enumeration on small meshes."""
     router = _hop_first_route if fault else min_load_route
@@ -227,7 +207,7 @@ def verify_routing(ledgers: int, fault: bool, report: Callable[[str], None]) -> 
     for size in (2, 3, 4):
         arch = ArchGraph.uniform(size, size)
         for seed in range(ledgers):
-            ledger = _random_ledger(arch, seed)
+            ledger = random_ledger(arch, seed)
             for src in arch.coords():
                 best = enumerate_objectives(src, ledger, arch)
                 for dst in arch.coords():
@@ -254,106 +234,18 @@ def verify_routing(ledgers: int, fault: bool, report: Callable[[str], None]) -> 
     return checks, failures
 
 
-def _verify_arch_4x4() -> ArchGraph:
-    return ArchGraph.uniform(4, 4, manager=(0, 0), ra=((1, 1), (2, 2), (3, 0)))
-
-
-def _random_partial_state(arch: ArchGraph, seed: int) -> tuple[MappingState, MapRequest, RoutePolicy]:
-    """Seeded partial mapping with loaded links and one pending request."""
-    rng = random.Random(seed)
-    state = MappingState(arch)
-    placed: list[tuple[str, str, Coord]] = []
-    for a in range(rng.randint(1, 2)):
-        app = f"app{a}"
-        for i in range(rng.randint(1, 4)):
-            kind = TaskKind.HARDWARE if rng.random() < 0.3 else TaskKind.SOFTWARE
-            if i == 0:
-                kind = TaskKind.INITIAL
-            free = [
-                c
-                for c in arch.coords()
-                if state.tile_free(c) and compatible(kind, arch.kind(c))
-            ]
-            if not free:
-                continue
-            tile = free[rng.randrange(len(free))]
-            task = Task(f"t{i}", kind, 100)
-            state.place(app, task, tile)
-            placed.append((app, task.id, tile))
-    by_app: dict[str, list[tuple[str, Coord]]] = {}
-    for app, tid, tile in placed:
-        by_app.setdefault(app, []).append((tid, tile))
-    for app, tasks in by_app.items():
-        for (m, mt), (s, st) in zip(tasks, tasks[1:]):
-            if rng.random() < 0.7:
-                vol = rng.randint(1, 300)
-                state.apply_route(app, m, s, "ms", route(RoutePolicy.XY, mt, st, state.ledger, arch), vol)
-    requester_app, requester_tid, requester_tile = placed[rng.randrange(len(placed))]
-    kind = TaskKind.HARDWARE if rng.random() < 0.3 else TaskKind.SOFTWARE
-    vms = rng.randint(0, 300)
-    vsm = rng.randint(0, 300)
-    if vms + vsm == 0:
-        vsm = 1
-    req = MapRequest(requester_app, Task("pending", kind, 100), requester_tile, vms, vsm)
-    policy = RoutePolicy.MIN_LOAD if seed % 2 else RoutePolicy.XY
-    return state, req, policy
-
-
-def _oracle_channel_load(
-    req: MapRequest, state: MappingState, policy: RoutePolicy, average_first: bool
-) -> Coord | None:
-    """Brute-force argmin over candidates with independently recomputed loads."""
-    arch = state.arch
-    best = None
-    best_key = None
-    for tile in arch.coords():
-        if not (state.tile_free(tile) and compatible(req.task.kind, arch.kind(tile))):
-            continue
-        loads = dict(state.ledger.loads())
-        trial = state.ledger.copy()
-        for volume, src, dst in ((req.vms, req.requester_tile, tile), (req.vsm, tile, req.requester_tile)):
-            if volume >= 1:
-                path = route(policy, src, dst, trial, arch)
-                for link in zip(path, path[1:]):
-                    loads[link] += volume
-                trial.add_path(path, volume)
-        peak = max(loads.values())
-        total = sum(loads.values())
-        primary = (total, peak) if average_first else (peak, total)
-        key = (*primary, arch.linear_index(tile))
-        if best_key is None or key < best_key:
-            best, best_key = tile, key
-    return best
-
-
-def _oracle_path_load(req: MapRequest, state: MappingState, policy: RoutePolicy) -> Coord | None:
-    arch = state.arch
-    best = None
-    best_key = None
-    for tile in arch.coords():
-        if not (state.tile_free(tile) and compatible(req.task.kind, arch.kind(tile))):
-            continue
-        there = route(policy, req.requester_tile, tile, state.ledger, arch)
-        back = route(policy, tile, req.requester_tile, state.ledger, arch)
-        cost = sum(state.ledger.load(l) for l in zip(there, there[1:]))
-        cost += sum(state.ledger.load(l) for l in zip(back, back[1:]))
-        hops = (len(there) - 1) + (len(back) - 1)
-        key = (cost, hops, arch.linear_index(tile))
-        if best_key is None or key < best_key:
-            best, best_key = tile, key
-    return best
-
-
 def verify_placement(states: int, report: Callable[[str], None]) -> tuple[int, int]:
     """MMC/MAC/PL placements equal brute-force enumeration on 4x4 states."""
-    arch = _verify_arch_4x4()
+    arch = arch_4x4()
     checks = failures = 0
     for seed in range(states):
-        state, req, policy = _random_partial_state(arch, seed)
+        state, req, policy = random_partial_state(arch, seed)
         cases = (
-            ("mmc", map_mmc(req, state, policy)[0], _oracle_channel_load(req, state, policy, False)),
-            ("mac", map_mac(req, state, policy)[0], _oracle_channel_load(req, state, policy, True)),
-            ("pl", map_pl(req, state, policy)[0], _oracle_path_load(req, state, policy)),
+            ("mmc", map_channel_load(req, state, policy, False)[0],
+             oracle_channel_load(req, state, policy, False)),
+            ("mac", map_channel_load(req, state, policy, True)[0],
+             oracle_channel_load(req, state, policy, True)),
+            ("pl", map_pl(req, state, policy)[0], oracle_path_load(req, state, policy)),
         )
         for name, got, want in cases:
             checks += 1

@@ -11,6 +11,10 @@ Seven policies decide which free tile receives a newly requested task:
 * ``spiral`` ring-by-ring clockwise scan around the requesting tile, with
   cluster-centre placement for initial tasks
 
+All but ``spiral`` are the reference heuristics of Carvalho, Calazans &
+Moraes, "Heuristics for Dynamic Task Mapping in NoC-based Heterogeneous
+MPSoCs", RSP 2007.
+
 Every heuristic is a pure function of (request, state); ``ff`` additionally
 threads its cursor.  Each returns the chosen tile (or ``None`` when no free
 compatible tile exists) plus the number of candidate tiles it examined,
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import ceil
 from typing import Iterable
 
@@ -276,10 +281,14 @@ def _candidates(state: MappingState, kind: TaskKind) -> list[Coord]:
     return [c for c in state.arch.coords() if _free_compatible(state, c, kind)]
 
 
-def _tentative_load_key(
-    req: MapRequest, state: MappingState, tile: Coord, policy: RoutePolicy
-) -> tuple[int, int]:
-    """(peak, total) ledger loads after tentatively routing both directions."""
+def _channel_load_key(
+    req: MapRequest, state: MappingState, tile: Coord, policy: RoutePolicy, average_first: bool
+) -> tuple[int, int, int]:
+    """Ledger loads after tentatively routing both directions to ``tile``.
+
+    The key is (peak, total, linear index), or (total, peak, linear index)
+    with ``average_first``.
+    """
     arch = state.arch
     ledger = state.ledger
     applied: list[tuple[tuple[Coord, ...], int]] = []
@@ -288,53 +297,30 @@ def _tentative_load_key(
             path = route(policy, src, dst, ledger, arch)
             ledger.add_path(path, volume)
             applied.append((path, volume))
-    key = (ledger.peak_load(), ledger.total_load())
+    peak, total = ledger.peak_load(), ledger.total_load()
     for path, volume in reversed(applied):
         ledger.remove_path(path, volume)
-    return key
+    if average_first:
+        return (total, peak, arch.linear_index(tile))
+    return (peak, total, arch.linear_index(tile))
 
 
-def map_mmc(
-    req: MapRequest, state: MappingState, policy: RoutePolicy
+def map_channel_load(
+    req: MapRequest, state: MappingState, policy: RoutePolicy, average_first: bool
 ) -> tuple[Coord | None, int]:
-    """Tile whose tentative routes raise the peak channel load the least.
+    """Tile whose tentative routes leave the lowest channel load (mmc, mac).
 
-    Ties break on the resulting total (hence average) load, then on the
-    smallest linear tile index.
+    mmc minimises the resulting peak load, breaking ties on the total;
+    mac (``average_first``) minimises the resulting average load, compared
+    through the exact integer total since the link count is constant, and
+    breaks ties on the peak.  Remaining ties break on linear tile index.
     """
     if req.requester_tile is None:
         raise StateError("channel-load placement requires a requester tile")
-    arch = state.arch
-    best: Coord | None = None
-    best_key: tuple[int, int, int] | None = None
     cands = _candidates(state, req.task.kind)
-    for tile in cands:
-        peak, total = _tentative_load_key(req, state, tile, policy)
-        key = (peak, total, arch.linear_index(tile))
-        if best_key is None or key < best_key:
-            best, best_key = tile, key
-    return best, len(cands)
-
-
-def map_mac(
-    req: MapRequest, state: MappingState, policy: RoutePolicy
-) -> tuple[Coord | None, int]:
-    """Tile minimising the resulting average channel load.
-
-    The link count is constant, so the average is compared through the exact
-    integer total.  Ties break on peak load, then linear index.
-    """
-    if req.requester_tile is None:
-        raise StateError("channel-load placement requires a requester tile")
-    arch = state.arch
-    best: Coord | None = None
-    best_key: tuple[int, int, int] | None = None
-    cands = _candidates(state, req.task.kind)
-    for tile in cands:
-        peak, total = _tentative_load_key(req, state, tile, policy)
-        key = (total, peak, arch.linear_index(tile))
-        if best_key is None or key < best_key:
-            best, best_key = tile, key
+    best = min(
+        cands, key=lambda t: _channel_load_key(req, state, t, policy, average_first), default=None
+    )
     return best, len(cands)
 
 
@@ -360,13 +346,7 @@ def map_pl(
     if req.requester_tile is None:
         raise StateError("path-load placement requires a requester tile")
     cands = _candidates(state, req.task.kind)
-    best: Coord | None = None
-    best_key: tuple[int, int, int] | None = None
-    for tile in cands:
-        key = _pl_key(req, state, tile, policy)
-        if best_key is None or key < best_key:
-            best, best_key = tile, key
-    return best, len(cands)
+    return min(cands, key=lambda t: _pl_key(req, state, t, policy), default=None), len(cands)
 
 
 def map_bn(
@@ -392,25 +372,30 @@ class HeuristicEngine:
     """Stateful dispatcher: route policy, first-free cursor, evaluation count."""
 
     def __init__(self, kind: HeuristicKind | str, route_policy: RoutePolicy | None = None):
-        self.kind = kind if isinstance(kind, HeuristicKind) else HeuristicKind(kind)
-        self.route_policy = route_policy or DEFAULT_ROUTE_POLICY[self.kind]
+        try:
+            self.kind = HeuristicKind(kind)
+        except ValueError:
+            raise ValidationError(
+                f"unknown heuristic {kind!r} (valid: {', '.join(HEURISTIC_NAMES)})"
+            ) from None
+        self.route_policy = policy = route_policy or DEFAULT_ROUTE_POLICY[self.kind]
         self.cursor = 0
         self.evaluations = 0
+        self._map = {
+            HeuristicKind.FF: self._map_ff,
+            HeuristicKind.NN: map_nn,
+            HeuristicKind.SPIRAL: map_spiral,
+            HeuristicKind.MMC: partial(map_channel_load, policy=policy, average_first=False),
+            HeuristicKind.MAC: partial(map_channel_load, policy=policy, average_first=True),
+            HeuristicKind.PL: partial(map_pl, policy=policy),
+            HeuristicKind.BN: partial(map_bn, policy=policy),
+        }[self.kind]
+
+    def _map_ff(self, req: MapRequest, state: MappingState) -> tuple[Coord | None, int]:
+        tile, self.cursor, examined = map_ff(req, state, self.cursor)
+        return tile, examined
 
     def place(self, req: MapRequest, state: MappingState) -> Coord | None:
-        if self.kind is HeuristicKind.FF:
-            tile, self.cursor, examined = map_ff(req, state, self.cursor)
-        elif self.kind is HeuristicKind.NN:
-            tile, examined = map_nn(req, state)
-        elif self.kind is HeuristicKind.SPIRAL:
-            tile, examined = map_spiral(req, state)
-        elif self.kind is HeuristicKind.MMC:
-            tile, examined = map_mmc(req, state, self.route_policy)
-        elif self.kind is HeuristicKind.MAC:
-            tile, examined = map_mac(req, state, self.route_policy)
-        elif self.kind is HeuristicKind.PL:
-            tile, examined = map_pl(req, state, self.route_policy)
-        else:
-            tile, examined = map_bn(req, state, self.route_policy)
+        tile, examined = self._map(req, state)
         self.evaluations += examined
         return tile

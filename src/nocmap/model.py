@@ -115,15 +115,13 @@ class TaskGraph:
         self.edges = tuple(edges)
         self._by_id = {t.id: t for t in self.tasks}
         self._validate()
-        self._out: dict[str, list[Edge]] = {t.id: [] for t in self.tasks}
-        self._in: dict[str, list[Edge]] = {t.id: [] for t in self.tasks}
+        out: dict[str, list[Edge]] = {t.id: [] for t in self.tasks}
+        inc: dict[str, list[Edge]] = {t.id: [] for t in self.tasks}
         for e in self.edges:
-            self._out[e.mtid].append(e)
-            self._in[e.stid].append(e)
-        for lst in self._out.values():
-            lst.sort(key=lambda e: e.stid)
-        for lst in self._in.values():
-            lst.sort(key=lambda e: e.mtid)
+            out[e.mtid].append(e)
+            inc[e.stid].append(e)
+        self._out = {tid: tuple(sorted(es, key=lambda e: e.stid)) for tid, es in out.items()}
+        self._in = {tid: tuple(sorted(es, key=lambda e: e.mtid)) for tid, es in inc.items()}
 
     def _validate(self) -> None:
         if not self.tasks:
@@ -197,13 +195,13 @@ class TaskGraph:
         except KeyError:
             raise ValidationError(f"application {self.app_id!r}: unknown task {tid!r}") from None
 
-    def outgoing(self, tid: str) -> list[Edge]:
+    def outgoing(self, tid: str) -> tuple[Edge, ...]:
         """Edges mastered by ``tid``, ordered by slave id."""
-        return list(self._out[tid])
+        return self._out[tid]
 
-    def incoming(self, tid: str) -> list[Edge]:
+    def incoming(self, tid: str) -> tuple[Edge, ...]:
         """Edges targeting ``tid``, ordered by master id."""
-        return list(self._in[tid])
+        return self._in[tid]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaskGraph):

@@ -1,0 +1,191 @@
+"""Brute-force oracles for the router and the placement heuristics.
+
+Each oracle recomputes an objective by exhaustive enumeration, independently
+of the production code it checks.  ``nocmap verify`` and the test suite
+compare ``min_load_route`` and the mmc, mac, pl and bn heuristics against
+them on small meshes.  The placement objectives are those of Carvalho,
+Calazans & Moraes, "Heuristics for Dynamic Task Mapping in NoC-based
+Heterogeneous MPSoCs", RSP 2007.
+"""
+from __future__ import annotations
+
+import random
+from typing import Iterable
+
+from .heuristics import MapRequest
+from .model import (
+    ArchGraph,
+    ChannelLoadLedger,
+    Coord,
+    MappingState,
+    Task,
+    TaskKind,
+    ValidationError,
+    compatible,
+)
+from .routing import Path, RoutePolicy, route
+
+# Largest mesh edge the exhaustive route oracle accepts; enumeration of all
+# simple paths is intractable beyond this.
+ORACLE_MESH_LIMIT = 4
+
+
+def enumerate_objectives(
+    src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph
+) -> dict[Coord, tuple[int, int, Path]]:
+    """Best (load, hops, path) to every tile by exhaustive simple-path search.
+
+    Among optimal-objective paths the lexicographically smallest sequence of
+    linear tile indices is kept, which pins the result.  Refuses meshes
+    larger than ORACLE_MESH_LIMIT on either edge.
+    """
+    if arch.width > ORACLE_MESH_LIMIT or arch.height > ORACLE_MESH_LIMIT:
+        raise ValidationError(
+            f"oracle refuses meshes larger than "
+            f"{ORACLE_MESH_LIMIT}x{ORACLE_MESH_LIMIT}: got {arch.width}x{arch.height}"
+        )
+    arch.require_in_mesh(src)
+    best: dict[Coord, tuple[int, int, tuple[int, ...], Path]] = {}
+    path: list[Coord] = [src]
+    on_path = {src}
+
+    def visit(u: Coord, load: int) -> None:
+        lin = tuple(arch.linear_index(c) for c in path)
+        key = (load, len(path) - 1, lin, tuple(path))
+        if u not in best or key[:3] < best[u][:3]:
+            best[u] = key
+        for v in arch.neighbors(u):
+            if v in on_path:
+                continue
+            path.append(v)
+            on_path.add(v)
+            visit(v, load + ledger.load((u, v)))
+            path.pop()
+            on_path.remove(v)
+
+    visit(src, 0)
+    return {c: (load, hops, p) for c, (load, hops, _, p) in best.items()}
+
+
+def route_oracle(src: Coord, dst: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> Path:
+    """Optimal path by exhaustive enumeration (small meshes only)."""
+    arch.require_in_mesh(dst)
+    return enumerate_objectives(src, ledger, arch)[dst][2]
+
+
+def random_ledger(arch: ArchGraph, seed: int, high: int = 500) -> ChannelLoadLedger:
+    """Seeded ledger with every link load drawn from 0..high; seed 0 is all zero."""
+    ledger = ChannelLoadLedger(arch)
+    if seed == 0:
+        return ledger
+    rng = random.Random(seed)
+    for link in arch.links():
+        ledger.set_load(link, rng.randint(0, high))
+    return ledger
+
+
+def arch_4x4() -> ArchGraph:
+    """4x4 platform with three RA tiles, on which placements are checked."""
+    return ArchGraph.uniform(4, 4, manager=(0, 0), ra=((1, 1), (2, 2), (3, 0)))
+
+
+def random_partial_state(
+    arch: ArchGraph, seed: int
+) -> tuple[MappingState, MapRequest, RoutePolicy]:
+    """Seeded partial mapping with routed traffic, plus a pending request.
+
+    Returns (state, request, policy) for placement-oracle comparisons.  Odd
+    seeds pair the request with the load-aware router, even seeds with XY.
+    """
+    rng = random.Random(seed)
+    state = MappingState(arch)
+    placed: list[tuple[str, str, Coord]] = []
+    for a in range(rng.randint(1, 2)):
+        app = f"app{a}"
+        for i in range(rng.randint(1, 4)):
+            kind = TaskKind.INITIAL if i == 0 else (
+                TaskKind.HARDWARE if rng.random() < 0.3 else TaskKind.SOFTWARE
+            )
+            free = [c for c in arch.coords()
+                    if state.tile_free(c) and compatible(kind, arch.kind(c))]
+            if not free:
+                continue
+            tile = free[rng.randrange(len(free))]
+            task = Task(f"t{i}", kind, 100)
+            state.place(app, task, tile)
+            placed.append((app, task.id, tile))
+    by_app: dict[str, list[tuple[str, Coord]]] = {}
+    for app, tid, tile in placed:
+        by_app.setdefault(app, []).append((tid, tile))
+    for app, tasks in by_app.items():
+        for (m, mt), (s, st) in zip(tasks, tasks[1:]):
+            if rng.random() < 0.7:
+                vol = rng.randint(1, 300)
+                state.apply_route(app, m, s, "ms",
+                                  route(RoutePolicy.XY, mt, st, state.ledger, arch), vol)
+    app, tid, tile = placed[rng.randrange(len(placed))]
+    kind = TaskKind.HARDWARE if rng.random() < 0.3 else TaskKind.SOFTWARE
+    vms = rng.randint(0, 300)
+    vsm = rng.randint(0, 300)
+    if vms + vsm == 0:
+        vsm = 1
+    req = MapRequest(app, Task("pending", kind, 100), tile, vms, vsm)
+    policy = RoutePolicy.MIN_LOAD if seed % 2 else RoutePolicy.XY
+    return state, req, policy
+
+
+def oracle_channel_load(
+    req: MapRequest, state: MappingState, policy: RoutePolicy, average_first: bool
+) -> Coord | None:
+    """mmc (peak load first) or mac (total load first) placement, recomputed.
+
+    Every link load is recounted from scratch for each candidate; ties break
+    on the other load, then on the smallest linear tile index.
+    """
+    arch = state.arch
+    best = best_key = None
+    for tile in arch.coords():
+        if not (state.tile_free(tile) and compatible(req.task.kind, arch.kind(tile))):
+            continue
+        loads = dict(state.ledger.loads())
+        trial = state.ledger.copy()
+        for volume, src, dst in ((req.vms, req.requester_tile, tile),
+                                 (req.vsm, tile, req.requester_tile)):
+            if volume >= 1:
+                path = route(policy, src, dst, trial, arch)
+                for link in zip(path, path[1:]):
+                    loads[link] += volume
+                trial.add_path(path, volume)
+        peak, total = max(loads.values()), sum(loads.values())
+        primary = (total, peak) if average_first else (peak, total)
+        key = (*primary, arch.linear_index(tile))
+        if best_key is None or key < best_key:
+            best, best_key = tile, key
+    return best
+
+
+def oracle_path_load(
+    req: MapRequest,
+    state: MappingState,
+    policy: RoutePolicy,
+    shell: Iterable[Coord] | None = None,
+) -> Coord | None:
+    """pl placement (bn when ``shell`` limits the candidates), recomputed.
+
+    Minimises the summed current load of the routes there and back; ties
+    break on combined hop count, then on the smallest linear tile index.
+    """
+    arch = state.arch
+    best = best_key = None
+    for tile in shell if shell is not None else arch.coords():
+        if not (state.tile_free(tile) and compatible(req.task.kind, arch.kind(tile))):
+            continue
+        there = route(policy, req.requester_tile, tile, state.ledger, arch)
+        back = route(policy, tile, req.requester_tile, state.ledger, arch)
+        cost = sum(state.ledger.load(l) for l in zip(there, there[1:]))
+        cost += sum(state.ledger.load(l) for l in zip(back, back[1:]))
+        hops = len(there) + len(back) - 2
+        key = (cost, hops, arch.linear_index(tile))
+        if best_key is None or key < best_key:
+            best, best_key = tile, key
+    return best

@@ -2,9 +2,7 @@
 
 Two routers are provided: deterministic dimension-ordered XY routing and a
 load-aware Dijkstra search that minimises the accumulated load along the
-path (ties broken by hop count).  ``route_oracle`` recomputes the optimum by
-exhaustive simple-path enumeration on small meshes and exists purely to
-cross-check the Dijkstra router.
+path (ties broken by hop count).
 """
 from __future__ import annotations
 
@@ -12,13 +10,9 @@ import heapq
 from enum import Enum
 from typing import Sequence
 
-from .model import ArchGraph, ChannelLoadLedger, Coord, ValidationError
+from .model import ArchGraph, ChannelLoadLedger, Coord
 
 Path = tuple[Coord, ...]
-
-# Largest mesh edge the exhaustive oracle accepts; enumeration of all simple
-# paths is intractable beyond this.
-ORACLE_MESH_LIMIT = 4
 
 
 class RoutePolicy(Enum):
@@ -101,46 +95,3 @@ def route(
     if policy is RoutePolicy.XY:
         return xy_route(src, dst, arch)
     return min_load_route(src, dst, ledger, arch)
-
-
-def enumerate_objectives(
-    src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph
-) -> dict[Coord, tuple[int, int, Path]]:
-    """Best (load, hops, path) to every tile by exhaustive simple-path search.
-
-    Among optimal-objective paths the lexicographically smallest sequence of
-    linear tile indices is kept, which pins the result.  Refuses meshes
-    larger than ORACLE_MESH_LIMIT on either edge.
-    """
-    if arch.width > ORACLE_MESH_LIMIT or arch.height > ORACLE_MESH_LIMIT:
-        raise ValidationError(
-            f"oracle refuses meshes larger than "
-            f"{ORACLE_MESH_LIMIT}x{ORACLE_MESH_LIMIT}: got {arch.width}x{arch.height}"
-        )
-    arch.require_in_mesh(src)
-    best: dict[Coord, tuple[int, int, tuple[int, ...], Path]] = {}
-    path: list[Coord] = [src]
-    on_path = {src}
-
-    def visit(u: Coord, load: int) -> None:
-        lin = tuple(arch.linear_index(c) for c in path)
-        key = (load, len(path) - 1, lin, tuple(path))
-        if u not in best or key[:3] < best[u][:3]:
-            best[u] = key
-        for v in arch.neighbors(u):
-            if v in on_path:
-                continue
-            path.append(v)
-            on_path.add(v)
-            visit(v, load + ledger.load((u, v)))
-            path.pop()
-            on_path.remove(v)
-
-    visit(src, 0)
-    return {c: (load, hops, p) for c, (load, hops, _, p) in best.items()}
-
-
-def route_oracle(src: Coord, dst: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> Path:
-    """Optimal path by exhaustive enumeration (small meshes only)."""
-    arch.require_in_mesh(dst)
-    return enumerate_objectives(src, ledger, arch)[dst][2]

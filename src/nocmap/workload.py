@@ -226,18 +226,14 @@ def read_report(path: str) -> list[dict]:
             raise ValidationError(f"unexpected report header in {path}")
         for raw in reader:
             row: dict = dict(raw)
-            for field in (
-                "seed",
-                "app_count",
-                "makespan_cycles",
-                "total_energy",
-                "energy_compute",
-                "energy_comm",
-                "peak_link_load",
-                "mapping_evaluations",
-                "max_queue_wait",
-            ):
-                row[field] = int(row[field])
-            row["avg_link_load"] = float(row["avg_link_load"])
+            for field in REPORT_HEADER[1:]:
+                parse = float if field == "avg_link_load" else int
+                try:
+                    row[field] = parse(row[field])
+                except (TypeError, ValueError):
+                    raise ValidationError(
+                        f"{path} line {reader.line_num}: column {field}: "
+                        f"{row[field]!r} is not a number"
+                    ) from None
             rows.append(row)
     return rows

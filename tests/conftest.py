@@ -1,9 +1,6 @@
-import random
-
 import pytest
 
-from nocmap.model import ArchGraph, Edge, MappingState, Task, TaskGraph, TaskKind, compatible
-from nocmap.routing import RoutePolicy, route
+from nocmap.model import ArchGraph, Edge, Task, TaskGraph, TaskKind
 
 
 @pytest.fixture
@@ -15,58 +12,9 @@ def small_arch(width, height, ra=(), manager=(0, 0)):
     return ArchGraph.uniform(width, height, manager=manager, ra=ra)
 
 
-def arch_4x4():
-    """4x4 test platform with a few hardware tiles."""
-    return ArchGraph.uniform(4, 4, manager=(0, 0), ra=((1, 1), (2, 2), (3, 0)))
-
-
 def chain_app(app_id="app0", kinds=(TaskKind.INITIAL, TaskKind.SOFTWARE), instructions=100,
               vms=100, vsm=100):
     """Linear pipeline t0 -> t1 -> ... with uniform volumes."""
     tasks = [Task(f"t{i}", k, instructions) for i, k in enumerate(kinds)]
     edges = [Edge(f"t{i}", f"t{i+1}", vms, vsm) for i in range(len(kinds) - 1)]
     return TaskGraph(app_id, tasks, edges)
-
-
-def random_partial_state(arch, seed):
-    """Seeded partial mapping with routed traffic, plus a pending request.
-
-    Returns (state, request, policy) for placement-oracle comparisons.
-    """
-    from nocmap.heuristics import MapRequest
-
-    rng = random.Random(seed)
-    state = MappingState(arch)
-    placed = []
-    for a in range(rng.randint(1, 2)):
-        app = f"app{a}"
-        for i in range(rng.randint(1, 4)):
-            kind = TaskKind.INITIAL if i == 0 else (
-                TaskKind.HARDWARE if rng.random() < 0.3 else TaskKind.SOFTWARE
-            )
-            free = [c for c in arch.coords()
-                    if state.tile_free(c) and compatible(kind, arch.kind(c))]
-            if not free:
-                continue
-            tile = free[rng.randrange(len(free))]
-            task = Task(f"t{i}", kind, 100)
-            state.place(app, task, tile)
-            placed.append((app, task.id, tile))
-    by_app = {}
-    for app, tid, tile in placed:
-        by_app.setdefault(app, []).append((tid, tile))
-    for app, tasks in by_app.items():
-        for (m, mt), (s, st) in zip(tasks, tasks[1:]):
-            if rng.random() < 0.7:
-                vol = rng.randint(1, 300)
-                state.apply_route(app, m, s, "ms",
-                                  route(RoutePolicy.XY, mt, st, state.ledger, arch), vol)
-    app, tid, tile = placed[rng.randrange(len(placed))]
-    kind = TaskKind.HARDWARE if rng.random() < 0.3 else TaskKind.SOFTWARE
-    vms = rng.randint(0, 300)
-    vsm = rng.randint(0, 300)
-    if vms + vsm == 0:
-        vsm = 1
-    req = MapRequest(app, Task("pending", kind, 100), tile, vms, vsm)
-    policy = RoutePolicy.MIN_LOAD if seed % 2 else RoutePolicy.XY
-    return state, req, policy

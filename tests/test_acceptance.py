@@ -8,9 +8,8 @@ import pytest
 from nocmap.cli import main as cli_main
 from nocmap.heuristics import (
     MapRequest,
+    map_channel_load,
     map_ff,
-    map_mac,
-    map_mmc,
     map_pl,
     ring_limit,
     spiral_ring,
@@ -23,12 +22,18 @@ from nocmap.model import (
     TaskKind,
     TileKind,
 )
-from nocmap.routing import enumerate_objectives, min_load_route, path_cost, path_hops
+from nocmap.oracles import (
+    arch_4x4,
+    enumerate_objectives,
+    oracle_channel_load,
+    oracle_path_load,
+    random_partial_state,
+)
+from nocmap.routing import min_load_route, path_cost, path_hops
 from nocmap.sim import PlatformParams, Scenario, _Engine, compute_energy, compute_time
 from nocmap.workload import GenConfig, generate_workload
 
-from conftest import arch_4x4, random_partial_state, small_arch
-from test_heuristics import oracle_channel_load, oracle_path_load
+from conftest import small_arch
 
 APP_COUNTS = (1, 3, 7, 10)
 SWEEP_HEURISTICS = ("spiral", "nn", "bn")
@@ -75,8 +80,9 @@ def test_criterion_2_placement_oracle_equivalence():
     checks = 0
     for seed in range(100):
         state, req, policy = random_partial_state(arch_4x4(), seed)
-        assert map_mmc(req, state, policy)[0] == oracle_channel_load(req, state, policy, False)
-        assert map_mac(req, state, policy)[0] == oracle_channel_load(req, state, policy, True)
+        for average_first in (False, True):
+            got, _ = map_channel_load(req, state, policy, average_first)
+            assert got == oracle_channel_load(req, state, policy, average_first)
         assert map_pl(req, state, policy)[0] == oracle_path_load(req, state, policy)
         checks += 3
     elapsed = time.time() - t0

@@ -118,6 +118,13 @@ class TestRun:
                      "--layout-file", str(layout), "--out", str(tmp_path / "r.csv"))
         assert rc == 0
 
+    def test_layout_file_bad_width(self, tmp_path, workload):
+        layout = tmp_path / "mesh.json"
+        layout.write_text(json.dumps({"width": "abc", "height": 4}))
+        rc = run_cli("run", "--workload", str(workload), "--heuristic", "nn",
+                     "--layout-file", str(layout), "--out", str(tmp_path / "r.csv"))
+        assert rc == 3
+
 
 class TestCompare:
     def test_row_counts_and_summary(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-import random
+from functools import partial
 
 import pytest
 
@@ -8,9 +8,8 @@ from nocmap.heuristics import (
     HeuristicKind,
     MapRequest,
     map_bn,
+    map_channel_load,
     map_ff,
-    map_mac,
-    map_mmc,
     map_nn,
     map_pl,
     map_spiral,
@@ -29,9 +28,18 @@ from nocmap.model import (
     compatible,
     manhattan,
 )
-from nocmap.routing import RoutePolicy, route
+from nocmap.oracles import arch_4x4, oracle_channel_load, oracle_path_load, random_partial_state
+from nocmap.routing import RoutePolicy
 
-from conftest import arch_4x4, random_partial_state, small_arch
+from conftest import small_arch
+
+# mmc, mac, pl and bn, each called as (request, state, policy)
+LOAD_MAPPERS = (
+    partial(map_channel_load, average_first=False),
+    partial(map_channel_load, average_first=True),
+    map_pl,
+    map_bn,
+)
 
 
 def sw_task(tid="s"):
@@ -274,55 +282,13 @@ class TestMapNN:
         assert tile is None
 
 
-# Brute-force placement oracles with independently recomputed objectives.
-
-def oracle_channel_load(req, state, policy, average_first):
-    arch = state.arch
-    best = best_key = None
-    for tile in arch.coords():
-        if not (state.tile_free(tile) and compatible(req.task.kind, arch.kind(tile))):
-            continue
-        loads = dict(state.ledger.loads())
-        trial = state.ledger.copy()
-        for volume, src, dst in ((req.vms, req.requester_tile, tile),
-                                 (req.vsm, tile, req.requester_tile)):
-            if volume >= 1:
-                path = route(policy, src, dst, trial, arch)
-                for link in zip(path, path[1:]):
-                    loads[link] += volume
-                trial.add_path(path, volume)
-        peak, total = max(loads.values()), sum(loads.values())
-        primary = (total, peak) if average_first else (peak, total)
-        key = (*primary, arch.linear_index(tile))
-        if best_key is None or key < best_key:
-            best, best_key = tile, key
-    return best
-
-
-def oracle_path_load(req, state, policy, shell=None):
-    arch = state.arch
-    best = best_key = None
-    for tile in shell if shell is not None else arch.coords():
-        if not (state.tile_free(tile) and compatible(req.task.kind, arch.kind(tile))):
-            continue
-        there = route(policy, req.requester_tile, tile, state.ledger, arch)
-        back = route(policy, tile, req.requester_tile, state.ledger, arch)
-        cost = sum(state.ledger.load(l) for l in zip(there, there[1:]))
-        cost += sum(state.ledger.load(l) for l in zip(back, back[1:]))
-        hops = len(there) + len(back) - 2
-        key = (cost, hops, arch.linear_index(tile))
-        if best_key is None or key < best_key:
-            best, best_key = tile, key
-    return best
-
-
 class TestMapMMC:
     def test_empty_ledger_prefers_nearest_then_linear_index(self):
         arch = arch_4x4()
         state = MappingState(arch)
         place_master(state, (1, 2))
         req = MapRequest("app0", sw_task(), (1, 2), 100, 100)
-        tile, examined = map_mmc(req, state, RoutePolicy.XY)
+        tile, examined = map_channel_load(req, state, RoutePolicy.XY, False)
         assert tile == (0, 2)  # hop-1 candidate with the smallest linear index
         free_compat = [c for c in arch.coords()
                        if state.tile_free(c) and arch.kind(c) is TileKind.ISP]
@@ -333,13 +299,15 @@ class TestMapMMC:
         state = MappingState(arch)
         place_master(state, (1, 1))
         state.ledger.set_load(((1, 1), (1, 0)), 50)
-        tile, _ = map_mmc(MapRequest("app0", sw_task(), (1, 1), 100, 0), state, RoutePolicy.XY)
+        req = MapRequest("app0", sw_task(), (1, 1), 100, 0)
+        tile, _ = map_channel_load(req, state, RoutePolicy.XY, False)
         assert tile == (0, 1)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_bruteforce(self, seed):
         state, req, policy = random_partial_state(arch_4x4(), seed)
-        assert map_mmc(req, state, policy)[0] == oracle_channel_load(req, state, policy, False)
+        got, _ = map_channel_load(req, state, policy, False)
+        assert got == oracle_channel_load(req, state, policy, False)
 
 
 class TestMapMAC:
@@ -347,7 +315,8 @@ class TestMapMAC:
         arch = arch_4x4()
         state = MappingState(arch)
         place_master(state, (1, 2))
-        tile, _ = map_mac(MapRequest("app0", sw_task(), (1, 2), 100, 100), state, RoutePolicy.XY)
+        req = MapRequest("app0", sw_task(), (1, 2), 100, 100)
+        tile, _ = map_channel_load(req, state, RoutePolicy.XY, True)
         assert arch.hop_distance((1, 2), tile) == 1
 
     def test_zero_vms_only_counts_return_direction(self):
@@ -355,14 +324,15 @@ class TestMapMAC:
         state = MappingState(arch)
         place_master(state, (1, 2))
         req = MapRequest("app0", sw_task(), (1, 2), 0, 1)
-        assert map_mac(req, state, RoutePolicy.XY)[0] == oracle_channel_load(
+        assert map_channel_load(req, state, RoutePolicy.XY, True)[0] == oracle_channel_load(
             req, state, RoutePolicy.XY, True
         )
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_bruteforce(self, seed):
         state, req, policy = random_partial_state(arch_4x4(), seed)
-        assert map_mac(req, state, policy)[0] == oracle_channel_load(req, state, policy, True)
+        got, _ = map_channel_load(req, state, policy, True)
+        assert got == oracle_channel_load(req, state, policy, True)
 
 
 class TestMapPL:
@@ -448,7 +418,7 @@ class TestHeuristicProperties:
         scaled_req = MapRequest(
             req.app, req.task, req.requester_tile, req.vms * factor, req.vsm * factor
         )
-        for fn in (map_mmc, map_mac, map_pl, map_bn):
+        for fn in LOAD_MAPPERS:
             assert fn(req, state, policy)[0] == fn(scaled_req, scaled_state, policy)[0]
 
     @pytest.mark.parametrize("seed", range(25))
@@ -477,7 +447,7 @@ class TestHeuristicProperties:
         state, req, policy = random_partial_state(arch_4x4(), seed)
         for fn in (map_nn, map_spiral):
             assert fn(req, state) == fn(req, state)
-        for fn in (map_mmc, map_mac, map_pl, map_bn):
+        for fn in LOAD_MAPPERS:
             assert fn(req, state, policy) == fn(req, state, policy)
 
 
@@ -490,7 +460,7 @@ class TestHeuristicEngine:
             assert HeuristicEngine(name).route_policy is RoutePolicy.XY
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="valid: ff, mmc, mac, nn, pl, bn, spiral"):
             HeuristicEngine("bogus")
 
     def test_evaluations_accumulate(self):

@@ -3,26 +3,10 @@ import random
 import pytest
 
 from nocmap.model import ChannelLoadLedger, ValidationError
-from nocmap.routing import (
-    RoutePolicy,
-    enumerate_objectives,
-    min_load_route,
-    path_cost,
-    path_hops,
-    route,
-    route_oracle,
-    xy_route,
-)
+from nocmap.oracles import enumerate_objectives, random_ledger, route_oracle
+from nocmap.routing import RoutePolicy, min_load_route, path_cost, path_hops, route, xy_route
 
 from conftest import small_arch
-
-
-def random_ledger(arch, seed, high=500):
-    ledger = ChannelLoadLedger(arch)
-    rng = random.Random(seed)
-    for link in arch.links():
-        ledger.set_load(link, rng.randint(0, high))
-    return ledger
 
 
 class TestXYRoute:

@@ -210,6 +210,10 @@ class TestSimulateBasics:
         with pytest.raises(ValidationError):
             simulate(Scenario(apps=[], heuristic="nn"))
 
+    def test_unknown_heuristic_rejected(self):
+        with pytest.raises(ValidationError, match="unknown heuristic 'bogus'"):
+            simulate(Scenario(apps=[single_task_app()], heuristic="bogus"))
+
 
 def _recompute_energy_from_log(events):
     compute = comm = 0

@@ -195,3 +195,13 @@ class TestReportCsv:
     def test_empty_report_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             write_report([], str(tmp_path / "r.csv"))
+
+    def test_non_integer_cell_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_report(self._reports(heuristics=("nn",), seeds=(1,)), str(path))
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        cells = row.split(",")
+        cells[REPORT_HEADER.index("makespan_cycles")] = "12x"
+        path.write_text(f"{header}\n{','.join(cells)}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"r\.csv line 2: column makespan_cycles: '12x'"):
+            read_report(str(path))
