@@ -11,7 +11,6 @@ from .model import (
     Task,
     TaskGraph,
     TaskKind,
-    Tile,
     TileKind,
     ValidationError,
     compatible,
@@ -55,7 +54,6 @@ __all__ = [
     "Task",
     "TaskGraph",
     "TaskKind",
-    "Tile",
     "TileKind",
     "ValidationError",
     "comm_latency",

@@ -13,21 +13,13 @@ Exit codes: 0 success, 1 usage, 2 I/O, 3 validation, 4 oracle failure.
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .heuristics import HEURISTIC_NAMES, map_channel_load, map_pl, ring_limit, spiral_ring
-from .model import ArchGraph, Coord, ValidationError
-from .oracles import (
-    arch_4x4,
-    enumerate_objectives,
-    oracle_channel_load,
-    oracle_path_load,
-    random_ledger,
-    random_partial_state,
-)
+from .heuristics import HEURISTIC_NAMES
+from .model import ArchGraph, ValidationError
+from .oracles import check_placement, check_routing, check_spiral
 from .routing import RoutePolicy, min_load_route
 from .sim import DeadlockError, Scenario, SimReport, simulate, write_event_log
 from .workload import GenConfig, generate_workload, parse_workload_file, write_report, write_workload
@@ -58,8 +50,8 @@ def _build_arch(args: argparse.Namespace) -> ArchGraph:
                 raise ValidationError(f"layout file {layout_file}: {exc}") from None
         try:
             return ArchGraph.uniform(
-                int(layout["width"]),
-                int(layout["height"]),
+                layout["width"],
+                layout["height"],
                 manager=tuple(layout.get("manager", (0, 0))),
                 ra=[tuple(c) for c in layout.get("ra", ())],
             )
@@ -172,124 +164,31 @@ def summarize(reports: Sequence[SimReport]) -> list[str]:
 def _hop_first_route(src, dst, ledger, arch):
     # Deliberately wrong priority order (hops before load); only reachable
     # through the hidden fault-injection flag, to prove the harness can fail.
-    if src == dst:
-        return (src,)
-    dist = {src: (0, 0)}
-    parent = {}
-    heap = [(0, 0, arch.linear_index(src), src)]
-    done = set()
-    while heap:
-        hops, load, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == dst:
-            break
-        for v in arch.neighbors(u):
-            if v in done:
-                continue
-            cand = (hops + 1, load + ledger.load((u, v)))
-            if v not in dist or cand < dist[v]:
-                dist[v] = cand
-                parent[v] = u
-                heapq.heappush(heap, (cand[0], cand[1], arch.linear_index(v), v))
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
-def verify_routing(ledgers: int, fault: bool, report: Callable[[str], None]) -> tuple[int, int]:
-    """Router objective equals exhaustive enumeration on small meshes."""
-    router = _hop_first_route if fault else min_load_route
-    checks = failures = 0
-    for size in (2, 3, 4):
-        arch = ArchGraph.uniform(size, size)
-        for seed in range(ledgers):
-            ledger = random_ledger(arch, seed)
-            for src in arch.coords():
-                best = enumerate_objectives(src, ledger, arch)
-                for dst in arch.coords():
-                    if src == dst:
-                        continue
-                    path = router(src, dst, ledger, arch)
-                    got = (
-                        sum(ledger.load(l) for l in zip(path, path[1:])),
-                        len(path) - 1,
-                    )
-                    want = best[dst][:2]
-                    checks += 1
-                    if got != want:
-                        failures += 1
-                        if failures == 1:
-                            loads = {
-                                l: v for l, v in ledger.loads().items() if v
-                            }
-                            report(
-                                f"counterexample: mesh {size}x{size} seed {seed} "
-                                f"{src}->{dst}: got (load,hops)={got}, oracle={want}; "
-                                f"nonzero loads {loads}"
-                            )
-    return checks, failures
-
-
-def verify_placement(states: int, report: Callable[[str], None]) -> tuple[int, int]:
-    """MMC/MAC/PL placements equal brute-force enumeration on 4x4 states."""
-    arch = arch_4x4()
-    checks = failures = 0
-    for seed in range(states):
-        state, req, policy = random_partial_state(arch, seed)
-        cases = (
-            ("mmc", map_channel_load(req, state, policy, False)[0],
-             oracle_channel_load(req, state, policy, False)),
-            ("mac", map_channel_load(req, state, policy, True)[0],
-             oracle_channel_load(req, state, policy, True)),
-            ("pl", map_pl(req, state, policy)[0], oracle_path_load(req, state, policy)),
-        )
-        for name, got, want in cases:
-            checks += 1
-            if got != want:
-                failures += 1
-                if failures == 1:
-                    report(
-                        f"counterexample: heuristic {name} seed {seed} "
-                        f"policy {policy.value}: got {got}, oracle {want}"
-                    )
-    return checks, failures
-
-
-def verify_spiral(report: Callable[[str], None]) -> tuple[int, int]:
-    """Concatenated rings visit every non-centre tile exactly once."""
-    arch = ArchGraph.default_8x8()
-    checks = failures = 0
-    for center in arch.coords():
-        seen: list[Coord] = []
-        for hop in range(1, ring_limit(center, arch) + 1):
-            seen.extend(spiral_ring(center, hop, arch))
-        expected = sorted(c for c in arch.coords() if c != center)
-        checks += 1
-        if sorted(seen) != expected or len(seen) != len(set(seen)):
-            failures += 1
-            if failures == 1:
-                report(f"counterexample: centre {center} rings are not a permutation")
-    return checks, failures
+    # Raising every link by more than the total load makes each hop outweigh
+    # any load difference, so hops become the primary key and load the second.
+    raised = ledger.copy()
+    bump = ledger.total_load() + 1
+    for link, load in ledger.loads().items():
+        raised.set_load(link, load + bump)
+    return min_load_route(src, dst, raised, arch)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    fault = args.inject_fault == "routing-tiebreak"
+    router = _hop_first_route if args.inject_fault == "routing-tiebreak" else min_load_route
     suites = {
-        "routing": lambda out: verify_routing(args.routing_ledgers, fault, out),
-        "placement": lambda out: verify_placement(args.placement_states, out),
-        "spiral": lambda out: verify_spiral(out),
+        "routing": lambda: check_routing(args.routing_ledgers, router),
+        "placement": lambda: check_placement(args.placement_states),
+        "spiral": check_spiral,
     }
     if args.suite:
         if args.suite not in suites:
             raise _UsageError(f"unknown suite {args.suite!r} (valid: {', '.join(suites)})")
         suites = {args.suite: suites[args.suite]}
     total_failures = 0
-    for name, runner in suites.items():
-        checks, failures = runner(lambda msg: print(f"  {msg}"))
+    for name, run_suite in suites.items():
+        checks, failures, counterexample = run_suite()
+        if counterexample is not None:
+            print(f"  counterexample: {counterexample}")
         total_failures += failures
         print(f"suite {name}: {checks} checks, {failures} failures")
     return EXIT_ORACLE if total_failures else EXIT_OK

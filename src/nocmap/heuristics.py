@@ -206,7 +206,7 @@ def _free_compatible(state: MappingState, c: Coord, kind: TaskKind) -> bool:
 
 
 def place_initial(
-    grid: ClusterGrid, held: set[int], state: MappingState, kind: TaskKind = TaskKind.INITIAL
+    grid: ClusterGrid, held: set[int], state: MappingState
 ) -> tuple[int, Coord, int] | None:
     """Pick the next free cluster and a tile at or near its centre.
 
@@ -221,12 +221,12 @@ def place_initial(
             continue
         center = grid.clusters[ci].center
         examined = 1
-        if _free_compatible(state, center, kind):
+        if _free_compatible(state, center, TaskKind.INITIAL):
             return ci, center, examined
         for hop in range(1, ring_limit(center, arch) + 1):
             for tile in spiral_ring(center, hop, arch):
                 examined += 1
-                if _free_compatible(state, tile, kind):
+                if _free_compatible(state, tile, TaskKind.INITIAL):
                     return ci, tile, examined
         return None
     return None

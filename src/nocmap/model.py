@@ -215,13 +215,6 @@ class TaskGraph:
         return f"TaskGraph({self.app_id!r}, {len(self.tasks)} tasks, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class Tile:
-    coord: Coord
-    kind: TileKind
-    linear_index: int
-
-
 # Default 8x8 platform: manager in the corner, 14 reconfigurable tiles spread
 # over the mesh, instruction-set processors everywhere else.  The layout is a
 # configuration input; this list is the shipped default.
@@ -231,13 +224,26 @@ DEFAULT_RA_TILES: tuple[Coord, ...] = (
 )
 DEFAULT_MANAGER: Coord = (0, 0)
 
+# Largest accepted mesh edge.  Per-tile tables grow with its square; the
+# largest mesh any test or benchmark uses is 16x16.
+MAX_MESH_EDGE = 64
+
+
+def _check_mesh_size(width: int, height: int) -> None:
+    for name, value in (("width", width), ("height", height)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"mesh {name} must be an integer, got {value!r}")
+    if not (1 <= width <= MAX_MESH_EDGE and 1 <= height <= MAX_MESH_EDGE):
+        raise ValidationError(
+            f"mesh dimensions must be between 1 and {MAX_MESH_EDGE}, got {width}x{height}"
+        )
+
 
 class ArchGraph:
     """W x H mesh of typed tiles with directed links between 4-neighbours."""
 
     def __init__(self, width: int, height: int, kinds: Mapping[Coord, TileKind]):
-        if width < 1 or height < 1:
-            raise ValidationError(f"mesh dimensions must be >= 1, got {width}x{height}")
+        _check_mesh_size(width, height)
         self.width = width
         self.height = height
         self._kinds = dict(kinds)
@@ -281,6 +287,7 @@ class ArchGraph:
         ra: Iterable[Coord] = (),
     ) -> "ArchGraph":
         """Mesh with the given manager and RA tiles; ISP everywhere else."""
+        _check_mesh_size(width, height)
         kinds: dict[Coord, TileKind] = {
             (x, y): TileKind.ISP for x in range(width) for y in range(height)
         }
@@ -317,10 +324,6 @@ class ArchGraph:
         for y in range(self.height):
             for x in range(self.width):
                 yield (x, y)
-
-    def tiles(self) -> Iterator[Tile]:
-        for c in self.coords():
-            yield Tile(c, self._kinds[c], self.linear_index(c))
 
     def links(self) -> tuple[DirectedLink, ...]:
         return self._links

@@ -1,18 +1,20 @@
 """Brute-force oracles for the router and the placement heuristics.
 
 Each oracle recomputes an objective by exhaustive enumeration, independently
-of the production code it checks.  ``nocmap verify`` and the test suite
-compare ``min_load_route`` and the mmc, mac, pl and bn heuristics against
-them on small meshes.  The placement objectives are those of Carvalho,
-Calazans & Moraes, "Heuristics for Dynamic Task Mapping in NoC-based
-Heterogeneous MPSoCs", RSP 2007.
+of the production code it checks.  The placement objectives are those of
+Carvalho, Calazans & Moraes, "Heuristics for Dynamic Task Mapping in
+NoC-based Heterogeneous MPSoCs", RSP 2007.
+
+``check_routing``, ``check_placement`` and ``check_spiral`` are the only
+loops that compare production code against these oracles; ``nocmap verify``
+and acceptance criteria 1-3 both run them.
 """
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .heuristics import MapRequest
+from .heuristics import MapRequest, map_channel_load, map_pl, ring_limit, spiral_ring
 from .model import (
     ArchGraph,
     ChannelLoadLedger,
@@ -23,7 +25,7 @@ from .model import (
     ValidationError,
     compatible,
 )
-from .routing import Path, RoutePolicy, route
+from .routing import Path, RoutePolicy, min_load_route, route
 
 # Largest mesh edge the exhaustive route oracle accepts; enumeration of all
 # simple paths is intractable beyond this.
@@ -189,3 +191,95 @@ def oracle_path_load(
         if best_key is None or key < best_key:
             best, best_key = tile, key
     return best
+
+
+class CheckResult(NamedTuple):
+    """Outcome of one oracle suite: checks run, failures, first counterexample."""
+
+    checks: int
+    failures: int
+    counterexample: str | None
+
+
+def check_routing(
+    ledgers: int = 100,
+    router: Callable[[Coord, Coord, ChannelLoadLedger, ArchGraph], Path] = min_load_route,
+) -> CheckResult:
+    """Router (load, hops) equals exhaustive enumeration on 2x2, 3x3 and 4x4
+    meshes, for every src/dst pair under ``random_ledger`` seeds 0..ledgers-1."""
+    checks = failures = 0
+    first = None
+    for size in (2, 3, 4):
+        arch = ArchGraph.uniform(size, size)
+        for seed in range(ledgers):
+            ledger = random_ledger(arch, seed)
+            for src in arch.coords():
+                best = enumerate_objectives(src, ledger, arch)
+                for dst in arch.coords():
+                    if src == dst:
+                        continue
+                    path = router(src, dst, ledger, arch)
+                    got = (sum(ledger.load(l) for l in zip(path, path[1:])), len(path) - 1)
+                    want = best[dst][:2]
+                    checks += 1
+                    if got != want:
+                        failures += 1
+                        if first is None:
+                            loads = {l: v for l, v in ledger.loads().items() if v}
+                            first = (
+                                f"mesh {size}x{size} seed {seed} {src}->{dst}: "
+                                f"got (load,hops)={got}, oracle={want}; nonzero loads {loads}"
+                            )
+    return CheckResult(checks, failures, first)
+
+
+def check_placement(states: int = 100) -> CheckResult:
+    """mmc, mac and pl placements equal the brute-force oracles, tie-breaks
+    included, on ``random_partial_state`` seeds 0..states-1 of ``arch_4x4``."""
+    arch = arch_4x4()
+    checks = failures = 0
+    first = None
+    for seed in range(states):
+        state, req, policy = random_partial_state(arch, seed)
+        cases = (
+            ("mmc", map_channel_load(req, state, policy, False)[0],
+             oracle_channel_load(req, state, policy, False)),
+            ("mac", map_channel_load(req, state, policy, True)[0],
+             oracle_channel_load(req, state, policy, True)),
+            ("pl", map_pl(req, state, policy)[0], oracle_path_load(req, state, policy)),
+        )
+        for name, got, want in cases:
+            checks += 1
+            if got != want:
+                failures += 1
+                if first is None:
+                    first = (
+                        f"heuristic {name} seed {seed} "
+                        f"policy {policy.value}: got {got}, oracle {want}"
+                    )
+    return CheckResult(checks, failures, first)
+
+
+def check_spiral() -> CheckResult:
+    """For each centre of the default 8x8 mesh, ring ``hop`` holds only tiles
+    at Chebyshev distance ``hop``, and the rings together visit every other
+    tile exactly once."""
+    arch = ArchGraph.default_8x8()
+    checks = failures = 0
+    first = None
+    for center in arch.coords():
+        seen: list[Coord] = []
+        on_ring = True
+        for hop in range(1, ring_limit(center, arch) + 1):
+            ring = spiral_ring(center, hop, arch)
+            on_ring = on_ring and all(
+                max(abs(c[0] - center[0]), abs(c[1] - center[1])) == hop for c in ring
+            )
+            seen.extend(ring)
+        expected = sorted(c for c in arch.coords() if c != center)
+        checks += 1
+        if not on_ring or sorted(seen) != expected:
+            failures += 1
+            if first is None:
+                first = f"centre {center} rings are not a permutation"
+    return CheckResult(checks, failures, first)

@@ -363,13 +363,7 @@ class _Engine:
         )
         for edge in run.graph.incoming(tid):
             if edge.vsm >= 1:
-                master_tile = self.state.task_tile(app_id, edge.mtid)
-                path = route(self.policy, tile, master_tile, self.state.ledger, self.arch)
-                self.state.apply_route(app_id, edge.mtid, edge.stid, DIR_SM, path, edge.vsm)
-                self._sample_ledger()
-                heapq.heappush(
-                    self.heap, (t, _RANK_COMM_READY, (app_id, edge.mtid, edge.stid, DIR_SM))
-                )
+                self._pin_route(t, app_id, edge, DIR_SM)
         for edge in run.graph.outgoing(tid):
             self._activate_edge(run, edge, t)
         self._check_complete(run, t)
@@ -433,20 +427,28 @@ class _Engine:
         self.deferred.pop(key, None)
         run.activated.add((edge.mtid, edge.stid))
         t_eff = t + self.params.manager_overhead if mapped_now else t
-        master_tile = self.state.task_tile(app_id, edge.mtid)
         # The slave->master route is pinned later, when the slave has computed
         # and actually issues that transfer.
         if edge.vms >= 1:
-            path = route(self.policy, master_tile, slave_tile, self.state.ledger, self.arch)
-            self.state.apply_route(app_id, edge.mtid, edge.stid, DIR_MS, path, edge.vms)
-            self._sample_ledger()
-            heapq.heappush(
-                self.heap, (t_eff, _RANK_COMM_READY, (app_id, edge.mtid, edge.stid, DIR_MS))
-            )
+            self._pin_route(t_eff, app_id, edge, DIR_MS)
         else:
             run.inbound_done[edge.stid] += 1
             self._maybe_start_compute(run, edge.stid, t_eff)
         return True
+
+    def _pin_route(self, t: int, app_id: str, edge: Edge, direction: str) -> None:
+        """Route one direction of ``edge`` on the current ledger, pin it and
+        queue its transfer as ready at cycle ``t``."""
+        m_tile = self.state.task_tile(app_id, edge.mtid)
+        s_tile = self.state.task_tile(app_id, edge.stid)
+        if direction == DIR_MS:
+            src, dst, volume = m_tile, s_tile, edge.vms
+        else:
+            src, dst, volume = s_tile, m_tile, edge.vsm
+        path = route(self.policy, src, dst, self.state.ledger, self.arch)
+        self.state.apply_route(app_id, edge.mtid, edge.stid, direction, path, volume)
+        self._sample_ledger()
+        heapq.heappush(self.heap, (t, _RANK_COMM_READY, (app_id, edge.mtid, edge.stid, direction)))
 
     def _maybe_start_compute(self, run: _AppRun, tid: str, t: int) -> None:
         if tid in run.compute_started:

@@ -1,39 +1,15 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (run with ``pytest -s`` to see them on success)."""
-import random
 import time
 
 import pytest
 
 from nocmap.cli import main as cli_main
-from nocmap.heuristics import (
-    MapRequest,
-    map_channel_load,
-    map_ff,
-    map_pl,
-    ring_limit,
-    spiral_ring,
-)
-from nocmap.model import (
-    ArchGraph,
-    ChannelLoadLedger,
-    MappingState,
-    Task,
-    TaskKind,
-    TileKind,
-)
-from nocmap.oracles import (
-    arch_4x4,
-    enumerate_objectives,
-    oracle_channel_load,
-    oracle_path_load,
-    random_partial_state,
-)
-from nocmap.routing import min_load_route, path_cost, path_hops
+from nocmap.heuristics import MapRequest, map_ff
+from nocmap.model import ArchGraph, MappingState, Task, TaskKind, TileKind
+from nocmap.oracles import check_placement, check_routing, check_spiral
 from nocmap.sim import PlatformParams, Scenario, _Engine, compute_energy, compute_time
 from nocmap.workload import GenConfig, generate_workload
-
-from conftest import small_arch
 
 APP_COUNTS = (1, 3, 7, 10)
 SWEEP_HEURISTICS = ("spiral", "nn", "bn")
@@ -48,65 +24,38 @@ def _report(name, ok, detail=""):
 def test_criterion_1_routing_oracle_equivalence():
     """Router (total-load, hops) equals exhaustive enumeration, exactly."""
     t0 = time.time()
-    checks = 0
-    for size in (2, 3, 4):
-        arch = small_arch(size, size)
-        links = arch.links()
-        for seed in range(100):
-            rng = random.Random((size, seed).__hash__())
-            ledger = ChannelLoadLedger(arch)
-            for link in links:
-                ledger.set_load(link, rng.randint(0, 500))
-            for src in arch.coords():
-                best = enumerate_objectives(src, ledger, arch)
-                for dst in arch.coords():
-                    if src == dst:
-                        continue
-                    p = min_load_route(src, dst, ledger, arch)
-                    got = (path_cost(p, ledger), path_hops(p))
-                    assert got == best[dst][:2], (size, seed, src, dst, got, best[dst][:2])
-                    checks += 1
+    result = check_routing(100)
     elapsed = time.time() - t0
+    assert result == (32400, 0, None), result
     _report(
         "criterion-1 routing oracle equivalence",
         elapsed < 60,
-        f"{checks} pairs exact on 2x2/3x3/4x4 x 100 ledgers in {elapsed:.1f}s",
+        f"{result.checks} pairs exact on 2x2/3x3/4x4 x 100 ledgers in {elapsed:.1f}s",
     )
 
 
 def test_criterion_2_placement_oracle_equivalence():
     """MMC/MAC/PL equal brute-force enumeration with recomputed objectives."""
     t0 = time.time()
-    checks = 0
-    for seed in range(100):
-        state, req, policy = random_partial_state(arch_4x4(), seed)
-        for average_first in (False, True):
-            got, _ = map_channel_load(req, state, policy, average_first)
-            assert got == oracle_channel_load(req, state, policy, average_first)
-        assert map_pl(req, state, policy)[0] == oracle_path_load(req, state, policy)
-        checks += 3
+    result = check_placement(100)
     elapsed = time.time() - t0
+    assert result == (300, 0, None), result
     _report(
         "criterion-2 placement oracle equivalence",
         elapsed < 60,
-        f"{checks} placements exact (incl. tie-breaks) in {elapsed:.1f}s",
+        f"{result.checks} placements exact (incl. tie-breaks) in {elapsed:.1f}s",
     )
 
 
 def test_criterion_3_spiral_permutation():
     t0 = time.time()
-    arch = ArchGraph.default_8x8()
-    for center in arch.coords():
-        seen = []
-        for hop in range(1, ring_limit(center, arch) + 1):
-            seen.extend(spiral_ring(center, hop, arch))
-        assert sorted(seen) == sorted(c for c in arch.coords() if c != center)
-        assert len(seen) == len(set(seen))
+    result = check_spiral()
     elapsed = time.time() - t0
+    assert result == (64, 0, None), result
     _report(
         "criterion-3 spiral permutation",
         elapsed < 1,
-        f"all 64 centres visit each other tile exactly once in {elapsed:.2f}s",
+        f"all {result.checks} centres visit each other tile exactly once in {elapsed:.2f}s",
     )
 
 

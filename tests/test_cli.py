@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -124,6 +125,24 @@ class TestRun:
         rc = run_cli("run", "--workload", str(workload), "--heuristic", "nn",
                      "--layout-file", str(layout), "--out", str(tmp_path / "r.csv"))
         assert rc == 3
+
+    @pytest.mark.parametrize("width", [4.7, True])
+    def test_layout_file_non_integer_width(self, tmp_path, workload, capsys, width):
+        layout = tmp_path / "mesh.json"
+        layout.write_text(json.dumps({"width": width, "height": 4, "ra": [[1, 1], [2, 2]]}))
+        t0 = time.time()
+        rc = run_cli("run", "--workload", str(workload), "--heuristic", "nn",
+                     "--layout-file", str(layout), "--out", str(tmp_path / "r.csv"))
+        assert rc == 3 and time.time() - t0 < 1
+        assert "mesh width must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["65", "100000"])
+    def test_mesh_over_size_cap(self, tmp_path, workload, capsys, width):
+        t0 = time.time()
+        rc = run_cli("run", "--workload", str(workload), "--heuristic", "nn",
+                     "--width", width, "--out", str(tmp_path / "r.csv"))
+        assert rc == 3 and time.time() - t0 < 1
+        assert "between 1 and 64" in capsys.readouterr().err
 
 
 class TestCompare:

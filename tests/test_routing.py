@@ -82,19 +82,6 @@ class TestMinLoadRoute:
         for _ in range(5):
             assert min_load_route((0, 0), (7, 7), ledger, arch8) == first
 
-    @pytest.mark.parametrize("size", [2, 3, 4])
-    def test_objective_matches_oracle_sample(self, size):
-        arch = small_arch(size, size)
-        for seed in range(10):
-            ledger = random_ledger(arch, seed)
-            for src in arch.coords():
-                best = enumerate_objectives(src, ledger, arch)
-                for dst in arch.coords():
-                    if src == dst:
-                        continue
-                    p = min_load_route(src, dst, ledger, arch)
-                    assert (path_cost(p, ledger), path_hops(p)) == best[dst][:2]
-
     def test_monotone_in_link_load(self):
         """Adding load to one link never lowers the optimal path load."""
         arch = small_arch(3, 3)
