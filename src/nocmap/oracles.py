@@ -7,7 +7,9 @@ NoC-based Heterogeneous MPSoCs", RSP 2007.
 
 ``check_routing``, ``check_placement`` and ``check_spiral`` are the only
 loops that compare production code against these oracles; ``nocmap verify``
-and acceptance criteria 1-3 both run them.
+and acceptance criteria 1-3 both run them.  ``placement_cases`` is the one
+per-seed placement comparison, shared by ``check_placement`` and the
+per-heuristic unit tests.
 """
 from __future__ import annotations
 
@@ -233,22 +235,29 @@ def check_routing(
     return CheckResult(checks, failures, first)
 
 
+def placement_cases(
+    seed: int,
+) -> tuple[RoutePolicy, dict[str, tuple[Coord | None, Coord | None]]]:
+    """(heuristic placement, oracle placement) of mmc, mac and pl on
+    ``random_partial_state(arch_4x4(), seed)``, with the state's policy."""
+    state, req, policy = random_partial_state(arch_4x4(), seed)
+    return policy, {
+        "mmc": (map_channel_load(req, state, policy, False)[0],
+                oracle_channel_load(req, state, policy, False)),
+        "mac": (map_channel_load(req, state, policy, True)[0],
+                oracle_channel_load(req, state, policy, True)),
+        "pl": (map_pl(req, state, policy)[0], oracle_path_load(req, state, policy)),
+    }
+
+
 def check_placement(states: int = 100) -> CheckResult:
     """mmc, mac and pl placements equal the brute-force oracles, tie-breaks
-    included, on ``random_partial_state`` seeds 0..states-1 of ``arch_4x4``."""
-    arch = arch_4x4()
+    included, on ``placement_cases`` seeds 0..states-1."""
     checks = failures = 0
     first = None
     for seed in range(states):
-        state, req, policy = random_partial_state(arch, seed)
-        cases = (
-            ("mmc", map_channel_load(req, state, policy, False)[0],
-             oracle_channel_load(req, state, policy, False)),
-            ("mac", map_channel_load(req, state, policy, True)[0],
-             oracle_channel_load(req, state, policy, True)),
-            ("pl", map_pl(req, state, policy)[0], oracle_path_load(req, state, policy)),
-        )
-        for name, got, want in cases:
+        policy, cases = placement_cases(seed)
+        for name, (got, want) in cases.items():
             checks += 1
             if got != want:
                 failures += 1

@@ -28,7 +28,13 @@ from nocmap.model import (
     compatible,
     manhattan,
 )
-from nocmap.oracles import arch_4x4, oracle_channel_load, oracle_path_load, random_partial_state
+from nocmap.oracles import (
+    arch_4x4,
+    oracle_channel_load,
+    oracle_path_load,
+    placement_cases,
+    random_partial_state,
+)
 from nocmap.routing import RoutePolicy
 
 from conftest import small_arch
@@ -291,6 +297,11 @@ class TestMapMMC:
         tile, _ = map_channel_load(req, state, RoutePolicy.XY, False)
         assert tile == (0, 1)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_bruteforce(self, seed):
+        got, want = placement_cases(seed)[1]["mmc"]
+        assert got == want
+
 
 class TestMapMAC:
     def test_empty_ledger_prefers_nearest(self):
@@ -309,6 +320,11 @@ class TestMapMAC:
         assert map_channel_load(req, state, RoutePolicy.XY, True)[0] == oracle_channel_load(
             req, state, RoutePolicy.XY, True
         )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_bruteforce(self, seed):
+        got, want = placement_cases(seed)[1]["mac"]
+        assert got == want
 
 
 class TestMapPL:
@@ -329,6 +345,11 @@ class TestMapPL:
         state.ledger.set_load(((0, 0), (1, 0)), 300)
         tile, _ = map_pl(MapRequest("app0", sw_task(), (0, 0), 100, 100), state, RoutePolicy.XY)
         assert tile == (0, 2)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_bruteforce(self, seed):
+        got, want = placement_cases(seed)[1]["pl"]
+        assert got == want
 
 
 class TestMapBN:
