@@ -7,13 +7,17 @@ heuristics were refactored.  A refactor or speed-up must leave every digest
 unchanged; flipping a tie-break or a key order in a heuristic changes at least
 one of them (mmc and mac differ on 8x8 at 10 and 40 apps).  Cases pinned to
 ``DEADLOCK`` are runs without the admission guard that deadlock today.
+
+The ``dag`` cases run ``dag_workload``, a fixed hand-written DAG, instead of
+a generated tree: it covers a slave with two masters and edges that carry
+traffic in one direction only, which generated workloads never contain.
 """
 import hashlib
 
 import pytest
 
-from nocmap.model import DEFAULT_RA_TILES, ArchGraph
-from nocmap.sim import DeadlockError, Scenario, simulate, write_event_log
+from nocmap.model import DEFAULT_RA_TILES, ArchGraph, Edge, Task, TaskGraph, TaskKind
+from nocmap.sim import DeadlockError, PlatformParams, Scenario, simulate, write_event_log
 from nocmap.workload import GenConfig, generate_workload, write_report
 
 PLATFORMS = {
@@ -32,7 +36,8 @@ DEADLOCK = "DeadlockError"
 
 # "heuristic/platform/apps[/variant]" -> (report digest, event log digest).
 # Variants: "arrivals" releases app i at cycle 500*i; "noguard" turns the
-# admission guard off.
+# admission guard off; "dag" runs ``dag_workload`` with staggered arrivals
+# and a mapping overhead of 5 cycles.
 GOLDEN = {
     "ff/8x8/1": (
         "6612043e55febc9e1c54f78f7211fbe349d378089b56b8b630b82637e65a0fe9",
@@ -268,12 +273,70 @@ GOLDEN = {
         "bd554dd26e2c395518e2c140699297afe805aeef527a2847ec70a68d4bc7f4c1",
         "e1c3233fa014c2891d7ff77717c84d0c16ae195f3ad427257b4d37fa7a63e6c0",
     ),
+    "ff/4x4-ra/5/dag": (
+        "6876ce77f1ab78b0f19d7f4ad759d8e21573f30bea35fa6f3631da9dab4064b4",
+        "e962965c8e63f69ad302b3a276e4b02db199310687569792cde96e75c326f964",
+    ),
+    "mmc/4x4-ra/5/dag": (
+        "05b5f8c7da42fb1c47be494c56f15ed7f50da11cc94d6ebc3c6397f5350f2df5",
+        "857bb132f95dda736c51e353e33fd3b51d67185239faffbc73afadd02c224852",
+    ),
+    "mac/4x4-ra/5/dag": (
+        "27ccee56ae44272482859492ce52e3c9dc063da2683c75eacccde0fe5d5fafc0",
+        "a2a87231fc2bb8a3d9c0656ea4be5a603975145d238e335f2c59f29bf522cc10",
+    ),
+    "nn/4x4-ra/5/dag": (
+        "6e9d9f674eda3fea6f234754ab93f17cd5311c64f71e6a0f9658ff6f73803de9",
+        "0f5252f1ead6a93a038043237b74550b4af4a1b042ce5ffc469fd4c9ae907e4d",
+    ),
+    "pl/4x4-ra/5/dag": (
+        "07d25eb1ac17b9e568aa79a8a76cffaf0c5cfb270b9ed682994c0a8e9ed0265e",
+        "9694c62d15c84a07c31c312a9e679d2d8cf4883ac09c5721741a99c3d0c9d076",
+    ),
+    "bn/4x4-ra/5/dag": (
+        "6e5bce327a79f619de54f19b1e0f0420aa2984266fcbaefe9f1e6a8fa13a88bf",
+        "a8015ff024e43f1dfeda086b6ed5035c89ec34629c758eb75ecfdf50c93b9be3",
+    ),
+    "spiral/4x4-ra/5/dag": (
+        "ad1ba2584232035d6f7d74fd604579d4c681b59b6ad8f84f3e5d7311918778d2",
+        "53ed8f4c7b9472049c21e02340fa9004a2a8dc8f00ef34f2895032b234f05b37",
+    ),
 }
+
+
+def dag_workload(n):
+    """``n`` copies of one DAG: t0 feeds t1 and t2, which both master the join
+    t3; t1 also masters the hardware task t4.  t0->t2 carries no
+    slave->master traffic and t2->t3 no master->slave traffic."""
+    tasks = [
+        Task("t0", TaskKind.INITIAL, 50),
+        Task("t1", TaskKind.SOFTWARE, 80),
+        Task("t2", TaskKind.SOFTWARE, 60),
+        Task("t3", TaskKind.SOFTWARE, 40),
+        Task("t4", TaskKind.HARDWARE, 90),
+    ]
+    edges = [
+        Edge("t0", "t1", 100, 40),
+        Edge("t0", "t2", 60, 0),
+        Edge("t1", "t3", 50, 20),
+        Edge("t2", "t3", 0, 30),
+        Edge("t1", "t4", 70, 70),
+    ]
+    return [TaskGraph(f"app{i}", tasks, edges) for i in range(n)]
 
 
 def _scenario(key):
     heuristic, platform, apps, *variant = key.split("/")
     n = int(apps)
+    if variant == ["dag"]:
+        return Scenario(
+            apps=dag_workload(n),
+            heuristic=heuristic,
+            seed=1,
+            arch=PLATFORMS[platform](),
+            arrivals=[i * 250 for i in range(n)],
+            params=PlatformParams(manager_overhead=5),
+        )
     kwargs = {}
     if variant == ["arrivals"]:
         kwargs["arrivals"] = [i * 500 for i in range(n)]
