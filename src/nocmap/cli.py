@@ -20,7 +20,7 @@ from typing import Sequence
 from .heuristics import HEURISTIC_NAMES
 from .model import ArchGraph, ValidationError
 from .oracles import check_placement, check_routing, check_spiral
-from .routing import RoutePolicy, min_load_route
+from .routing import RoutePolicy
 from .sim import DeadlockError, Scenario, SimReport, simulate, write_event_log
 from .workload import GenConfig, generate_workload, parse_workload_file, write_report, write_workload
 
@@ -84,9 +84,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     apps = parse_workload_file(args.workload)
     arch = _build_arch(args)
-    policy = RoutePolicy(args.route) if args.route else None
     report = simulate(
-        Scenario(apps=apps, heuristic=args.heuristic, route_policy=policy, seed=args.seed, arch=arch)
+        Scenario(apps=apps, heuristic=args.heuristic, route_policy=args.route,
+                 seed=args.seed, arch=arch)
     )
     write_report([report], args.out)
     if args.events:
@@ -112,7 +112,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.apps is not None and args.apps < 1:
         raise _UsageError("--apps must be >= 1")
     arch = _build_arch(args)
-    policy = RoutePolicy(args.route) if args.route else None
     workloads: dict[int, list] = {}
     for seed in range(1, args.seeds + 1):
         if args.workload is not None:
@@ -127,7 +126,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     Scenario(
                         apps=workloads[seed],
                         heuristic=h,
-                        route_policy=policy,
+                        route_policy=args.route,
                         seed=seed,
                         arch=arch,
                     )
@@ -161,25 +160,8 @@ def summarize(reports: Sequence[SimReport]) -> list[str]:
 # verify: oracle suites
 
 
-def _hop_first_route(src, dst, ledger, arch):
-    # Deliberately wrong priority order (hops before load); only reachable
-    # through the hidden fault-injection flag, to prove the harness can fail.
-    # Raising every link by more than the total load makes each hop outweigh
-    # any load difference, so hops become the primary key and load the second.
-    raised = ledger.copy()
-    bump = ledger.total_load() + 1
-    for link, load in ledger.loads().items():
-        raised.set_load(link, load + bump)
-    return min_load_route(src, dst, raised, arch)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    router = _hop_first_route if args.inject_fault == "routing-tiebreak" else min_load_route
-    suites = {
-        "routing": lambda: check_routing(args.routing_ledgers, router),
-        "placement": lambda: check_placement(args.placement_states),
-        "spiral": check_spiral,
-    }
+    suites = {"routing": check_routing, "placement": check_placement, "spiral": check_spiral}
     if args.suite:
         if args.suite not in suites:
             raise _UsageError(f"unknown suite {args.suite!r} (valid: {', '.join(suites)})")
@@ -229,11 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle cross-check suites")
     p.add_argument("--suite", help="run only this suite (routing, placement, spiral)")
-    p.add_argument("--routing-ledgers", type=int, default=100, help=argparse.SUPPRESS)
-    p.add_argument("--placement-states", type=int, default=100, help=argparse.SUPPRESS)
-    p.add_argument(
-        "--inject-fault", choices=["routing-tiebreak"], default=None, help=argparse.SUPPRESS
-    )
     p.set_defaults(func=cmd_verify)
     return parser
 

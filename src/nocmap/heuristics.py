@@ -368,17 +368,23 @@ def map_bn(
     return None, 0
 
 
+def _coerce(enum: type[Enum], value: object, what: str):
+    """``enum(value)``, or a ValidationError listing the valid values."""
+    try:
+        return enum(value)
+    except ValueError:
+        valid = ", ".join(m.value for m in enum)
+        raise ValidationError(f"unknown {what} {value!r} (valid: {valid})") from None
+
+
 class HeuristicEngine:
     """Stateful dispatcher: route policy, first-free cursor, evaluation count."""
 
-    def __init__(self, kind: HeuristicKind | str, route_policy: RoutePolicy | None = None):
-        try:
-            self.kind = HeuristicKind(kind)
-        except ValueError:
-            raise ValidationError(
-                f"unknown heuristic {kind!r} (valid: {', '.join(HEURISTIC_NAMES)})"
-            ) from None
-        self.route_policy = policy = route_policy or DEFAULT_ROUTE_POLICY[self.kind]
+    def __init__(self, kind: HeuristicKind | str, route_policy: RoutePolicy | str | None = None):
+        self.kind = _coerce(HeuristicKind, kind, "heuristic")
+        if route_policy is None:
+            route_policy = DEFAULT_ROUTE_POLICY[self.kind]
+        self.route_policy = policy = _coerce(RoutePolicy, route_policy, "route policy")
         self.cursor = 0
         self.evaluations = 0
         self._map = {

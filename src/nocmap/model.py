@@ -229,9 +229,15 @@ DEFAULT_MANAGER: Coord = (0, 0)
 MAX_MESH_EDGE = 64
 
 
+def is_int(value: object) -> bool:
+    """True for an ``int`` that is not a ``bool``: the model counts cycles,
+    tiles and energy in exact integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_mesh_size(width: int, height: int) -> None:
     for name, value in (("width", width), ("height", height)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             raise ValidationError(f"mesh {name} must be an integer, got {value!r}")
     if not (1 <= width <= MAX_MESH_EDGE and 1 <= height <= MAX_MESH_EDGE):
         raise ValidationError(
@@ -269,14 +275,7 @@ class ArchGraph:
 
     @classmethod
     def default_8x8(cls) -> "ArchGraph":
-        kinds: dict[Coord, TileKind] = {}
-        for x in range(8):
-            for y in range(8):
-                kinds[(x, y)] = TileKind.ISP
-        for c in DEFAULT_RA_TILES:
-            kinds[c] = TileKind.RA
-        kinds[DEFAULT_MANAGER] = TileKind.MANAGER
-        return cls(8, 8, kinds)
+        return cls.uniform(8, 8, DEFAULT_MANAGER, DEFAULT_RA_TILES)
 
     @classmethod
     def uniform(

@@ -14,7 +14,7 @@ per-heuristic unit tests.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .heuristics import MapRequest, map_channel_load, map_pl, ring_limit, spiral_ring
 from .model import (
@@ -203,10 +203,7 @@ class CheckResult(NamedTuple):
     counterexample: str | None
 
 
-def check_routing(
-    ledgers: int = 100,
-    router: Callable[[Coord, Coord, ChannelLoadLedger, ArchGraph], Path] = min_load_route,
-) -> CheckResult:
+def check_routing(ledgers: int = 100) -> CheckResult:
     """Router (load, hops) equals exhaustive enumeration on 2x2, 3x3 and 4x4
     meshes, for every src/dst pair under ``random_ledger`` seeds 0..ledgers-1."""
     checks = failures = 0
@@ -220,7 +217,7 @@ def check_routing(
                 for dst in arch.coords():
                     if src == dst:
                         continue
-                    path = router(src, dst, ledger, arch)
+                    path = min_load_route(src, dst, ledger, arch)
                     got = (sum(ledger.load(l) for l in zip(path, path[1:])), len(path) - 1)
                     want = best[dst][:2]
                     checks += 1

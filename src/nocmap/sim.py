@@ -45,6 +45,7 @@ from .model import (
     TileKind,
     ValidationError,
     compatible,
+    is_int,
 )
 from .routing import RoutePolicy, route
 
@@ -72,13 +73,14 @@ class PlatformParams:
     manager_overhead: int = 0
 
     def validate(self) -> None:
-        for kind in (TileKind.ISP, TileKind.RA):
-            if self.cycles_per_instruction.get(kind, -1) < 0:
-                raise ValidationError(f"cycles_per_instruction missing or negative for {kind}")
-            if self.energy_per_instruction.get(kind, -1) < 0:
-                raise ValidationError(f"energy_per_instruction missing or negative for {kind}")
-        if self.energy_per_packet_hop < 0 or self.manager_overhead < 0:
-            raise ValidationError("energy and overhead parameters must be non-negative")
+        values = [("energy_per_packet_hop", self.energy_per_packet_hop),
+                  ("manager_overhead", self.manager_overhead)]
+        for table in ("cycles_per_instruction", "energy_per_instruction"):
+            values += [(f"{table}[{k.value}]", getattr(self, table).get(k))
+                       for k in (TileKind.ISP, TileKind.RA)]
+        for name, value in values:
+            if not is_int(value) or value < 0:
+                raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass
@@ -95,7 +97,7 @@ class Scenario:
 
     apps: Sequence[TaskGraph]
     heuristic: HeuristicKind | str
-    route_policy: RoutePolicy | None = None  # None: the heuristic's default
+    route_policy: RoutePolicy | str | None = None  # None: the heuristic's default
     params: PlatformParams = field(default_factory=PlatformParams)
     seed: int = 0
     arrivals: Sequence[int] | None = None  # None: all at cycle 0
@@ -218,34 +220,31 @@ class LinkSchedule:
             spans.sort()
 
 
-def _tile_demand(graph: TaskGraph) -> dict[TileKind, int]:
-    """Tiles of each kind the application will eventually occupy."""
-    demand = {TileKind.ISP: 0, TileKind.RA: 0}
-    for t in graph.tasks:
-        demand[TileKind.RA if t.kind is TaskKind.HARDWARE else TileKind.ISP] += 1
-    return demand
-
-
 class _AppRun:
-    """Bookkeeping for one application instance inside the engine."""
+    """Bookkeeping for one application instance inside the engine.
+
+    ``demand`` counts the tiles of each kind the application will occupy.
+    ``waiting[tid]`` counts the inbound edges task ``tid`` still needs; it
+    computes when that reaches 0.  ``outstanding`` counts the compute ends
+    and transfers still to come; the application is done when it reaches 0.
+    """
 
     def __init__(self, index: int, graph: TaskGraph, arrival: int):
         self.index = index
         self.graph = graph
         self.arrival = arrival
-        self.demand = _tile_demand(graph)
+        self.demand = {TileKind.ISP: 0, TileKind.RA: 0}
+        for t in graph.tasks:
+            self.demand[TileKind.RA if t.kind is TaskKind.HARDWARE else TileKind.ISP] += 1
         self.admitted_at: int | None = None
         self.finished_at: int | None = None
         self.cluster: int | None = None
-        self.compute_started: set[str] = set()
-        self.computed: set[str] = set()
-        self.inbound_needed = {t.id: len(graph.incoming(t.id)) for t in graph.tasks}
-        self.inbound_done = {t.id: 0 for t in graph.tasks}
-        self.activated: set[tuple[str, str]] = set()
-        self.comms_total = sum((e.vms >= 1) + (e.vsm >= 1) for e in graph.edges)
-        self.comms_done = 0
+        self.waiting = {t.id: len(graph.incoming(t.id)) for t in graph.tasks}
+        self.outstanding = len(graph.tasks) + sum((e.vms >= 1) + (e.vsm >= 1) for e in graph.edges)
 
 
+# Same-cycle events fire in rank order; ``run`` dispatches on the rank as an
+# index into its handler tuple.
 _RANK_COMM_END = 0
 _RANK_COMPUTE_END = 1
 _RANK_COMM_READY = 2
@@ -266,13 +265,12 @@ class _Engine:
         arrivals = list(scenario.arrivals) if scenario.arrivals is not None else [0] * len(apps)
         if len(arrivals) != len(apps):
             raise ValidationError("arrivals must match the application count")
-        if any(a < 0 for a in arrivals):
-            raise ValidationError("arrival cycles must be non-negative")
-        self._check_platform_coverage(apps)
-        self.h = HeuristicEngine(scenario.heuristic, scenario.route_policy)
-        self.policy = self.h.route_policy
-        self.grid = ClusterGrid.for_mesh(self.arch) if self.h.kind is HeuristicKind.SPIRAL else None
+        if not all(is_int(a) and a >= 0 for a in arrivals):
+            raise ValidationError(f"arrival cycles must be non-negative integers, got {arrivals}")
         self.apps = [_AppRun(i, g, arrivals[i]) for i, g in enumerate(apps)]
+        self.free = self._check_platform_coverage()
+        self.h = HeuristicEngine(scenario.heuristic, scenario.route_policy)
+        self.grid = ClusterGrid.for_mesh(self.arch) if self.h.kind is HeuristicKind.SPIRAL else None
         self.by_id = {r.graph.app_id: r for r in self.apps}
         self.state = MappingState(self.arch)
         self.links_sched = LinkSchedule()
@@ -281,11 +279,6 @@ class _Engine:
         self.deferred: dict[tuple[str, str, str], tuple[_AppRun, Edge]] = {}
         self.held: set[int] = set()
         self.max_held = 0
-        self.capacity = {
-            TileKind.ISP: self.arch.count_kind(TileKind.ISP),
-            TileKind.RA: self.arch.count_kind(TileKind.RA),
-        }
-        self.running_demand = {TileKind.ISP: 0, TileKind.RA: 0}
         self.released = False
         self.pump = False
         self.energy_compute = 0
@@ -294,47 +287,39 @@ class _Engine:
         self.avg_seen = 0.0
         self.events: list[EventRecord] = []
 
-    def _check_platform_coverage(self, apps: Sequence[TaskGraph]) -> None:
-        kinds = {t.kind for g in apps for t in g.tasks}
+    def _check_platform_coverage(self) -> dict[TileKind, int]:
+        """Free tiles of each kind; raise if some application can never fit."""
+        kinds = {t.kind for r in self.apps for t in r.graph.tasks}
         tiles = [self.arch.kind(c) for c in self.arch.coords()]
         for task_kind in sorted(kinds, key=lambda k: k.value):
             if not any(compatible(task_kind, tk) for tk in tiles):
                 raise ValidationError(
                     f"platform has no compatible tiles for {task_kind.value} tasks"
                 )
-        capacity = {k: tiles.count(k) for k in (TileKind.ISP, TileKind.RA)}
-        for g in apps:
-            for kind, need in _tile_demand(g).items():
-                if need > capacity[kind]:
+        free = {k: tiles.count(k) for k in (TileKind.ISP, TileKind.RA)}
+        for r in self.apps:
+            for kind, need in r.demand.items():
+                if need > free[kind]:
                     raise ValidationError(
-                        f"application {g.app_id!r} needs {need} {kind.value} tiles "
-                        f"but the platform has {capacity[kind]}"
+                        f"application {r.graph.app_id!r} needs {need} {kind.value} tiles "
+                        f"but the platform has {free[kind]}"
                     )
+        return free
 
     def _log(self, cycle: int, kind: str, app: str, task: str, location: str, detail: str) -> None:
         self.events.append(EventRecord(cycle, kind, app, task, location, detail))
 
-    def _sample_ledger(self) -> None:
-        self.peak_seen = max(self.peak_seen, self.state.ledger.peak_load())
-        self.avg_seen = max(self.avg_seen, self.state.ledger.avg_load())
-
     # -- event handlers -------------------------------------------------
 
     def run(self) -> SimReport:
+        handlers = (self._on_comm_end, self._on_compute_end, self._on_comm_ready, self._on_arrival)
         for r in self.apps:
             heapq.heappush(self.heap, (r.arrival, _RANK_ARRIVAL, (r.index,)))
         while self.heap:
             t = self.heap[0][0]
             while self.heap and self.heap[0][0] == t:
                 _, rank, key = heapq.heappop(self.heap)
-                if rank == _RANK_COMM_END:
-                    self._on_comm_end(t, *key)
-                elif rank == _RANK_COMPUTE_END:
-                    self._on_compute_end(t, *key)
-                elif rank == _RANK_COMM_READY:
-                    self._on_comm_ready(t, *key)
-                else:
-                    self._on_arrival(t, *key)
+                handlers[rank](t, *key)
             self._housekeeping(t)
         unfinished = [r.graph.app_id for r in self.apps if r.finished_at is None]
         if unfinished:
@@ -352,7 +337,6 @@ class _Engine:
 
     def _on_compute_end(self, t: int, app_id: str, tid: str) -> None:
         run = self.by_id[app_id]
-        run.computed.add(tid)
         tile = self.state.task_tile(app_id, tid)
         task = run.graph.task(tid)
         energy = compute_energy(task, self.arch.kind(tile), self.params)
@@ -366,7 +350,7 @@ class _Engine:
                 self._pin_route(t, app_id, edge, DIR_SM)
         for edge in run.graph.outgoing(tid):
             self._activate_edge(run, edge, t)
-        self._check_complete(run, t)
+        self._count_down(run, t)
 
     def _on_comm_ready(self, t: int, app_id: str, mtid: str, stid: str, direction: str) -> None:
         path, volume = self.state.routes[(app_id, mtid, stid, direction)]
@@ -389,7 +373,6 @@ class _Engine:
         hops = len(path) - 1
         energy = volume * hops * self.params.energy_per_packet_hop
         self.energy_comm += energy
-        run.comms_done += 1
         self._log(
             t, "comm_end", app_id, f"{mtid}->{stid}:{direction}",
             _fmt_span(path), f"volume={volume};hops={hops};energy={energy}",
@@ -397,112 +380,99 @@ class _Engine:
         # One transfer per direction: the delivered route releases its links.
         self.state.remove_route((app_id, mtid, stid, direction))
         if direction == DIR_MS:
-            run.inbound_done[stid] += 1
-            self._maybe_start_compute(run, stid, t)
-        self._check_complete(run, t)
+            self._edge_delivered(run, stid, t)
+        self._count_down(run, t)
 
     # -- mapping and admission -------------------------------------------
 
-    def _activate_edge(self, run: _AppRun, edge: Edge, t: int) -> bool:
+    def _activate_edge(self, run: _AppRun, edge: Edge, t: int) -> None:
+        """Map the slave of ``edge`` if it has no tile yet, then start its
+        master->slave transfer; defer the edge while no tile is free."""
         app_id = run.graph.app_id
         key = (app_id, edge.mtid, edge.stid)
-        if (edge.mtid, edge.stid) in run.activated:
-            return True
-        slave_tile = self.state.task_tile(app_id, edge.stid)
-        mapped_now = False
-        if slave_tile is None:
+        if self.state.task_tile(app_id, edge.stid) is None:
             master_tile = self.state.task_tile(app_id, edge.mtid)
             req = MapRequest(app_id, run.graph.task(edge.stid), master_tile, edge.vms, edge.vsm)
-            before = self.h.evaluations
-            slave_tile = self.h.place(req, self.state)
-            examined = self.h.evaluations - before
+            slave_tile, examined = self._place(req)
             if slave_tile is None:
                 if key not in self.deferred:
                     self.deferred[key] = (run, edge)
                     self._log(t, "map_deferred", app_id, edge.stid, "", f"examined={examined}")
-                return False
-            self.state.place(app_id, run.graph.task(edge.stid), slave_tile)
+                return
+            self.state.place(app_id, req.task, slave_tile)
             self._log(t, "map", app_id, edge.stid, _fmt_tile(slave_tile), f"examined={examined}")
-            mapped_now = True
+            t += self.params.manager_overhead
         self.deferred.pop(key, None)
-        run.activated.add((edge.mtid, edge.stid))
-        t_eff = t + self.params.manager_overhead if mapped_now else t
         # The slave->master route is pinned later, when the slave has computed
         # and actually issues that transfer.
         if edge.vms >= 1:
-            self._pin_route(t_eff, app_id, edge, DIR_MS)
+            self._pin_route(t, app_id, edge, DIR_MS)
         else:
-            run.inbound_done[edge.stid] += 1
-            self._maybe_start_compute(run, edge.stid, t_eff)
-        return True
+            self._edge_delivered(run, edge.stid, t)
+
+    def _place(self, req: MapRequest) -> tuple[Coord | None, int]:
+        """The heuristic's tile for ``req`` and the candidates it examined."""
+        before = self.h.evaluations
+        tile = self.h.place(req, self.state)
+        return tile, self.h.evaluations - before
 
     def _pin_route(self, t: int, app_id: str, edge: Edge, direction: str) -> None:
         """Route one direction of ``edge`` on the current ledger, pin it and
-        queue its transfer as ready at cycle ``t``."""
+        queue its transfer as ready at cycle ``t``.  Only pins raise link
+        loads, so the running peak and average are observed here."""
         m_tile = self.state.task_tile(app_id, edge.mtid)
         s_tile = self.state.task_tile(app_id, edge.stid)
         if direction == DIR_MS:
             src, dst, volume = m_tile, s_tile, edge.vms
         else:
             src, dst, volume = s_tile, m_tile, edge.vsm
-        path = route(self.policy, src, dst, self.state.ledger, self.arch)
+        ledger = self.state.ledger
+        path = route(self.h.route_policy, src, dst, ledger, self.arch)
         self.state.apply_route(app_id, edge.mtid, edge.stid, direction, path, volume)
-        self._sample_ledger()
+        self.peak_seen = max(self.peak_seen, ledger.peak_load())
+        self.avg_seen = max(self.avg_seen, ledger.avg_load())
         heapq.heappush(self.heap, (t, _RANK_COMM_READY, (app_id, edge.mtid, edge.stid, direction)))
 
-    def _maybe_start_compute(self, run: _AppRun, tid: str, t: int) -> None:
-        if tid in run.compute_started:
-            return
-        if run.inbound_done[tid] < run.inbound_needed[tid]:
-            return
+    def _edge_delivered(self, run: _AppRun, tid: str, t: int) -> None:
+        run.waiting[tid] -= 1
+        if not run.waiting[tid]:
+            self._start_compute(run, tid, t)
+
+    def _start_compute(self, run: _AppRun, tid: str, t: int) -> None:
         app_id = run.graph.app_id
         tile = self.state.task_tile(app_id, tid)
-        if tile is None:
-            return
         task = run.graph.task(tid)
         cycles = compute_time(task, self.arch.kind(tile), self.params)
-        run.compute_started.add(tid)
         self._log(t, "compute_start", app_id, tid, _fmt_tile(tile), f"cycles={cycles}")
         heapq.heappush(self.heap, (t + cycles, _RANK_COMPUTE_END, (app_id, tid)))
 
-    def _check_complete(self, run: _AppRun, t: int) -> None:
-        if run.finished_at is not None:
-            return
-        if len(run.computed) < len(run.graph.tasks) or run.comms_done < run.comms_total:
+    def _count_down(self, run: _AppRun, t: int) -> None:
+        """Count one compute end or transfer of ``run`` as done; after the
+        last, the application completes and frees its tiles and cluster."""
+        run.outstanding -= 1
+        if run.outstanding:
             return
         run.finished_at = t
         app_id = run.graph.app_id
         self._log(t, "app_done", app_id, "", "", f"finish={t}")
         self.state.release_app(app_id)
-        self._sample_ledger()
         if run.cluster is not None:
             self.held.discard(run.cluster)
         for kind, n in run.demand.items():
-            self.running_demand[kind] -= n
+            self.free[kind] += n
         self._log(t, "release", app_id, "", "", "")
-        self.released = True
+        self.released = self.pump = True
 
     def _housekeeping(self, t: int) -> None:
         if self.released:
-            self.released = False
             self._retry_deferred(t)
-            self.pump = True
         if self.pump:
-            self.pump = False
             self._admit_from_queue(t)
+        self.released = self.pump = False
 
     def _retry_deferred(self, t: int) -> None:
         for key in sorted(self.deferred):
-            if key not in self.deferred:
-                continue
-            run, edge = self.deferred[key]
-            self._activate_edge(run, edge, t)
-
-    def _fits_capacity(self, run: _AppRun) -> bool:
-        return all(
-            self.running_demand[kind] + run.demand[kind] <= self.capacity[kind]
-            for kind in run.demand
-        )
+            self._activate_edge(*self.deferred[key], t)
 
     def _admit_from_queue(self, t: int) -> None:
         while self.queue:
@@ -510,7 +480,9 @@ class _Engine:
             graph = run.graph
             initial = graph.initial
             cluster: int | None = None
-            if self.scenario.admission_guard and not self._fits_capacity(run):
+            if self.scenario.admission_guard and any(
+                n > self.free[kind] for kind, n in run.demand.items()
+            ):
                 break
             if self.grid is not None:
                 res = place_initial(self.grid, self.held, self.state)
@@ -520,9 +492,7 @@ class _Engine:
                 self.h.evaluations += examined
             else:
                 req = MapRequest(graph.app_id, initial, self.arch.manager, 0, 0)
-                before = self.h.evaluations
-                tile = self.h.place(req, self.state)
-                examined = self.h.evaluations - before
+                tile, examined = self._place(req)
                 if tile is None:
                     break
             self.queue.popleft()
@@ -530,16 +500,15 @@ class _Engine:
             run.admitted_at = t
             run.cluster = cluster
             for kind, n in run.demand.items():
-                self.running_demand[kind] += n
+                self.free[kind] -= n
+            detail = f"wait={t - run.arrival}"
             if cluster is not None:
                 self.held.add(cluster)
                 self.max_held = max(self.max_held, len(self.held))
-            detail = f"wait={t - run.arrival}"
-            if cluster is not None:
                 detail += f";cluster={cluster}"
             self._log(t, "admit", graph.app_id, "", "", detail)
             self._log(t, "map", graph.app_id, initial.id, _fmt_tile(tile), f"examined={examined}")
-            self._maybe_start_compute(run, initial.id, t + self.params.manager_overhead)
+            self._start_compute(run, initial.id, t + self.params.manager_overhead)
 
     # -- reporting --------------------------------------------------------
 

@@ -2,6 +2,25 @@
 from nocmap import oracles
 from nocmap.heuristics import _pl_key, spiral_ring
 from nocmap.model import compatible
+from nocmap.routing import min_load_route
+
+
+def hop_first_route(src, dst, ledger, arch):
+    """Hops before load: the wrong priority order.  Raising every link by
+    more than the total load makes each hop outweigh any load difference."""
+    raised = ledger.copy()
+    bump = ledger.total_load() + 1
+    for link, load in ledger.loads().items():
+        raised.set_load(link, load + bump)
+    return min_load_route(src, dst, raised, arch)
+
+
+def test_routing_check_catches_hop_first_router(monkeypatch):
+    monkeypatch.setattr(oracles, "min_load_route", hop_first_route)
+    checks, failures, counterexample = oracles.check_routing(4)
+    assert checks == 1296
+    assert failures > 0
+    assert "got (load,hops)=" in counterexample
 
 
 def test_placement_check_catches_worst_candidate(monkeypatch):

@@ -23,6 +23,7 @@ from nocmap.sim import (
     simulate,
     write_event_log,
 )
+from nocmap.routing import RoutePolicy
 from nocmap.workload import GenConfig, generate_workload
 
 from conftest import chain_app, small_arch
@@ -213,6 +214,43 @@ class TestSimulateBasics:
     def test_unknown_heuristic_rejected(self):
         with pytest.raises(ValidationError, match="unknown heuristic 'bogus'"):
             simulate(Scenario(apps=[single_task_app()], heuristic="bogus"))
+
+    def test_route_policy_by_name(self):
+        apps = generate_workload(GenConfig(app_count=3, seed=2))
+        logs = {
+            policy: simulate(Scenario(apps=apps, heuristic="nn", route_policy=policy)).event_log
+            for policy in ("xy", RoutePolicy.XY, "mdijkstra", RoutePolicy.MIN_LOAD)
+        }
+        assert logs["xy"] == logs[RoutePolicy.XY]
+        assert logs["mdijkstra"] == logs[RoutePolicy.MIN_LOAD]
+        assert logs["xy"] != logs["mdijkstra"]
+
+    def test_unknown_route_policy_rejected(self):
+        with pytest.raises(ValidationError, match="unknown route policy 'bogus'.*xy, mdijkstra"):
+            simulate(Scenario(apps=[single_task_app()], heuristic="nn", route_policy="bogus"))
+
+    @pytest.mark.parametrize("arrival", [1.5, True, "5", -1])
+    def test_non_integer_arrival_rejected(self, arrival):
+        apps = [single_task_app("app0"), single_task_app("app1")]
+        with pytest.raises(ValidationError, match="arrival cycles"):
+            simulate(Scenario(apps=apps, heuristic="nn", arrivals=[arrival, 0]))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"manager_overhead": 2.5},
+            {"manager_overhead": True},
+            {"energy_per_packet_hop": 1.0},
+            {"cycles_per_instruction": {TileKind.ISP: 40.0, TileKind.RA: 20}},
+            {"energy_per_instruction": {TileKind.ISP: 10, TileKind.RA: "20"}},
+            {"cycles_per_instruction": {TileKind.ISP: 40}},
+            {"manager_overhead": -1},
+        ],
+    )
+    def test_non_integer_params_rejected(self, params):
+        with pytest.raises(ValidationError, match="must be a non-negative integer"):
+            simulate(Scenario(apps=[single_task_app()], heuristic="nn",
+                              params=PlatformParams(**params)))
 
 
 def _recompute_energy_from_log(events):
