@@ -11,6 +11,11 @@ one of them (mmc and mac differ on 8x8 at 10 and 40 apps).  Cases pinned to
 The ``dag`` cases run ``dag_workload``, a fixed hand-written DAG, instead of
 a generated tree: it covers a slave with two masters and edges that carry
 traffic in one direction only, which generated workloads never contain.
+
+The ``mdijkstra`` cases run mmc and mac with the load-aware router.  Their
+placement routes each candidate's slave->master path on a ledger that already
+holds the candidate's tentative master->slave load, so they pin how the
+scorer orders its tentative ledger updates.
 """
 import hashlib
 
@@ -37,7 +42,8 @@ DEADLOCK = "DeadlockError"
 # "heuristic/platform/apps[/variant]" -> (report digest, event log digest).
 # Variants: "arrivals" releases app i at cycle 500*i; "noguard" turns the
 # admission guard off; "dag" runs ``dag_workload`` with staggered arrivals
-# and a mapping overhead of 5 cycles.
+# and a mapping overhead of 5 cycles; "mdijkstra" routes with the load-aware
+# router instead of the heuristic's default XY.
 GOLDEN = {
     "ff/8x8/1": (
         "6612043e55febc9e1c54f78f7211fbe349d378089b56b8b630b82637e65a0fe9",
@@ -300,6 +306,21 @@ GOLDEN = {
     "spiral/4x4-ra/5/dag": (
         "ad1ba2584232035d6f7d74fd604579d4c681b59b6ad8f84f3e5d7311918778d2",
         "53ed8f4c7b9472049c21e02340fa9004a2a8dc8f00ef34f2895032b234f05b37",
+    ),    "mmc/4x4-ra/10/mdijkstra": (
+        "1bb3ae40326b845fc3006488af649449ee58937d3be42a3b5cc036cce606e71b",
+        "5a4fbc0836518e57d239f42ac06368fcf399ac3cb7ec64b8fcfcfc615f75aa07",
+    ),
+    "mmc/16x16-ra/10/mdijkstra": (
+        "d7513c447d7ed5953036ed559f3b0fce2634b9e6c90c934ac277ee186321301b",
+        "4f874a1c859fc80870d05a386c2f8f1403fd5009c3a3233fe5a3150d7e025f95",
+    ),
+    "mac/4x4-ra/10/mdijkstra": (
+        "855363f89380ddd7293b796dcfb01e507069893a345442a32cccb2d16350ec82",
+        "5a4fbc0836518e57d239f42ac06368fcf399ac3cb7ec64b8fcfcfc615f75aa07",
+    ),
+    "mac/16x16-ra/10/mdijkstra": (
+        "106c64ad6b89e932744a85cb5815eb7a2b793c9b60d5d8e8d982b8db81440867",
+        "4f874a1c859fc80870d05a386c2f8f1403fd5009c3a3233fe5a3150d7e025f95",
     ),
 }
 
@@ -342,6 +363,8 @@ def _scenario(key):
         kwargs["arrivals"] = [i * 500 for i in range(n)]
     elif variant == ["noguard"]:
         kwargs["admission_guard"] = False
+    elif variant == ["mdijkstra"]:
+        kwargs["route_policy"] = "mdijkstra"
     return Scenario(
         apps=generate_workload(GenConfig(app_count=n, seed=1)),
         heuristic=heuristic,
