@@ -282,12 +282,21 @@ def _candidates(state: MappingState, kind: TaskKind) -> list[Coord]:
 
 
 def _channel_load_key(
-    req: MapRequest, state: MappingState, tile: Coord, policy: RoutePolicy, average_first: bool
+    req: MapRequest,
+    state: MappingState,
+    tile: Coord,
+    policy: RoutePolicy,
+    average_first: bool,
+    base_peak: int,
 ) -> tuple[int, int, int]:
     """Ledger loads after tentatively routing both directions to ``tile``.
 
     The key is (peak, total, linear index), or (total, peak, linear index)
-    with ``average_first``.
+    with ``average_first``.  The forward load is on the ledger while the
+    back route is chosen, so a load-aware router sees it.  Adding load only
+    raises the links it touches, so the peak is ``base_peak`` (the peak
+    before any tentative route) or the highest load on a tentative path:
+    scoring costs O(path), not O(links).
     """
     arch = state.arch
     ledger = state.ledger
@@ -297,7 +306,8 @@ def _channel_load_key(
             path = route(policy, src, dst, ledger, arch)
             ledger.add_path(path, volume)
             applied.append((path, volume))
-    peak, total = ledger.peak_load(), ledger.total_load()
+    peak = max([base_peak] + [ledger.path_peak(path) for path, _ in applied])
+    total = ledger.total_load()
     for path, volume in reversed(applied):
         ledger.remove_path(path, volume)
     if average_first:
@@ -314,12 +324,17 @@ def map_channel_load(
     mac (``average_first``) minimises the resulting average load, compared
     through the exact integer total since the link count is constant, and
     breaks ties on the peak.  Remaining ties break on linear tile index.
+    The ledger's peak is read once per call; each candidate then costs
+    O(path) ledger work (see ``_channel_load_key``).
     """
     if req.requester_tile is None:
         raise StateError("channel-load placement requires a requester tile")
     cands = _candidates(state, req.task.kind)
+    base_peak = state.ledger.peak_load()
     best = min(
-        cands, key=lambda t: _channel_load_key(req, state, t, policy, average_first), default=None
+        cands,
+        key=lambda t: _channel_load_key(req, state, t, policy, average_first, base_peak),
+        default=None,
     )
     return best, len(cands)
 

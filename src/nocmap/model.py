@@ -354,11 +354,18 @@ class ArchGraph:
 
 
 class ChannelLoadLedger:
-    """Accumulated packet volume currently routed over every directed link."""
+    """Accumulated packet volume currently routed over every directed link.
+
+    The ledger keeps the sum of all link loads as it changes, so
+    ``total_load`` and ``avg_load`` are O(1) and ``add_path``/``remove_path``
+    cost O(path): one dict update per link.  ``peak_load`` scans every link;
+    ``path_peak`` reads only the links of one path.
+    """
 
     def __init__(self, arch: ArchGraph):
         self.arch = arch
         self._load: dict[DirectedLink, int] = dict.fromkeys(arch.links(), 0)
+        self._total = 0
 
     def load(self, link: DirectedLink) -> int:
         try:
@@ -367,31 +374,51 @@ class ChannelLoadLedger:
             raise ValidationError(f"unknown link {link}") from None
 
     def set_load(self, link: DirectedLink, value: int) -> None:
-        if link not in self._load:
-            raise ValidationError(f"unknown link {link}")
+        old = self.load(link)
         if value < 0:
             raise ValidationError(f"load must be non-negative, got {value}")
         self._load[link] = value
+        self._total += value - old
 
     def add_path(self, path: Sequence[Coord], volume: int) -> None:
         if volume < 0:
             raise ValidationError(f"volume must be non-negative, got {volume}")
-        for link in zip(path, path[1:]):
-            self.load(link)  # existence check
-            self._load[link] += volume
+        self._shift(path, volume)
 
     def remove_path(self, path: Sequence[Coord], volume: int) -> None:
-        for link in zip(path, path[1:]):
-            new = self.load(link) - volume
-            if new < 0:
-                raise StateError(f"removing {volume} from link {link} would go negative")
-            self._load[link] = new
+        self._shift(path, -volume)
+
+    def _shift(self, path: Sequence[Coord], delta: int) -> None:
+        """Add ``delta`` to the load of every link of ``path``.
+
+        On an unknown link or a load that would go negative, the links
+        before it keep their new loads and the total is recounted.
+        """
+        load = self._load
+        try:
+            for link in zip(path, path[1:]):
+                new = load[link] + delta
+                if new < 0:
+                    self._total = sum(load.values())
+                    raise StateError(f"removing {-delta} from link {link} would go negative")
+                load[link] = new
+        except KeyError:
+            self._total = sum(load.values())
+            raise ValidationError(f"unknown link {link}") from None
+        self._total += delta * max(len(path) - 1, 0)
+
+    def path_peak(self, path: Sequence[Coord]) -> int:
+        """Highest load on the links of ``path``; 0 for a single tile."""
+        try:
+            return max(map(self._load.__getitem__, zip(path, path[1:])), default=0)
+        except KeyError as exc:
+            raise ValidationError(f"unknown link {exc.args[0]}") from None
 
     def peak_load(self) -> int:
         return max(self._load.values())
 
     def total_load(self) -> int:
-        return sum(self._load.values())
+        return self._total
 
     def avg_load(self) -> float:
         return self.total_load() / len(self._load)
@@ -400,6 +427,7 @@ class ChannelLoadLedger:
         dup = ChannelLoadLedger.__new__(ChannelLoadLedger)
         dup.arch = self.arch
         dup._load = dict(self._load)
+        dup._total = self._total
         return dup
 
     def loads(self) -> Mapping[DirectedLink, int]:

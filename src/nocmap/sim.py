@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import heapq
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -76,7 +77,12 @@ class PlatformParams:
         values = [("energy_per_packet_hop", self.energy_per_packet_hop),
                   ("manager_overhead", self.manager_overhead)]
         for table in ("cycles_per_instruction", "energy_per_instruction"):
-            values += [(f"{table}[{k.value}]", getattr(self, table).get(k))
+            per_kind = getattr(self, table)
+            if not isinstance(per_kind, Mapping):
+                raise ValidationError(
+                    f"{table} must map tile kinds to integers, got {per_kind!r}"
+                )
+            values += [(f"{table}[{k.value}]", per_kind.get(k))
                        for k in (TileKind.ISP, TileKind.RA)]
         for name, value in values:
             if not is_int(value) or value < 0:
@@ -103,6 +109,10 @@ class Scenario:
     arrivals: Sequence[int] | None = None  # None: all at cycle 0
     arch: ArchGraph | None = None  # None: the default 8x8 platform
     admission_guard: bool = True
+
+    def arrival_cycles(self) -> list[int]:
+        """Arrival cycle of each application; ``arrivals=None`` is all 0."""
+        return [0] * len(self.apps) if self.arrivals is None else list(self.arrivals)
 
 
 @dataclass(frozen=True)
@@ -257,12 +267,14 @@ class _Engine:
         self.arch = scenario.arch or ArchGraph.default_8x8()
         self.params = scenario.params
         self.params.validate()
+        if not is_int(scenario.seed):
+            raise ValidationError(f"seed must be an integer, got {scenario.seed!r}")
         apps = list(scenario.apps)
         if not apps:
             raise ValidationError("scenario needs at least one application")
         if len({g.app_id for g in apps}) != len(apps):
             raise ValidationError("application ids must be unique within a scenario")
-        arrivals = list(scenario.arrivals) if scenario.arrivals is not None else [0] * len(apps)
+        arrivals = scenario.arrival_cycles()
         if len(arrivals) != len(apps):
             raise ValidationError("arrivals must match the application count")
         if not all(is_int(a) and a >= 0 for a in arrivals):
@@ -418,8 +430,14 @@ class _Engine:
 
     def _pin_route(self, t: int, app_id: str, edge: Edge, direction: str) -> None:
         """Route one direction of ``edge`` on the current ledger, pin it and
-        queue its transfer as ready at cycle ``t``.  Only pins raise link
-        loads, so the running peak and average are observed here."""
+        queue its transfer as ready at cycle ``t``.
+
+        Only pins raise link loads (placement's tentative routes are undone
+        before it returns), so the running peak and average are sampled
+        here, in O(path).  The running peak is exact from the pinned path
+        alone: a link's load is at its highest right after the pin that last
+        raised it, and that pin sampled it.  The average is O(1) from the
+        ledger's running total."""
         m_tile = self.state.task_tile(app_id, edge.mtid)
         s_tile = self.state.task_tile(app_id, edge.stid)
         if direction == DIR_MS:
@@ -429,7 +447,7 @@ class _Engine:
         ledger = self.state.ledger
         path = route(self.h.route_policy, src, dst, ledger, self.arch)
         self.state.apply_route(app_id, edge.mtid, edge.stid, direction, path, volume)
-        self.peak_seen = max(self.peak_seen, ledger.peak_load())
+        self.peak_seen = max(self.peak_seen, ledger.path_peak(path))
         self.avg_seen = max(self.avg_seen, ledger.avg_load())
         heapq.heappush(self.heap, (t, _RANK_COMM_READY, (app_id, edge.mtid, edge.stid, direction)))
 
@@ -559,7 +577,7 @@ def run_comparison(scenarios: Sequence[Scenario]) -> list[SimReport]:
             raise ValidationError("comparison scenarios must share the same workload")
         if other.params != first.params or other.seed != first.seed:
             raise ValidationError("comparison scenarios must share params and seed")
-        if list(other.arrivals or []) != list(first.arrivals or []):
+        if other.arrival_cycles() != first.arrival_cycles():
             raise ValidationError("comparison scenarios must share arrival times")
         if other.admission_guard != first.admission_guard:
             raise ValidationError("comparison scenarios must share the admission policy")

@@ -346,7 +346,7 @@ def dag_workload(n):
     return [TaskGraph(f"app{i}", tasks, edges) for i in range(n)]
 
 
-def _scenario(key):
+def golden_scenario(key):
     heuristic, platform, apps, *variant = key.split("/")
     n = int(apps)
     if variant == ["dag"]:
@@ -380,7 +380,7 @@ def _sha256(path):
 
 @pytest.mark.parametrize("key", list(GOLDEN))
 def test_golden_digests(key, tmp_path):
-    scenario = _scenario(key)
+    scenario = golden_scenario(key)
     if GOLDEN[key] == DEADLOCK:
         with pytest.raises(DeadlockError):
             simulate(scenario)

@@ -2,6 +2,7 @@ from functools import partial
 
 import pytest
 
+from nocmap import heuristics
 from nocmap.heuristics import (
     ClusterGrid,
     HeuristicEngine,
@@ -301,6 +302,29 @@ class TestMapMMC:
     def test_matches_bruteforce(self, seed):
         got, want = placement_cases(seed)[1]["mmc"]
         assert got == want
+
+    @pytest.mark.parametrize("policy", list(RoutePolicy))
+    def test_back_route_sees_forward_load(self, monkeypatch, policy):
+        """The slave->master route is chosen with the candidate's
+        master->slave load on the ledger, and both are undone afterwards."""
+        arch = small_arch(3, 1)
+        state = MappingState(arch)
+        place_master(state, (1, 0))
+        state.ledger.set_load(((1, 0), (0, 0)), 4)
+        before = state.ledger.copy()
+        seen = []
+        real_route = heuristics.route
+
+        def recording_route(policy, src, dst, ledger, arch):
+            seen.append((src, dst, ledger.total_load()))
+            return real_route(policy, src, dst, ledger, arch)
+
+        monkeypatch.setattr(heuristics, "route", recording_route)
+        req = MapRequest("app0", sw_task(), (1, 0), 7, 3)
+        assert map_channel_load(req, state, policy, False) == ((2, 0), 1)
+        assert seen == [((1, 0), (2, 0), 4), ((2, 0), (1, 0), 11)]
+        assert state.ledger == before
+        assert state.ledger.total_load() == before.total_load()
 
 
 class TestMapMAC:

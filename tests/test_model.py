@@ -326,6 +326,56 @@ class TestLedgerReconstruction:
             assert state.ledger == rebuilt
             assert state.ledger.peak_load() >= 0
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_running_total_matches_loads(self, seed):
+        """``total_load`` is kept up to date through random ``add_path``,
+        ``remove_path``, ``set_load`` and ``copy`` calls, failed ones
+        included, and ``path_peak`` equals the highest load on the path."""
+        rng = random.Random(seed)
+        arch = small_arch(4, 3)
+        ledgers = [ChannelLoadLedger(arch)]
+        links = arch.links()
+        for _ in range(80):
+            ledger = rng.choice(ledgers)
+            path = [rng.choice(list(arch.coords()))]
+            for _ in range(rng.randint(0, 6)):
+                path.append(rng.choice(arch.neighbors(path[-1])))
+            if rng.random() < 0.1:
+                path.append((arch.width, 0))  # off the mesh: an unknown link
+            op = rng.randrange(4)
+            try:
+                if op == 0:
+                    ledger.add_path(path, rng.randint(0, 50))
+                elif op == 1:
+                    ledger.remove_path(path, rng.randint(0, 50))
+                elif op == 2:
+                    ledger.set_load(rng.choice(links), rng.randint(0, 80))
+                elif len(ledgers) < 4:
+                    ledgers.append(ledger.copy())
+            except (StateError, ValidationError):
+                pass
+            for each in ledgers:
+                loads = each.loads()
+                assert each.total_load() == sum(loads.values())
+                assert each.avg_load() == sum(loads.values()) / len(loads)
+            on_mesh = path[:-1] if path[-1] == (arch.width, 0) else path
+            assert ledger.path_peak(on_mesh) == max(
+                (ledger.load(link) for link in zip(on_mesh, on_mesh[1:])), default=0
+            )
+
+    def test_failed_path_update_keeps_total(self):
+        ledger = ChannelLoadLedger(small_arch(3, 3))
+        ledger.add_path(((0, 0), (1, 0)), 5)
+        with pytest.raises(ValidationError, match="unknown link"):
+            ledger.add_path(((0, 0), (1, 0), (1, 1), (1, 5)), 10)
+        with pytest.raises(StateError, match="would go negative"):
+            ledger.remove_path(((0, 0), (1, 0), (1, 1), (2, 1)), 10)
+        with pytest.raises(ValidationError, match="unknown link"):
+            ledger.path_peak(((0, 0), (5, 0)))
+        # The links before the failing one keep their updates.
+        assert ledger.load(((0, 0), (1, 0))) == 5
+        assert ledger.total_load() == sum(ledger.loads().values()) == 5
+
     def test_over_release_rejected(self):
         arch = small_arch(3, 3)
         ledger = ChannelLoadLedger(arch)

@@ -3,6 +3,7 @@ import pytest
 from nocmap.model import (
     ArchGraph,
     Edge,
+    MappingState,
     StateError,
     Task,
     TaskGraph,
@@ -27,6 +28,7 @@ from nocmap.routing import RoutePolicy
 from nocmap.workload import GenConfig, generate_workload
 
 from conftest import chain_app, small_arch
+from test_golden import golden_scenario
 
 
 def single_task_app(app_id="app0"):
@@ -252,6 +254,37 @@ class TestSimulateBasics:
             simulate(Scenario(apps=[single_task_app()], heuristic="nn",
                               params=PlatformParams(**params)))
 
+    @pytest.mark.parametrize("table", ["cycles_per_instruction", "energy_per_instruction"])
+    @pytest.mark.parametrize("value", [None, 40, [40, 20]])
+    def test_non_mapping_params_table_rejected(self, table, value):
+        with pytest.raises(ValidationError, match=f"{table} must map tile kinds"):
+            simulate(Scenario(apps=[single_task_app()], heuristic="nn",
+                              params=PlatformParams(**{table: value})))
+
+    @pytest.mark.parametrize("seed", ["x", 1.0, True, None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            simulate(Scenario(apps=[single_task_app()], heuristic="nn", seed=seed))
+
+
+@pytest.mark.parametrize("heuristic", ["ff", "mmc", "mac", "nn", "pl", "bn", "spiral"])
+@pytest.mark.parametrize("case", ["8x8/10", "4x4-ra/10", "4x4-ra/5/dag"])
+def test_sampled_link_load_matches_full_scan(monkeypatch, heuristic, case):
+    """The report's peak and average link load equal the running maxima of
+    full-ledger scans taken after every pinned route."""
+    peaks, avgs = [0], [0.0]
+    real_apply_route = MappingState.apply_route
+
+    def scanning_apply_route(self, *args):
+        real_apply_route(self, *args)
+        peaks.append(self.ledger.peak_load())
+        avgs.append(self.ledger.avg_load())
+
+    monkeypatch.setattr(MappingState, "apply_route", scanning_apply_route)
+    report = simulate(golden_scenario(f"{heuristic}/{case}"))
+    assert len(peaks) > 1
+    assert (report.peak_link_load, report.avg_link_load) == (max(peaks), max(avgs))
+
 
 def _recompute_energy_from_log(events):
     compute = comm = 0
@@ -454,6 +487,27 @@ class TestRunComparison:
                 [
                     Scenario(apps=apps, heuristic="nn", seed=1),
                     Scenario(apps=apps, heuristic="spiral", seed=2),
+                ]
+            )
+
+    def test_default_arrivals_equal_explicit_zeros(self):
+        apps = [single_task_app()]
+        reports = run_comparison(
+            [
+                Scenario(apps=apps, heuristic="nn"),
+                Scenario(apps=apps, heuristic="spiral", arrivals=[0]),
+            ]
+        )
+        assert [r.heuristic for r in reports] == ["nn", "spiral"]
+
+    @pytest.mark.parametrize("arrivals", [[0], None])
+    def test_mismatched_arrivals_rejected(self, arrivals):
+        apps = [single_task_app()]
+        with pytest.raises(ValidationError, match="arrival times"):
+            run_comparison(
+                [
+                    Scenario(apps=apps, heuristic="nn", arrivals=arrivals),
+                    Scenario(apps=apps, heuristic="spiral", arrivals=[5]),
                 ]
             )
 
