@@ -16,6 +16,10 @@ The ``mdijkstra`` cases run mmc and mac with the load-aware router.  Their
 placement routes each candidate's slave->master path on a ledger that already
 holds the candidate's tentative master->slave load, so they pin how the
 scorer orders its tentative ledger updates.
+
+The 450-app cases run long enough that each link holds hundreds of
+reservations over the run, so they pin the link schedule's handling of a
+long reservation history, which the short cases never build up.
 """
 import hashlib
 
@@ -306,7 +310,8 @@ GOLDEN = {
     "spiral/4x4-ra/5/dag": (
         "ad1ba2584232035d6f7d74fd604579d4c681b59b6ad8f84f3e5d7311918778d2",
         "53ed8f4c7b9472049c21e02340fa9004a2a8dc8f00ef34f2895032b234f05b37",
-    ),    "mmc/4x4-ra/10/mdijkstra": (
+    ),
+    "mmc/4x4-ra/10/mdijkstra": (
         "1bb3ae40326b845fc3006488af649449ee58937d3be42a3b5cc036cce606e71b",
         "5a4fbc0836518e57d239f42ac06368fcf399ac3cb7ec64b8fcfcfc615f75aa07",
     ),
@@ -321,6 +326,18 @@ GOLDEN = {
     "mac/16x16-ra/10/mdijkstra": (
         "106c64ad6b89e932744a85cb5815eb7a2b793c9b60d5d8e8d982b8db81440867",
         "4f874a1c859fc80870d05a386c2f8f1403fd5009c3a3233fe5a3150d7e025f95",
+    ),
+    "ff/8x8/450": (
+        "52ef4014fc694a6f02188ec330d83b82a158142ef4d134bb9319defe8965db4c",
+        "fa72646e295867f85df40a3ac7ba4d633fda233c1184d256c87bf0ce2a1fea57",
+    ),
+    "spiral/8x8/450": (
+        "d94df9e983751d6615d0b4c7f91062f6640a3bde4191a62e106af3e7372bda48",
+        "d11995d364df5b3de1924f1d4543cfb648a813ae02da6f8a911aafa838607cbe",
+    ),
+    "ff/8x8/450/arrivals": (
+        "caa7365345a147741955f1f87dae72871893025d36f6222ba6be908d8cdba9b6",
+        "7d5d9f7a86ad7940378b383a2651128250ccf367000a3a5a876e998678c190a1",
     ),
 }
 
