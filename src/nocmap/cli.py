@@ -8,7 +8,8 @@ Subcommands:
 * ``verify``    cross-check the router and placement heuristics against
                 exhaustive oracles
 
-Exit codes: 0 success, 1 usage, 2 I/O, 3 validation, 4 oracle failure.
+Exit codes: 0 success, 1 usage, 2 I/O, 3 validation, 4 oracle failure
+(``verify``) or broken engine invariant (``run --check``).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .heuristics import HEURISTIC_NAMES
 from .model import ArchGraph, ValidationError
-from .oracles import check_placement, check_routing, check_spiral
+from .oracles import InvariantError, check_placement, check_routing, check_spiral
 from .routing import RoutePolicy
 from .sim import DeadlockError, Scenario, SimReport, simulate, write_event_log
 from .workload import GenConfig, generate_workload, parse_workload_file, write_report, write_workload
@@ -86,7 +87,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     arch = _build_arch(args)
     report = simulate(
         Scenario(apps=apps, heuristic=args.heuristic, route_policy=args.route,
-                 seed=args.seed, arch=arch)
+                 seed=args.seed, arch=arch),
+        check=args.check,
     )
     write_report([report], args.out)
     if args.events:
@@ -196,6 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--events", help="also write the event log CSV here")
+    p.add_argument("--check", action="store_true",
+                   help="check the engine invariants after every event batch (exit 4 if one breaks)")
     _add_mesh_flags(p)
     p.set_defaults(func=cmd_run)
 
@@ -226,6 +230,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValidationError, DeadlockError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except InvariantError as exc:
+        print(f"invariant failed: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -334,12 +334,6 @@ class ArchGraph:
     def count_kind(self, kind: TileKind) -> int:
         return sum(1 for k in self._kinds.values() if k is kind)
 
-    def hop_distance(self, a: Coord, b: Coord) -> int:
-        """Manhattan distance between two in-mesh coordinates."""
-        self.require_in_mesh(a)
-        self.require_in_mesh(b)
-        return manhattan(a, b)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArchGraph):
             return NotImplemented
@@ -536,6 +530,3 @@ class MappingState:
         for path, volume in self.routes.values():
             fresh.add_path(path, volume)
         return fresh
-
-    def apps_placed(self) -> set[str]:
-        return {app for app, _ in self.placement}

@@ -10,10 +10,16 @@ loops that compare production code against these oracles; ``nocmap verify``
 and acceptance criteria 1-3 both run them.  ``placement_cases`` is the one
 per-seed placement comparison, shared by ``check_placement`` and the
 per-heuristic unit tests.
+
+``FullHistoryLinkSchedule`` is the link schedule that keeps every
+reservation, against which the pruning ``LinkSchedule`` is compared.
+``check_engine`` checks the simulation engine's invariants between event
+batches; ``simulate(..., check=True)`` and ``nocmap run --check`` run it.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .heuristics import MapRequest, map_channel_load, map_pl, ring_limit, spiral_ring
@@ -21,7 +27,9 @@ from .model import (
     ArchGraph,
     ChannelLoadLedger,
     Coord,
+    DirectedLink,
     MappingState,
+    NocError,
     Task,
     TaskKind,
     ValidationError,
@@ -289,3 +297,89 @@ def check_spiral() -> CheckResult:
             if first is None:
                 first = f"centre {center} rings are not a permutation"
     return CheckResult(checks, failures, first)
+
+
+class FullHistoryLinkSchedule:
+    """Link schedule that keeps and rescans every reservation ever made.
+
+    Same interface and answers as ``sim.LinkSchedule``, for any ``ready``
+    order: a start is bumped to the end of each reservation that overlaps
+    its window until none does.
+    """
+
+    def __init__(self) -> None:
+        self._busy: dict[DirectedLink, list[tuple[int, int]]] = {}
+
+    def earliest_start(self, links: Iterable[DirectedLink], ready: int, duration: int) -> int:
+        links = list(links)
+        t = ready
+        while True:
+            bumped = t
+            for link in links:
+                for s, e in self._busy.get(link, ()):
+                    if s < bumped + duration and e > bumped:
+                        bumped = max(bumped, e)
+            if bumped == t:
+                return t
+            t = bumped
+
+    def reserve(self, links: Iterable[DirectedLink], start: int, duration: int) -> None:
+        for link in links:
+            spans = self._busy.setdefault(link, [])
+            spans.append((start, start + duration))
+            spans.sort()
+
+
+class InvariantError(NocError):
+    """An invariant of the simulation engine does not hold."""
+
+
+def check_engine(engine) -> None:
+    """Raise ``InvariantError`` naming the first engine invariant broken.
+
+    ``engine`` is a ``sim._Engine`` between two event batches.  Checked:
+
+    * ``ledger``: every link load, and the running total, equal what
+      ``MappingState.rebuild_ledger`` recomputes from the pinned routes;
+    * ``link-schedule``: each link's reservations are sorted and no two
+      overlap;
+    * ``placement``: ``placement`` and ``tile_owner`` are inverse maps;
+    * ``free``: each kind's free tile count equals the platform's tiles of
+      that kind minus the demand of the admitted, unfinished applications.
+    """
+    state = engine.state
+    got, want = state.ledger.loads(), state.rebuild_ledger().loads()
+    for link, load in want.items():
+        if got[link] != load:
+            raise InvariantError(
+                f"ledger: link {link} holds {got[link]}, the pinned routes give {load}"
+            )
+    if state.ledger.total_load() != sum(want.values()):
+        raise InvariantError(
+            f"ledger: running total {state.ledger.total_load()}, "
+            f"the pinned routes give {sum(want.values())}"
+        )
+    for link, spans in engine.links_sched.spans().items():
+        for a, b in zip(spans, spans[1:]):
+            if a[1] > b[0]:
+                raise InvariantError(f"link-schedule: link {link} holds {a} before {b}")
+    if len(state.placement) != len(state.tile_owner):
+        raise InvariantError(
+            f"placement: {len(state.placement)} placed tasks "
+            f"but {len(state.tile_owner)} owned tiles"
+        )
+    for task, tile in state.placement.items():
+        if state.tile_owner.get(tile) != task:
+            raise InvariantError(
+                f"placement: task {task} sits on {tile}, "
+                f"which tile_owner gives to {state.tile_owner.get(tile)}"
+            )
+    tiles = Counter(engine.arch.kind(c) for c in engine.arch.coords())
+    running = [r for r in engine.apps if r.admitted_at is not None and r.finished_at is None]
+    for kind, free in engine.free.items():
+        want_free = tiles[kind] - sum(r.demand[kind] for r in running)
+        if free != want_free:
+            raise InvariantError(
+                f"free: {free} free {kind.value} tiles, "
+                f"the platform and the running apps give {want_free}"
+            )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+from bisect import insort
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ from .model import (
     compatible,
     is_int,
 )
+from .oracles import check_engine
 from .routing import RoutePolicy, route
 
 
@@ -205,29 +207,56 @@ class LinkSchedule:
     duration.  ``earliest_start`` finds the first cycle at or after the ready
     time where all links are simultaneously free for the duration, so gaps
     between existing reservations are used.
+
+    ``ready`` must not decrease from one ``earliest_start`` call to the next
+    (the engine passes its clock); a call that breaks this raises
+    ``StateError``.  A reservation that ends at or before ``ready`` can then
+    never conflict again, so each call drops those on the links it reads.
+    The reservations of one link never overlap, so kept sorted by start they
+    are sorted by end too: the dropped ones are a prefix, and a scan stops at
+    the first reservation that starts at or after the window's end.  Each
+    call therefore reads only what lies ahead of the clock, not the whole
+    history.
     """
 
     def __init__(self) -> None:
         self._busy: dict[DirectedLink, list[tuple[int, int]]] = {}
+        self._clock = 0
 
     def earliest_start(self, links: Iterable[DirectedLink], ready: int, duration: int) -> int:
-        links = list(links)
+        if ready < self._clock:
+            raise StateError(f"ready cycle {ready} is before an earlier call's {self._clock}")
+        self._clock = ready
+        held = []
+        for link in links:
+            spans = self._busy.get(link)
+            if spans:
+                passed = 0
+                while passed < len(spans) and spans[passed][1] <= ready:
+                    passed += 1
+                del spans[:passed]
+                held.append(spans)
         t = ready
         while True:
             bumped = t
-            for link in links:
-                for s, e in self._busy.get(link, ()):
-                    if s < bumped + duration and e > bumped:
-                        bumped = max(bumped, e)
+            for spans in held:
+                for s, e in spans:
+                    if s >= bumped + duration:
+                        break
+                    if e > bumped:
+                        bumped = e
             if bumped == t:
                 return t
             t = bumped
 
     def reserve(self, links: Iterable[DirectedLink], start: int, duration: int) -> None:
+        span = (start, start + duration)
         for link in links:
-            spans = self._busy.setdefault(link, [])
-            spans.append((start, start + duration))
-            spans.sort()
+            insort(self._busy.setdefault(link, []), span)
+
+    def spans(self) -> Mapping[DirectedLink, Sequence[tuple[int, int]]]:
+        """Each link's (start, end) reservations not yet dropped, by start."""
+        return self._busy
 
 
 class _AppRun:
@@ -323,7 +352,9 @@ class _Engine:
 
     # -- event handlers -------------------------------------------------
 
-    def run(self) -> SimReport:
+    def run(self, check: bool = False) -> SimReport:
+        """Fire every event; with ``check``, run ``check_engine`` after each
+        batch of same-cycle events."""
         handlers = (self._on_comm_end, self._on_compute_end, self._on_comm_ready, self._on_arrival)
         for r in self.apps:
             heapq.heappush(self.heap, (r.arrival, _RANK_ARRIVAL, (r.index,)))
@@ -333,6 +364,8 @@ class _Engine:
                 _, rank, key = heapq.heappop(self.heap)
                 handlers[rank](t, *key)
             self._housekeeping(t)
+            if check:
+                check_engine(self)
         unfinished = [r.graph.app_id for r in self.apps if r.finished_at is None]
         if unfinished:
             raise DeadlockError(
@@ -562,9 +595,14 @@ def _fmt_span(path: Sequence[Coord]) -> str:
     return f"{_fmt_tile(path[0])}->{_fmt_tile(path[-1])}"
 
 
-def simulate(scenario: Scenario) -> SimReport:
-    """Run one scenario to completion and return its metrics and event log."""
-    return _Engine(scenario).run()
+def simulate(scenario: Scenario, check: bool = False) -> SimReport:
+    """Run one scenario to completion and return its metrics and event log.
+
+    With ``check``, ``nocmap.oracles.check_engine`` runs after every batch of
+    same-cycle events and raises ``InvariantError`` on the first broken
+    invariant; the report and event log are the same as without it.
+    """
+    return _Engine(scenario).run(check)
 
 
 def run_comparison(scenarios: Sequence[Scenario]) -> list[SimReport]:

@@ -6,7 +6,9 @@ import pytest
 
 from nocmap import cli
 from nocmap.cli import main
+from nocmap.model import TileKind
 from nocmap.oracles import CheckResult, check_routing
+from nocmap.sim import _Engine
 from nocmap.workload import read_report
 
 
@@ -95,6 +97,29 @@ class TestRun:
                     "--out", str(out))
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_check_flag_keeps_outputs(self, tmp_path, workload):
+        outs = []
+        for extra in ((), ("--check",)):
+            out, events = tmp_path / f"r{len(extra)}.csv", tmp_path / f"e{len(extra)}.csv"
+            rc = run_cli("run", "--workload", str(workload), "--heuristic", "mmc",
+                         "--out", str(out), "--events", str(events), *extra)
+            assert rc == 0
+            outs.append((out.read_bytes(), events.read_bytes()))
+        assert outs[0] == outs[1]
+
+    def test_broken_invariant_is_exit_4(self, tmp_path, workload, capsys, monkeypatch):
+        real_housekeeping = _Engine._housekeeping
+
+        def corrupting_housekeeping(self, t):
+            real_housekeeping(self, t)
+            self.free[TileKind.RA] += 1
+
+        monkeypatch.setattr(_Engine, "_housekeeping", corrupting_housekeeping)
+        rc = run_cli("run", "--workload", str(workload), "--heuristic", "nn",
+                     "--out", str(tmp_path / "r.csv"), "--check")
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("invariant failed: free: ")
 
     def test_hardware_workload_on_isp_only_mesh_rejected(self, tmp_path, capsys):
         w = tmp_path / "w.xml"

@@ -88,7 +88,7 @@ class TestManhattanShell:
     def test_matches_filter_scan(self, arch8, center):
         for n in range(1, shell_limit(center, arch8) + 1):
             expected = [
-                c for c in arch8.coords() if arch8.hop_distance(center, c) == n
+                c for c in arch8.coords() if manhattan(center, c) == n
             ]
             assert manhattan_shell(center, n, arch8) == expected
 
@@ -334,7 +334,7 @@ class TestMapMAC:
         place_master(state, (1, 2))
         req = MapRequest("app0", sw_task(), (1, 2), 100, 100)
         tile, _ = map_channel_load(req, state, RoutePolicy.XY, True)
-        assert arch.hop_distance((1, 2), tile) == 1
+        assert manhattan((1, 2), tile) == 1
 
     def test_zero_vms_only_counts_return_direction(self):
         arch = arch_4x4()

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -16,40 +17,42 @@ from nocmap.model import (
     TileKind,
     ValidationError,
     compatible,
+    manhattan,
 )
 
 from conftest import chain_app, small_arch
 
 
 class TestHopDistance:
-    def test_identity(self, arch8):
-        assert arch8.hop_distance((0, 0), (0, 0)) == 0
+    """Hop distance between tiles is ``manhattan``; tiles must be in the mesh."""
 
-    def test_simple(self, arch8):
-        assert arch8.hop_distance((1, 1), (3, 2)) == 3
+    def test_identity(self):
+        assert manhattan((0, 0), (0, 0)) == 0
 
-    def test_corner_to_corner(self, arch8):
-        assert arch8.hop_distance((0, 0), (7, 7)) == 14
+    def test_simple(self):
+        assert manhattan((1, 1), (3, 2)) == 3
+
+    def test_corner_to_corner(self):
+        assert manhattan((0, 0), (7, 7)) == 14
 
     def test_out_of_mesh_rejected(self, arch8):
         with pytest.raises(ValidationError):
-            arch8.hop_distance((0, 0), (8, 0))
+            arch8.require_in_mesh((8, 0))
         with pytest.raises(ValidationError):
-            arch8.hop_distance((-1, 0), (0, 0))
+            arch8.require_in_mesh((-1, 0))
 
     @pytest.mark.parametrize("width,height", [(2, 2), (3, 5), (8, 8)])
     def test_is_a_metric(self, width, height):
-        arch = small_arch(width, height)
-        coords = list(arch.coords())
+        coords = list(small_arch(width, height).coords())
         for a in coords:
-            assert arch.hop_distance(a, a) == 0
+            assert manhattan(a, a) == 0
             for b in coords:
-                assert arch.hop_distance(a, b) == arch.hop_distance(b, a) >= 0
+                assert manhattan(a, b) == manhattan(b, a) >= 0
         for a in coords:
             for b in coords:
-                d_ab = arch.hop_distance(a, b)
+                d_ab = manhattan(a, b)
                 for c in coords:
-                    assert d_ab <= arch.hop_distance(a, c) + arch.hop_distance(c, b)
+                    assert d_ab <= manhattan(a, c) + manhattan(c, b)
 
 
 class TestCompatible:
@@ -269,7 +272,7 @@ class TestMappingState:
         state.release_app("a")
         assert state.ledger == state.rebuild_ledger()
         assert state.ledger.load(((2, 0), (2, 1))) == 70
-        assert state.apps_placed() == {"b"}
+        assert {app for app, _ in state.placement} == {"b"}
 
     def test_release_unknown_app_rejected(self):
         state = MappingState(small_arch(4, 4))
@@ -390,5 +393,14 @@ class TestLedgerReconstruction:
     bx=st.integers(0, 7), by=st.integers(0, 7),
 )
 def test_hop_distance_matches_manhattan(ax, ay, bx, by):
+    """The fewest hops between two tiles along ``neighbors`` is ``manhattan``."""
     arch = ArchGraph.default_8x8()
-    assert arch.hop_distance((ax, ay), (bx, by)) == abs(ax - bx) + abs(ay - by)
+    hops = {(ax, ay): 0}
+    queue = deque([(ax, ay)])
+    while queue:
+        u = queue.popleft()
+        for v in arch.neighbors(u):
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    assert hops[(bx, by)] == manhattan((ax, ay), (bx, by))

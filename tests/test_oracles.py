@@ -1,8 +1,13 @@
 """The shared oracle checks report a broken implementation as a failure."""
+import pytest
+
 from nocmap import oracles
 from nocmap.heuristics import _pl_key, spiral_ring
-from nocmap.model import compatible
+from nocmap.model import TileKind, compatible
 from nocmap.routing import min_load_route
+from nocmap.sim import _Engine, simulate
+
+from test_golden import golden_scenario
 
 
 def hop_first_route(src, dst, ledger, arch):
@@ -42,3 +47,56 @@ def test_spiral_check_catches_dropped_tile(monkeypatch):
     assert checks == 64
     assert failures > 0
     assert "rings are not a permutation" in counterexample
+
+
+def _corrupt_ledger(engine):
+    if engine.state.routes:
+        path, _ = next(iter(engine.state.routes.values()))
+        link = (path[0], path[1])
+        engine.state.ledger.set_load(link, engine.state.ledger.load(link) + 1)
+        return True
+    return False
+
+
+def _corrupt_link_schedule(engine):
+    for link, spans in engine.links_sched.spans().items():
+        if spans:
+            engine.links_sched.reserve([link], spans[0][0], 1)
+            return True
+    return False
+
+
+def _corrupt_tile_owner(engine):
+    if engine.state.tile_owner:
+        tile = next(iter(engine.state.tile_owner))
+        engine.state.tile_owner[tile] = ("intruder", "t0")
+        return True
+    return False
+
+
+def _corrupt_free(engine):
+    engine.free[TileKind.ISP] -= 1
+    return True
+
+
+@pytest.mark.parametrize("corrupt,invariant", [
+    (_corrupt_ledger, "ledger"),
+    (_corrupt_link_schedule, "link-schedule"),
+    (_corrupt_tile_owner, "placement"),
+    (_corrupt_free, "free"),
+])
+def test_engine_check_catches_corruption(monkeypatch, corrupt, invariant):
+    """Corrupting the engine state once, mid-run, fails the next check."""
+    real_housekeeping = _Engine._housekeeping
+    done = []
+
+    def corrupting_housekeeping(self, t):
+        real_housekeeping(self, t)
+        if t > 0 and not done and corrupt(self):
+            done.append(t)
+
+    monkeypatch.setattr(_Engine, "_housekeeping", corrupting_housekeeping)
+    scenario = golden_scenario("ff/8x8/10")
+    with pytest.raises(oracles.InvariantError, match=f"^{invariant}: "):
+        simulate(scenario, check=True)
+    assert done

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nocmap.model import (
@@ -24,6 +26,7 @@ from nocmap.sim import (
     simulate,
     write_event_log,
 )
+from nocmap.oracles import FullHistoryLinkSchedule
 from nocmap.routing import RoutePolicy
 from nocmap.workload import GenConfig, generate_workload
 
@@ -123,6 +126,48 @@ class TestLinkSchedule:
         sched.reserve([b], 40, 30)
         # both links must be simultaneously free for 20 cycles
         assert sched.earliest_start([a, b], 0, 20) == 70
+
+    def test_span_ending_at_ready_is_dropped(self):
+        sched = LinkSchedule()
+        link = ((0, 0), (1, 0))
+        sched.reserve([link], 0, 10)
+        sched.reserve([link], 30, 10)
+        assert sched.earliest_start([link], 10, 5) == 10
+        assert sched.spans()[link] == [(30, 40)]
+
+    def test_span_ending_after_ready_still_blocks(self):
+        sched = LinkSchedule()
+        link = ((0, 0), (1, 0))
+        sched.reserve([link], 0, 11)
+        assert sched.earliest_start([link], 10, 5) == 11
+        assert sched.spans()[link] == [(0, 11)]
+
+    def test_ready_going_backwards_rejected(self):
+        sched = LinkSchedule()
+        link = ((0, 0), (1, 0))
+        assert sched.earliest_start([link], 10, 5) == 10
+        with pytest.raises(StateError):
+            sched.earliest_start([link], 9, 5)
+
+    def test_matches_full_history_oracle(self):
+        """Seeded random call sequences over the sub-paths of a 4-link route,
+        reserving at every answer.  Transfers arrive faster than the links
+        drain them, so links hold dozens of reservations ahead of the clock."""
+        links = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0)), ((3, 0), (3, 1))]
+        for seed in range(200):
+            rng = random.Random(seed)
+            sched, oracle = LinkSchedule(), FullHistoryLinkSchedule()
+            ready = 0
+            for step in range(300):
+                ready += rng.choice((0, 0, 1, 2, 5, 20))
+                first = rng.randrange(len(links))
+                route = links[first:rng.randint(first + 1, len(links))]
+                duration = rng.randint(1, 40)
+                want = oracle.earliest_start(route, ready, duration)
+                got = sched.earliest_start(route, ready, duration)
+                assert got == want, f"seed {seed} step {step}: {got} != oracle {want}"
+                sched.reserve(route, got, duration)
+                oracle.reserve(route, got, duration)
 
 
 class TestSimulateBasics:
