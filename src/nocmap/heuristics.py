@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import ceil
-from typing import Iterable
+from operator import add
+from typing import Callable, Iterable
 
 from .model import (
     ArchGraph,
@@ -36,10 +37,9 @@ from .model import (
     Task,
     TaskKind,
     ValidationError,
-    compatible,
     manhattan,
 )
-from .routing import RoutePolicy, path_cost, path_hops, route
+from .routing import RoutePolicy, path_cost, path_hops, route, xy_fold
 
 
 class HeuristicKind(Enum):
@@ -185,24 +185,36 @@ class ClusterGrid:
 
 
 def _greedy_spread(clusters: list[Cluster], arch: ArchGraph) -> tuple[int, ...]:
-    """Max-min-distance greedy ordering of cluster centres for small meshes."""
-    remaining = list(range(len(clusters)))
-    start = min(remaining, key=lambda i: arch.linear_index(clusters[i].center))
-    order = [start]
-    remaining.remove(start)
-    while remaining:
-        def score(i: int) -> tuple[int, int, int]:
-            ds = [manhattan(clusters[i].center, clusters[j].center) for j in order]
-            return (min(ds), sum(ds), -arch.linear_index(clusters[i].center))
+    """Max-min-distance greedy ordering of cluster centres for small meshes.
 
-        nxt = max(remaining, key=score)
+    Starting from the centre with the smallest linear index, each step takes
+    the remaining cluster whose centre is farthest from the chosen ones: the
+    largest (min distance, sum of distances, -linear index).  Each remaining
+    cluster keeps its running min and sum, updated once per chosen centre,
+    so the ordering costs O(k^2) distances for k clusters.
+    """
+    centers = [cl.center for cl in clusters]
+    start = min(range(len(clusters)), key=lambda i: arch.linear_index(centers[i]))
+    order = [start]
+    # remaining cluster -> [min distance, sum of distances, -linear index]
+    score: dict[int, list[int]] = {}
+    for i, c in enumerate(centers):
+        if i != start:
+            d = manhattan(c, centers[start])
+            score[i] = [d, d, -arch.linear_index(c)]
+    while score:
+        nxt = max(score, key=score.__getitem__)
+        del score[nxt]
         order.append(nxt)
-        remaining.remove(nxt)
+        for i, s in score.items():
+            d = manhattan(centers[i], centers[nxt])
+            s[0] = min(s[0], d)
+            s[1] += d
     return tuple(order)
 
 
 def _free_compatible(state: MappingState, c: Coord, kind: TaskKind) -> bool:
-    return state.tile_free(c) and compatible(kind, state.arch.kind(c))
+    return state.arch.accepts(c, kind) and c not in state.tile_owner
 
 
 def place_initial(
@@ -278,7 +290,8 @@ def map_nn(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]:
 
 
 def _candidates(state: MappingState, kind: TaskKind) -> list[Coord]:
-    return [c for c in state.arch.coords() if _free_compatible(state, c, kind)]
+    """Free tiles a task of ``kind`` may run on, in raster order."""
+    return [c for c in state.arch.tiles_for(kind) if c not in state.tile_owner]
 
 
 def _channel_load_key(
@@ -315,6 +328,34 @@ def _channel_load_key(
     return (peak, total, arch.linear_index(tile))
 
 
+def _xy_channel_load_key(
+    req: MapRequest, state: MappingState, average_first: bool
+) -> Callable[[Coord], tuple[int, int, int]]:
+    """``_channel_load_key`` under XY routing, for every tile from one fold.
+
+    An XY route and the XY route back run in opposite directions, so they
+    share no directed link, and neither depends on loads: the key needs no
+    ledger writes.  A tile's peak is the highest of the peak before any
+    tentative route and each path's highest load plus its volume (a zero
+    volume adds nothing, since no link exceeds that peak); its total grows
+    by hops x (vms + vsm).  The requester's own tile routes nothing.
+    """
+    arch, ledger, r = state.arch, state.ledger, req.requester_tile
+    there, back = xy_fold(r, ledger, arch, max)
+    base_peak = ledger.peak_load()
+    base_total = ledger.total_load()
+    volume = req.vms + req.vsm
+
+    def key(tile: Coord) -> tuple[int, int, int]:
+        i = arch.linear_index(tile)
+        hops = manhattan(r, tile)
+        peak = max(base_peak, there[i] + req.vms, back[i] + req.vsm) if hops else base_peak
+        total = base_total + hops * volume
+        return (total, peak, i) if average_first else (peak, total, i)
+
+    return key
+
+
 def map_channel_load(
     req: MapRequest, state: MappingState, policy: RoutePolicy, average_first: bool
 ) -> tuple[Coord | None, int]:
@@ -324,19 +365,29 @@ def map_channel_load(
     mac (``average_first``) minimises the resulting average load, compared
     through the exact integer total since the link count is constant, and
     breaks ties on the peak.  Remaining ties break on linear tile index.
-    The ledger's peak is read once per call; each candidate then costs
-    O(path) ledger work (see ``_channel_load_key``).
+    Under XY a call costs O(tiles): one ``xy_fold`` from the requester
+    scores every candidate (see ``_xy_channel_load_key``).  Under the
+    load-aware router the ledger's peak is read once per call and each
+    candidate costs two routes and O(path) ledger work
+    (see ``_channel_load_key``).
     """
     if req.requester_tile is None:
         raise StateError("channel-load placement requires a requester tile")
     cands = _candidates(state, req.task.kind)
-    base_peak = state.ledger.peak_load()
-    best = min(
-        cands,
-        key=lambda t: _channel_load_key(req, state, t, policy, average_first, base_peak),
-        default=None,
-    )
-    return best, len(cands)
+    if not cands:
+        return None, 0
+    if policy is RoutePolicy.XY:
+        key = _xy_channel_load_key(req, state, average_first)
+    else:
+        key = partial(
+            _channel_load_key,
+            req,
+            state,
+            policy=policy,
+            average_first=average_first,
+            base_peak=state.ledger.peak_load(),
+        )
+    return min(cands, key=key), len(cands)
 
 
 def _pl_key(
@@ -350,18 +401,39 @@ def _pl_key(
     return (cost, hops, arch.linear_index(tile))
 
 
+def _xy_pl_key(req: MapRequest, state: MappingState) -> Callable[[Coord], tuple[int, int, int]]:
+    """``_pl_key`` under XY routing, for every tile from one fold."""
+    arch, r = state.arch, req.requester_tile
+    there, back = xy_fold(r, state.ledger, arch, add)
+
+    def key(tile: Coord) -> tuple[int, int, int]:
+        i = arch.linear_index(tile)
+        return (there[i] + back[i], 2 * manhattan(r, tile), i)
+
+    return key
+
+
 def map_pl(
     req: MapRequest, state: MappingState, policy: RoutePolicy
 ) -> tuple[Coord | None, int]:
     """Tile with the cheapest current-load communication path, both ways.
 
     Costs are sums of existing link loads along the routes the policy would
-    choose; ties break on combined hop count, then linear index.
+    choose; ties break on combined hop count, then linear index.  Under XY
+    a call costs O(tiles): one ``xy_fold`` from the requester scores every
+    candidate.  Under the load-aware router each candidate costs two routes
+    (see ``_pl_key``).
     """
     if req.requester_tile is None:
         raise StateError("path-load placement requires a requester tile")
     cands = _candidates(state, req.task.kind)
-    return min(cands, key=lambda t: _pl_key(req, state, t, policy), default=None), len(cands)
+    if not cands:
+        return None, 0
+    if policy is RoutePolicy.XY:
+        key = _xy_pl_key(req, state)
+    else:
+        key = partial(_pl_key, req, state, policy=policy)
+    return min(cands, key=key), len(cands)
 
 
 def map_bn(

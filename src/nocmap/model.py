@@ -272,6 +272,14 @@ class ArchGraph:
             for n in self._neighbors[c]:
                 links.append((c, n))
         self._links = tuple(links)
+        # Tiles each task kind may use, in raster order and as a set.
+        runs = {tk: [k for k in TaskKind if compatible(k, tk)] for tk in TileKind}
+        usable: dict[TaskKind, list[Coord]] = {k: [] for k in TaskKind}
+        for c in self.coords():
+            for k in runs[self._kinds[c]]:
+                usable[k].append(c)
+        self._tiles_for = {k: tuple(tiles) for k, tiles in usable.items()}
+        self._tile_set_for = {k: frozenset(tiles) for k, tiles in usable.items()}
 
     @classmethod
     def default_8x8(cls) -> "ArchGraph":
@@ -318,6 +326,14 @@ class ArchGraph:
         self.require_in_mesh(c)
         return self._kinds[c]
 
+    def tiles_for(self, kind: TaskKind) -> tuple[Coord, ...]:
+        """Tiles a task of ``kind`` may run on (see ``compatible``), raster order."""
+        return self._tiles_for[kind]
+
+    def accepts(self, c: Coord, kind: TaskKind) -> bool:
+        """True iff ``c`` is a mesh tile a task of ``kind`` may run on."""
+        return c in self._tile_set_for[kind]
+
     def coords(self) -> Iterator[Coord]:
         """All coordinates in raster (row-major) order."""
         for y in range(self.height):
@@ -353,7 +369,7 @@ class ChannelLoadLedger:
     The ledger keeps the sum of all link loads as it changes, so
     ``total_load`` and ``avg_load`` are O(1) and ``add_path``/``remove_path``
     cost O(path): one dict update per link.  ``peak_load`` scans every link;
-    ``path_peak`` reads only the links of one path.
+    ``path_loads`` and ``path_peak`` read only the links of one path.
     """
 
     def __init__(self, arch: ArchGraph):
@@ -401,12 +417,16 @@ class ChannelLoadLedger:
             raise ValidationError(f"unknown link {link}") from None
         self._total += delta * max(len(path) - 1, 0)
 
-    def path_peak(self, path: Sequence[Coord]) -> int:
-        """Highest load on the links of ``path``; 0 for a single tile."""
+    def path_loads(self, path: Sequence[Coord]) -> list[int]:
+        """Load of each link of ``path``, in path order; empty for a single tile."""
         try:
-            return max(map(self._load.__getitem__, zip(path, path[1:])), default=0)
+            return list(map(self._load.__getitem__, zip(path, path[1:])))
         except KeyError as exc:
             raise ValidationError(f"unknown link {exc.args[0]}") from None
+
+    def path_peak(self, path: Sequence[Coord]) -> int:
+        """Highest load on the links of ``path``; 0 for a single tile."""
+        return max(self.path_loads(path), default=0)
 
     def peak_load(self) -> int:
         return max(self._load.values())

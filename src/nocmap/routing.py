@@ -2,13 +2,15 @@
 
 Two routers are provided: deterministic dimension-ordered XY routing and a
 load-aware Dijkstra search that minimises the accumulated load along the
-path (ties broken by hop count).
+path (ties broken by hop count).  ``xy_fold`` folds the link loads of every
+XY route from one tile, and back to it, in one pass over the mesh.
 """
 from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, Sequence
 
 from .model import ArchGraph, ChannelLoadLedger, Coord
 
@@ -26,7 +28,7 @@ def path_hops(path: Sequence[Coord]) -> int:
 
 def path_cost(path: Sequence[Coord], ledger: ChannelLoadLedger) -> int:
     """Sum of current ledger loads over the directed links the path uses."""
-    return sum(ledger.load(link) for link in zip(path, path[1:]))
+    return sum(ledger.path_loads(path))
 
 
 def xy_route(src: Coord, dst: Coord, arch: ArchGraph) -> Path:
@@ -44,6 +46,58 @@ def xy_route(src: Coord, dst: Coord, arch: ArchGraph) -> Path:
         y += step
         path.append((x, y))
     return tuple(path)
+
+
+def _prefix_folds(
+    path: Path, ledger: ChannelLoadLedger, op: Callable[[int, int], int]
+) -> Iterator[tuple[Coord, int]]:
+    """(tile, fold of the loads from ``path[0]`` to that tile) along ``path``."""
+    return zip(path, accumulate(ledger.path_loads(path), op, initial=0))
+
+
+def _suffix_folds(
+    path: Path, ledger: ChannelLoadLedger, op: Callable[[int, int], int]
+) -> Iterator[tuple[Coord, int]]:
+    """(tile, fold of the loads from that tile to ``path[-1]``) along ``path``."""
+    return zip(reversed(path), accumulate(reversed(ledger.path_loads(path)), op, initial=0))
+
+
+def xy_fold(
+    src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph, op: Callable[[int, int], int]
+) -> tuple[list[int], list[int]]:
+    """Fold of the link loads on every XY route from ``src`` and back to it.
+
+    Returns ``(there, back)``, lists indexed by linear tile index: for each
+    tile ``t``, the ``op``-fold (``operator.add`` or ``max``, starting from
+    0) of the loads on ``xy_route(src, t)`` and on ``xy_route(t, src)``.
+    The route there is a segment of ``src``'s row, then one of ``t``'s
+    column; the route back is a segment of ``t``'s row, then one of
+    ``src``'s column.  So running folds along the XY routes from ``src`` to
+    both ends of its row, down every column from that row, and likewise
+    into ``src``, give every tile's values in O(tiles) ledger reads.
+    """
+    arch.require_in_mesh(src)
+    sx, sy = src
+    w, h = arch.width, arch.height
+    there = [0] * (w * h)
+    back = [0] * (w * h)
+    along_row = [0] * w  # fold from src to (x, sy)
+    for end in ((0, sy), (w - 1, sy)):
+        for (x, _), v in _prefix_folds(xy_route(src, end, arch), ledger, op):
+            along_row[x] = v
+    for x in range(w):
+        for end in ((x, 0), (x, h - 1)):
+            for (_, y), v in _prefix_folds(xy_route((x, sy), end, arch), ledger, op):
+                there[y * w + x] = op(along_row[x], v)
+    down_col = [0] * h  # fold from (sx, y) to src
+    for start in ((sx, 0), (sx, h - 1)):
+        for (_, y), v in _suffix_folds(xy_route(start, src, arch), ledger, op):
+            down_col[y] = v
+    for y in range(h):
+        for start in ((0, y), (w - 1, y)):
+            for (x, _), v in _suffix_folds(xy_route(start, (sx, y), arch), ledger, op):
+                back[y * w + x] = op(v, down_col[y])
+    return there, back
 
 
 def min_load_route(src: Coord, dst: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> Path:

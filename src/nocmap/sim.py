@@ -126,6 +126,11 @@ class EventRecord:
     location: str
     detail: str
 
+    def fields(self) -> dict[str, str]:
+        """``detail`` as a mapping: ``"volume=4;hops=2"`` gives
+        ``{"volume": "4", "hops": "2"}``; an empty detail gives ``{}``."""
+        return dict(kv.split("=") for kv in self.detail.split(";") if kv)
+
 
 _EVENT_KIND_ORDER = {
     k: i

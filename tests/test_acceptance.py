@@ -152,7 +152,7 @@ def test_criterion_7_conservation_and_cleanup(sweep):
     for (app_count, h, seed), (report, engine) in cells.items():
         compute = comm = 0
         for e in report.event_log:
-            d = dict(kv.split("=") for kv in e.detail.split(";") if kv)
+            d = e.fields()
             if e.kind == "compute_end":
                 compute += int(d["energy"])
             elif e.kind == "comm_end":

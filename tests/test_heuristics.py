@@ -1,9 +1,11 @@
+import random
 from functools import partial
 
 import pytest
 
 from nocmap import heuristics
 from nocmap.heuristics import (
+    Cluster,
     ClusterGrid,
     HeuristicEngine,
     HeuristicKind,
@@ -21,6 +23,8 @@ from nocmap.heuristics import (
     spiral_ring,
 )
 from nocmap.model import (
+    ArchGraph,
+    ChannelLoadLedger,
     MappingState,
     Task,
     TaskKind,
@@ -97,6 +101,24 @@ class TestManhattanShell:
         assert shell == [(4, 3), (3, 4), (5, 4), (4, 5)]
 
 
+def greedy_spread_reference(clusters, arch):
+    """The O(k^3) max-min-distance ordering: each step rescores every
+    remaining cluster against all chosen centres."""
+    remaining = list(range(len(clusters)))
+    start = min(remaining, key=lambda i: arch.linear_index(clusters[i].center))
+    order = [start]
+    remaining.remove(start)
+    while remaining:
+        def score(i):
+            ds = [manhattan(clusters[i].center, clusters[j].center) for j in order]
+            return (min(ds), sum(ds), -arch.linear_index(clusters[i].center))
+
+        nxt = max(remaining, key=score)
+        order.append(nxt)
+        remaining.remove(nxt)
+    return tuple(order)
+
+
 class TestClusterGrid:
     def test_default_8x8_geometry(self, arch8):
         grid = ClusterGrid.for_mesh(arch8)
@@ -128,6 +150,22 @@ class TestClusterGrid:
         for cl in grid.clusters:
             assert cl.contains(cl.center)
         assert sorted(grid.admission_order) == list(range(9))
+
+
+    def test_greedy_spread_matches_reference_on_every_mesh(self):
+        for width in range(1, 21):
+            for height in range(1, 21):
+                arch = small_arch(width, height)
+                clusters = list(ClusterGrid.for_mesh(arch).clusters)
+                assert heuristics._greedy_spread(clusters, arch) == greedy_spread_reference(
+                    clusters, arch
+                ), (width, height)
+
+    def test_greedy_spread_matches_reference_on_many_clusters(self):
+        arch = small_arch(20, 20)
+        centers = random.Random(0).sample(list(arch.coords()), 150)
+        clusters = [Cluster(x, y, x, y, (x, y)) for x, y in centers]
+        assert heuristics._greedy_spread(clusters, arch) == greedy_spread_reference(clusters, arch)
 
 
 class TestPlaceInitial:
@@ -303,10 +341,12 @@ class TestMapMMC:
         got, want = placement_cases(seed)[1]["mmc"]
         assert got == want
 
-    @pytest.mark.parametrize("policy", list(RoutePolicy))
+    @pytest.mark.parametrize("policy", [RoutePolicy.MIN_LOAD])
     def test_back_route_sees_forward_load(self, monkeypatch, policy):
         """The slave->master route is chosen with the candidate's
-        master->slave load on the ledger, and both are undone afterwards."""
+        master->slave load on the ledger, and both are undone afterwards.
+        Under XY the back route reads no loads (see
+        ``test_xy_scoring_never_writes_the_ledger``)."""
         arch = small_arch(3, 1)
         state = MappingState(arch)
         place_master(state, (1, 0))
@@ -323,6 +363,31 @@ class TestMapMMC:
         req = MapRequest("app0", sw_task(), (1, 0), 7, 3)
         assert map_channel_load(req, state, policy, False) == ((2, 0), 1)
         assert seen == [((1, 0), (2, 0), 4), ((2, 0), (1, 0), 11)]
+        assert state.ledger == before
+        assert state.ledger.total_load() == before.total_load()
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_xy_scoring_never_writes_the_ledger(self, monkeypatch, seed):
+        state, req, _ = random_partial_state(arch_4x4(), seed)
+        want = {
+            "mmc": oracle_channel_load(req, state, RoutePolicy.XY, False),
+            "mac": oracle_channel_load(req, state, RoutePolicy.XY, True),
+            "pl": oracle_path_load(req, state, RoutePolicy.XY),
+        }
+        before = state.ledger.copy()
+
+        def refuse(*args):
+            raise AssertionError("XY placement wrote the ledger")
+
+        monkeypatch.setattr(ChannelLoadLedger, "add_path", refuse)
+        monkeypatch.setattr(ChannelLoadLedger, "remove_path", refuse)
+        got = {
+            "mmc": map_channel_load(req, state, RoutePolicy.XY, False)[0],
+            "mac": map_channel_load(req, state, RoutePolicy.XY, True)[0],
+            "pl": map_pl(req, state, RoutePolicy.XY)[0],
+        }
+        assert got == want
         assert state.ledger == before
         assert state.ledger.total_load() == before.total_load()
 
@@ -408,6 +473,44 @@ class TestMapBN:
                 expected = oracle_path_load(req, state, policy, shell=shell)
                 break
         assert got == expected
+
+
+# Non-square meshes with RA tiles: a swap of width and height in the XY fold
+# would pass on the square meshes the golden cells and oracles use.
+FOLD_ARCHES = {
+    "5x3": ArchGraph.uniform(5, 3, manager=(0, 0), ra=((1, 1), (3, 0), (4, 2))),
+    "3x7": ArchGraph.uniform(3, 7, manager=(0, 0), ra=((1, 1), (2, 3), (0, 5), (1, 6))),
+}
+
+
+class TestXYFoldScoring:
+    """The fold-based XY scorers against the per-candidate ones."""
+
+    @pytest.mark.parametrize("name", FOLD_ARCHES)
+    def test_matches_per_candidate_scorers(self, name):
+        arch = FOLD_ARCHES[name]
+        xy = RoutePolicy.XY
+        for seed in range(200):
+            # random_partial_state sends odd seeds to the load-aware router;
+            # the fold serves XY only.
+            state, req, _ = random_partial_state(arch, seed)
+            cands = [c for c in arch.coords()
+                     if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
+            # Keys are compared on the requester's own tile too, which routes nothing.
+            scored = cands + [req.requester_tile]
+            base_peak = state.ledger.peak_load()
+            for average_first in (False, True):
+                want = partial(heuristics._channel_load_key, req, state, policy=xy,
+                               average_first=average_first, base_peak=base_peak)
+                got = heuristics._xy_channel_load_key(req, state, average_first)
+                assert [got(t) for t in scored] == [want(t) for t in scored], (seed, average_first)
+                assert map_channel_load(req, state, xy, average_first) == (
+                    min(cands, key=want, default=None), len(cands)
+                ), (seed, average_first)
+            want = partial(heuristics._pl_key, req, state, policy=xy)
+            got = heuristics._xy_pl_key(req, state)
+            assert [got(t) for t in scored] == [want(t) for t in scored], seed
+            assert map_pl(req, state, xy) == (min(cands, key=want, default=None), len(cands)), seed
 
 
 class TestHeuristicProperties:

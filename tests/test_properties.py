@@ -74,8 +74,7 @@ def scenarios(draw):
 
 
 def _energy(events, kind):
-    return sum(int(dict(kv.split("=") for kv in e.detail.split(";"))["energy"])
-               for e in events if e.kind == kind)
+    return sum(int(e.fields()["energy"]) for e in events if e.kind == kind)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)

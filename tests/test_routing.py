@@ -1,10 +1,19 @@
 import random
+from operator import add
 
 import pytest
 
 from nocmap.model import ChannelLoadLedger, ValidationError, manhattan
 from nocmap.oracles import enumerate_objectives, random_ledger, route_oracle
-from nocmap.routing import RoutePolicy, min_load_route, path_cost, path_hops, route, xy_route
+from nocmap.routing import (
+    RoutePolicy,
+    min_load_route,
+    path_cost,
+    path_hops,
+    route,
+    xy_fold,
+    xy_route,
+)
 
 from conftest import small_arch
 
@@ -54,6 +63,34 @@ class TestPathCost:
             assert path_cost(p, ledger) == sum(
                 ledger.load((u, v)) for u, v in zip(p, p[1:])
             )
+
+
+class TestXYFold:
+    @pytest.mark.parametrize(
+        "size", [(1, 1), (1, 6), (6, 1), (3, 5), (5, 3), (4, 4)], ids=lambda s: "%dx%d" % s
+    )
+    def test_matches_per_route_folds(self, size):
+        """Every (src, dst) pair on square and non-square meshes: the fold
+        equals the sum and the peak of the loads on both XY routes."""
+        arch = small_arch(*size)
+        for seed in range(20):
+            ledger = random_ledger(arch, seed)
+            for src in arch.coords():
+                sums = xy_fold(src, ledger, arch, add)
+                peaks = xy_fold(src, ledger, arch, max)
+                for dst in arch.coords():
+                    i = arch.linear_index(dst)
+                    there, back = xy_route(src, dst, arch), xy_route(dst, src, arch)
+                    assert (sums[0][i], sums[1][i]) == (
+                        path_cost(there, ledger), path_cost(back, ledger)
+                    ), (size, seed, src, dst)
+                    assert (peaks[0][i], peaks[1][i]) == (
+                        ledger.path_peak(there), ledger.path_peak(back)
+                    ), (size, seed, src, dst)
+
+    def test_out_of_mesh_rejected(self, arch8):
+        with pytest.raises(ValidationError):
+            xy_fold((8, 0), ChannelLoadLedger(arch8), arch8, add)
 
 
 class TestMinLoadRoute:

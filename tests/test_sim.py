@@ -38,10 +38,6 @@ def single_task_app(app_id="app0"):
     return TaskGraph(app_id, [Task("t0", TaskKind.INITIAL, 100)], [])
 
 
-def parse_detail(detail):
-    return dict(kv.split("=") for kv in detail.split(";") if kv)
-
-
 class TestComputeModel:
     def test_software_timing(self):
         p = PlatformParams()
@@ -196,10 +192,10 @@ class TestSimulateBasics:
         for e in r.event_log:
             by_kind.setdefault(e.kind, []).append(e)
         slave_compute = [e for e in by_kind["compute_end"] if e.task == "t1"][0]
-        d = parse_detail(slave_compute.detail)
+        d = slave_compute.fields()
         assert int(d["energy"]) == 2000
         starts = [e for e in by_kind["compute_start"] if e.task == "t1"][0]
-        assert int(parse_detail(starts.detail)["cycles"]) == 2000
+        assert int(starts.fields()["cycles"]) == 2000
 
     def test_contention_serializes_shared_link(self):
         arch = ArchGraph.uniform(4, 1, manager=(3, 0))
@@ -216,8 +212,8 @@ class TestSimulateBasics:
         comm_starts = {e.task: e for e in r.event_log if e.kind == "comm_start"}
         first = comm_starts["t0->t1:ms"]
         second = comm_starts["t0->t2:ms"]
-        assert first.cycle == 4000 and parse_detail(first.detail)["wait"] == "0"
-        assert second.cycle == 4100 and parse_detail(second.detail)["wait"] == "100"
+        assert first.cycle == 4000 and first.fields()["wait"] == "0"
+        assert second.cycle == 4100 and second.fields()["wait"] == "100"
 
     def test_manager_overhead_shifts_start(self):
         params = PlatformParams(manager_overhead=5)
@@ -334,7 +330,7 @@ def test_sampled_link_load_matches_full_scan(monkeypatch, heuristic, case):
 def _recompute_energy_from_log(events):
     compute = comm = 0
     for e in events:
-        d = parse_detail(e.detail)
+        d = e.fields()
         if e.kind == "compute_end":
             compute += int(d["energy"])
         elif e.kind == "comm_end":
