@@ -151,7 +151,6 @@ class TestClusterGrid:
             assert cl.contains(cl.center)
         assert sorted(grid.admission_order) == list(range(9))
 
-
     def test_greedy_spread_matches_reference_on_every_mesh(self):
         for width in range(1, 21):
             for height in range(1, 21):
@@ -365,7 +364,6 @@ class TestMapMMC:
         assert seen == [((1, 0), (2, 0), 4), ((2, 0), (1, 0), 11)]
         assert state.ledger == before
         assert state.ledger.total_load() == before.total_load()
-
 
     @pytest.mark.parametrize("seed", range(20))
     def test_xy_scoring_never_writes_the_ledger(self, monkeypatch, seed):
