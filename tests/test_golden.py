@@ -25,20 +25,16 @@ import hashlib
 
 import pytest
 
-from nocmap.model import DEFAULT_RA_TILES, ArchGraph, Edge, Task, TaskGraph, TaskKind
+from nocmap.model import ArchGraph, Edge, Task, TaskGraph, TaskKind
 from nocmap.sim import DeadlockError, PlatformParams, Scenario, simulate, write_event_log
 from nocmap.workload import GenConfig, generate_workload, write_report
+
+from conftest import arch_16x16_ra
 
 PLATFORMS = {
     "8x8": ArchGraph.default_8x8,
     "4x4-ra": lambda: ArchGraph.uniform(4, 4, manager=(0, 0), ra=((1, 1), (2, 2), (3, 0))),
-    # the default 8x8 RA pattern tiled 2x2: 56 RA tiles
-    "16x16-ra": lambda: ArchGraph.uniform(
-        16,
-        16,
-        manager=(0, 0),
-        ra=[(x + dx, y + dy) for dx in (0, 8) for dy in (0, 8) for x, y in DEFAULT_RA_TILES],
-    ),
+    "16x16-ra": arch_16x16_ra,
 }
 
 DEADLOCK = "DeadlockError"

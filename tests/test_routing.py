@@ -1,9 +1,10 @@
+import hashlib
 import random
 from operator import add
 
 import pytest
 
-from nocmap.model import ChannelLoadLedger, ValidationError, manhattan
+from nocmap.model import ArchGraph, ChannelLoadLedger, ValidationError, manhattan
 from nocmap.oracles import enumerate_objectives, random_ledger, route_oracle
 from nocmap.routing import (
     RoutePolicy,
@@ -15,7 +16,7 @@ from nocmap.routing import (
     xy_route,
 )
 
-from conftest import small_arch
+from conftest import arch_16x16_ra, small_arch
 
 
 class TestXYRoute:
@@ -134,6 +135,35 @@ class TestMinLoadRoute:
             ledger.set_load(link, ledger.load(link) + rng.randint(1, 200))
             after = path_cost(min_load_route(src, dst, ledger, arch), ledger)
             assert after >= before
+
+
+# "platform/ledger" -> SHA-256 of ``min_load_route`` for every (src, dst)
+# pair, recorded before the router moved to integer tile and link indices.
+# Loads of 0..2 (``random_ledger(..., high=2)``) and the all-zero ledger make
+# most pairs tie on (load, hops), so the digests pin the tie-breaking order.
+ROUTER_TIE_DIGESTS = {
+    "8x8/zero": "9769980a72c2e925b1f830b3f0d5292ae905263c2def8368a2d0cb35a2ce2cc9",
+    "8x8/high2-1": "94ef85fb6edba304344a593bdfd4a6380079de6ad4e2a52333eab1771c7dccb0",
+    "8x8/high2-2": "2d8fb83744f46bdee1bc1bb9c1137c724e092c74223f4a47fa5054e1d0207a29",
+    "8x8/high2-3": "6d4453029db2d5cbb40ccbde2cd2c722bea90ff40ab50bc48b390f5352488f8c",
+    "16x16-ra/zero": "c838c336067cc05ecd009a65bbecbee41636f5784a9497babb6471c865b27db7",
+    "16x16-ra/high2-1": "a0e5c4a9564eaf111b99b1d672bb732bffb9c1dc63e1aac460db84d71b3437ad",
+}
+
+
+class TestRouterTieDigests:
+    @pytest.mark.parametrize("case", ROUTER_TIE_DIGESTS)
+    def test_every_pair_routes_as_recorded(self, case):
+        platform, ledger_name = case.split("/")
+        arch = ArchGraph.default_8x8() if platform == "8x8" else arch_16x16_ra()
+        seed = 0 if ledger_name == "zero" else int(ledger_name.split("-")[1])
+        ledger = random_ledger(arch, seed, high=2)
+        digest = hashlib.sha256()
+        for src in arch.coords():
+            for dst in arch.coords():
+                path = min_load_route(src, dst, ledger, arch)
+                digest.update(",".join(str(arch.linear_index(c)) for c in path).encode() + b";")
+        assert digest.hexdigest() == ROUTER_TIE_DIGESTS[case]
 
 
 class TestRouteOracle:
