@@ -39,7 +39,7 @@ from .model import (
     ValidationError,
     manhattan,
 )
-from .routing import RoutePolicy, path_cost, path_hops, route, xy_fold
+from .routing import RoutePolicy, min_load_tree, path_cost, path_hops, route, xy_fold
 
 
 class HeuristicKind(Enum):
@@ -345,10 +345,12 @@ def _xy_channel_load_key(
     base_peak = ledger.peak_load()
     base_total = ledger.total_load()
     volume = req.vms + req.vsm
+    w, (rx, ry) = arch.width, r
 
     def key(tile: Coord) -> tuple[int, int, int]:
-        i = arch.linear_index(tile)
-        hops = manhattan(r, tile)
+        x, y = tile
+        i = y * w + x  # linear_index and manhattan inlined: one call per candidate
+        hops = abs(x - rx) + abs(y - ry)
         peak = max(base_peak, there[i] + req.vms, back[i] + req.vsm) if hops else base_peak
         total = base_total + hops * volume
         return (total, peak, i) if average_first else (peak, total, i)
@@ -405,10 +407,28 @@ def _xy_pl_key(req: MapRequest, state: MappingState) -> Callable[[Coord], tuple[
     """``_pl_key`` under XY routing, for every tile from one fold."""
     arch, r = state.arch, req.requester_tile
     there, back = xy_fold(r, state.ledger, arch, add)
+    w, (rx, ry) = arch.width, r
+
+    def key(tile: Coord) -> tuple[int, int, int]:
+        x, y = tile
+        i = y * w + x  # linear_index and manhattan inlined: one call per candidate
+        return (there[i] + back[i], 2 * (abs(x - rx) + abs(y - ry)), i)
+
+    return key
+
+
+def _min_load_pl_key(
+    req: MapRequest, state: MappingState
+) -> Callable[[Coord], tuple[int, int, int]]:
+    """``_pl_key`` under the load-aware router, for every tile from two
+    searches: one tree of routes from the requester and one into it."""
+    arch, r = state.arch, req.requester_tile
+    there_load, there_hops = min_load_tree(r, state.ledger, arch)
+    back_load, back_hops = min_load_tree(r, state.ledger, arch, into=True)
 
     def key(tile: Coord) -> tuple[int, int, int]:
         i = arch.linear_index(tile)
-        return (there[i] + back[i], 2 * manhattan(r, tile), i)
+        return (there_load[i] + back_load[i], there_hops[i] + back_hops[i], i)
 
     return key
 
@@ -419,10 +439,10 @@ def map_pl(
     """Tile with the cheapest current-load communication path, both ways.
 
     Costs are sums of existing link loads along the routes the policy would
-    choose; ties break on combined hop count, then linear index.  Under XY
-    a call costs O(tiles): one ``xy_fold`` from the requester scores every
-    candidate.  Under the load-aware router each candidate costs two routes
-    (see ``_pl_key``).
+    choose; ties break on combined hop count, then linear index.  Either
+    policy scores every candidate from one pass per call: one ``xy_fold``
+    from the requester under XY (O(tiles)), two ``min_load_tree`` searches
+    under the load-aware router (O(links log tiles)).
     """
     if req.requester_tile is None:
         raise StateError("path-load placement requires a requester tile")
@@ -432,14 +452,18 @@ def map_pl(
     if policy is RoutePolicy.XY:
         key = _xy_pl_key(req, state)
     else:
-        key = partial(_pl_key, req, state, policy=policy)
+        key = _min_load_pl_key(req, state)
     return min(cands, key=key), len(cands)
 
 
 def map_bn(
     req: MapRequest, state: MappingState, policy: RoutePolicy
 ) -> tuple[Coord | None, int]:
-    """Path-load choice restricted to the nearest non-empty Manhattan shell."""
+    """Path-load choice restricted to the nearest non-empty Manhattan shell.
+
+    Under XY each shell tile costs two routes (see ``_pl_key``); under the
+    load-aware router two ``min_load_tree`` searches score the whole shell.
+    """
     if req.requester_tile is None:
         raise StateError("best-neighbour placement requires a requester tile")
     arch = state.arch
@@ -450,8 +474,11 @@ def map_bn(
             if _free_compatible(state, t, req.task.kind)
         ]
         if shell:
-            best = min(shell, key=lambda t: _pl_key(req, state, t, policy))
-            return best, len(shell)
+            if policy is RoutePolicy.XY:
+                key = partial(_pl_key, req, state, policy=policy)
+            else:
+                key = _min_load_pl_key(req, state)
+            return min(shell, key=key), len(shell)
     return None, 0
 
 

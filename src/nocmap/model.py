@@ -12,6 +12,7 @@ so ledger bookkeeping is exactly reversible.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -260,18 +261,42 @@ class ArchGraph:
         if len(managers) != 1:
             raise ValidationError(f"exactly one manager tile required, got {len(managers)}")
         self.manager: Coord = managers[0]
+        # Integer link ids: a link's position in ``links()``.  The ledger
+        # keeps its loads in a list indexed by them, and the routers walk
+        # these tables instead of hashing coordinate pairs.  ``out_links[i]``
+        # and ``in_links[i]`` pair each neighbour of tile index ``i``, in
+        # ``neighbors`` order, with the link to it and the link from it.
         self._neighbors: dict[Coord, tuple[Coord, ...]] = {}
+        links: list[DirectedLink] = []
+        out_links: list[tuple[tuple[int, int], ...]] = []
+        in_links: list[list[tuple[int, int]]] = [[] for _ in range(width * height)]
         for c in self.coords():
             x, y = c
-            adj = [(x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)]
-            self._neighbors[c] = tuple(
-                sorted((a for a in adj if self.in_mesh(a)), key=self.linear_index)
-            )
-        links: list[DirectedLink] = []
-        for c in self.coords():
-            for n in self._neighbors[c]:
+            i = y * width + x
+            # Listed in linear-index order: i - width, i - 1, i + 1, i + width.
+            adj = ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1))
+            nbrs = tuple(a for a in adj if 0 <= a[0] < width and 0 <= a[1] < height)
+            self._neighbors[c] = nbrs
+            out = []
+            for n in nbrs:
+                j, k = n[1] * width + n[0], len(links)
+                out.append((j, k))
+                in_links[j].append((i, k))
                 links.append((c, n))
+            out_links.append(tuple(out))
         self._links = tuple(links)
+        self.link_ids: Mapping[DirectedLink, int] = {link: k for k, link in enumerate(links)}
+        self.out_links = tuple(out_links)
+        self.in_links = tuple(map(tuple, in_links))
+        # Links between adjacent columns and rows, as link ids:
+        # east[x][y] is (x, y) -> (x+1, y), west[x][y] is (x+1, y) -> (x, y),
+        # south[y][x] is (x, y) -> (x, y+1), north[y][x] is (x, y+1) -> (x, y).
+        ids, rows, cols = self.link_ids, range(height), range(width)
+        self.east = tuple(tuple(ids[(x, y), (x + 1, y)] for y in rows) for x in cols[:-1])
+        self.west = tuple(tuple(ids[(x + 1, y), (x, y)] for y in rows) for x in cols[:-1])
+        self.south = tuple(tuple(ids[(x, y), (x, y + 1)] for x in cols) for y in rows[:-1])
+        self.north = tuple(tuple(ids[(x, y + 1), (x, y)] for x in cols) for y in rows[:-1])
+        self._kind_count = Counter(self._kinds.values())
         # Tiles each task kind may use, in raster order and as a set.
         runs = {tk: [k for k in TaskKind if compatible(k, tk)] for tk in TileKind}
         usable: dict[TaskKind, list[Coord]] = {k: [] for k in TaskKind}
@@ -348,7 +373,7 @@ class ArchGraph:
         return self._neighbors[c]
 
     def count_kind(self, kind: TileKind) -> int:
-        return sum(1 for k in self._kinds.values() if k is kind)
+        return self._kind_count[kind]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArchGraph):
@@ -366,29 +391,34 @@ class ArchGraph:
 class ChannelLoadLedger:
     """Accumulated packet volume currently routed over every directed link.
 
-    The ledger keeps the sum of all link loads as it changes, so
-    ``total_load`` and ``avg_load`` are O(1) and ``add_path``/``remove_path``
-    cost O(path): one dict update per link.  ``peak_load`` scans every link;
-    ``path_loads`` and ``path_peak`` read only the links of one path.
+    Loads live in one list indexed by link id (``ArchGraph.link_ids``).  The
+    ledger keeps the sum of all link loads as it changes, so ``total_load``
+    and ``avg_load`` are O(1) and ``add_path``/``remove_path`` cost O(path):
+    one id lookup and one list update per link.  ``peak_load`` scans every
+    link; ``path_loads`` and ``path_peak`` read only the links of one path.
     """
 
     def __init__(self, arch: ArchGraph):
         self.arch = arch
-        self._load: dict[DirectedLink, int] = dict.fromkeys(arch.links(), 0)
+        self._ids = arch.link_ids
+        self._load: list[int] = [0] * len(arch.links())
         self._total = 0
 
-    def load(self, link: DirectedLink) -> int:
+    def _id(self, link: DirectedLink) -> int:
         try:
-            return self._load[link]
+            return self._ids[link]
         except KeyError:
             raise ValidationError(f"unknown link {link}") from None
 
+    def load(self, link: DirectedLink) -> int:
+        return self._load[self._id(link)]
+
     def set_load(self, link: DirectedLink, value: int) -> None:
-        old = self.load(link)
+        i = self._id(link)
         if value < 0:
             raise ValidationError(f"load must be non-negative, got {value}")
-        self._load[link] = value
-        self._total += value - old
+        self._total += value - self._load[i]
+        self._load[i] = value
 
     def add_path(self, path: Sequence[Coord], volume: int) -> None:
         if volume < 0:
@@ -404,32 +434,39 @@ class ChannelLoadLedger:
         On an unknown link or a load that would go negative, the links
         before it keep their new loads and the total is recounted.
         """
-        load = self._load
+        load, ids = self._load, self._ids
         try:
             for link in zip(path, path[1:]):
-                new = load[link] + delta
+                i = ids[link]
+                new = load[i] + delta
                 if new < 0:
-                    self._total = sum(load.values())
+                    self._total = sum(load)
                     raise StateError(f"removing {-delta} from link {link} would go negative")
-                load[link] = new
+                load[i] = new
         except KeyError:
-            self._total = sum(load.values())
+            self._total = sum(load)
             raise ValidationError(f"unknown link {link}") from None
         self._total += delta * max(len(path) - 1, 0)
 
     def path_loads(self, path: Sequence[Coord]) -> list[int]:
         """Load of each link of ``path``, in path order; empty for a single tile."""
         try:
-            return list(map(self._load.__getitem__, zip(path, path[1:])))
+            ids = list(map(self._ids.__getitem__, zip(path, path[1:])))
         except KeyError as exc:
             raise ValidationError(f"unknown link {exc.args[0]}") from None
+        return list(map(self._load.__getitem__, ids))
 
     def path_peak(self, path: Sequence[Coord]) -> int:
         """Highest load on the links of ``path``; 0 for a single tile."""
         return max(self.path_loads(path), default=0)
 
+    def by_link_id(self) -> Sequence[int]:
+        """Every link's load, indexed by link id: the ledger's own list,
+        which callers read but must not change."""
+        return self._load
+
     def peak_load(self) -> int:
-        return max(self._load.values())
+        return max(self._load)
 
     def total_load(self) -> int:
         return self._total
@@ -440,17 +477,19 @@ class ChannelLoadLedger:
     def copy(self) -> "ChannelLoadLedger":
         dup = ChannelLoadLedger.__new__(ChannelLoadLedger)
         dup.arch = self.arch
-        dup._load = dict(self._load)
+        dup._ids = self._ids
+        dup._load = self._load.copy()
         dup._total = self._total
         return dup
 
     def loads(self) -> Mapping[DirectedLink, int]:
-        return dict(self._load)
+        """Every link's load, keyed in ``arch.links()`` order."""
+        return dict(zip(self.arch.links(), self._load))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChannelLoadLedger):
             return NotImplemented
-        return self._load == other._load
+        return self.arch.links() == other.arch.links() and self._load == other._load
 
 
 RouteKey = tuple[str, str, str, str]  # (app, mtid, stid, direction)

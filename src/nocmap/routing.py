@@ -3,14 +3,17 @@
 Two routers are provided: deterministic dimension-ordered XY routing and a
 load-aware Dijkstra search that minimises the accumulated load along the
 path (ties broken by hop count).  ``xy_fold`` folds the link loads of every
-XY route from one tile, and back to it, in one pass over the mesh.
+XY route from one tile, and back to it, in one pass over the mesh;
+``min_load_tree`` gives the load and hops of every load-aware route from
+one tile, or into it, from one search.  The folds and the search run on
+linear tile indices and the integer link ids of ``ArchGraph``, reading the
+ledger's per-link list; only a returned path is built from coordinates.
 """
 from __future__ import annotations
 
 import heapq
 from enum import Enum
-from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .model import ArchGraph, ChannelLoadLedger, Coord
 
@@ -48,20 +51,6 @@ def xy_route(src: Coord, dst: Coord, arch: ArchGraph) -> Path:
     return tuple(path)
 
 
-def _prefix_folds(
-    path: Path, ledger: ChannelLoadLedger, op: Callable[[int, int], int]
-) -> Iterator[tuple[Coord, int]]:
-    """(tile, fold of the loads from ``path[0]`` to that tile) along ``path``."""
-    return zip(path, accumulate(ledger.path_loads(path), op, initial=0))
-
-
-def _suffix_folds(
-    path: Path, ledger: ChannelLoadLedger, op: Callable[[int, int], int]
-) -> Iterator[tuple[Coord, int]]:
-    """(tile, fold of the loads from that tile to ``path[-1]``) along ``path``."""
-    return zip(reversed(path), accumulate(reversed(ledger.path_loads(path)), op, initial=0))
-
-
 def xy_fold(
     src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph, op: Callable[[int, int], int]
 ) -> tuple[list[int], list[int]]:
@@ -72,32 +61,91 @@ def xy_fold(
     0) of the loads on ``xy_route(src, t)`` and on ``xy_route(t, src)``.
     The route there is a segment of ``src``'s row, then one of ``t``'s
     column; the route back is a segment of ``t``'s row, then one of
-    ``src``'s column.  So running folds along the XY routes from ``src`` to
-    both ends of its row, down every column from that row, and likewise
-    into ``src``, give every tile's values in O(tiles) ledger reads.
+    ``src``'s column.  So the folds along ``src``'s row, extended one row
+    at a time up and down every column at once, give ``there``; the folds
+    along ``src``'s column, extended one column at a time, give ``back``.
+    That is O(tiles) reads of the ledger's per-link list.  ``op`` must be
+    associative and commutative, since a route back is folded from its end.
     """
     arch.require_in_mesh(src)
     sx, sy = src
     w, h = arch.width, arch.height
+    east, west, south, north = arch.east, arch.west, arch.south, arch.north
+    load = ledger.by_link_id().__getitem__
+
+    def step(acc: list[int], link_ids: Sequence[int]) -> list[int]:
+        """``acc`` with each entry extended by the load of one link."""
+        return list(map(op, acc, map(load, link_ids)))
+
     there = [0] * (w * h)
     back = [0] * (w * h)
-    along_row = [0] * w  # fold from src to (x, sy)
-    for end in ((0, sy), (w - 1, sy)):
-        for (x, _), v in _prefix_folds(xy_route(src, end, arch), ledger, op):
-            along_row[x] = v
-    for x in range(w):
-        for end in ((x, 0), (x, h - 1)):
-            for (_, y), v in _prefix_folds(xy_route((x, sy), end, arch), ledger, op):
-                there[y * w + x] = op(along_row[x], v)
-    down_col = [0] * h  # fold from (sx, y) to src
-    for start in ((sx, 0), (sx, h - 1)):
-        for (_, y), v in _suffix_folds(xy_route(start, src, arch), ledger, op):
-            down_col[y] = v
-    for y in range(h):
-        for start in ((0, y), (w - 1, y)):
-            for (x, _), v in _suffix_folds(xy_route(start, (sx, y), arch), ledger, op):
-                back[y * w + x] = op(v, down_col[y])
+    row = [0] * w  # row[x]: fold from src to (x, sy)
+    for x in range(sx + 1, w):
+        row[x] = op(row[x - 1], load(east[x - 1][sy]))
+    for x in range(sx - 1, -1, -1):
+        row[x] = op(row[x + 1], load(west[x][sy]))
+    there[sy * w : sy * w + w] = row
+    acc = row
+    for y in range(sy + 1, h):
+        there[y * w : y * w + w] = acc = step(acc, south[y - 1])
+    acc = row
+    for y in range(sy - 1, -1, -1):
+        there[y * w : y * w + w] = acc = step(acc, north[y])
+    col = [0] * h  # col[y]: fold from (sx, y) to src
+    for y in range(sy + 1, h):
+        col[y] = op(col[y - 1], load(north[y - 1][sx]))
+    for y in range(sy - 1, -1, -1):
+        col[y] = op(col[y + 1], load(south[y][sx]))
+    back[sx::w] = col
+    acc = col
+    for x in range(sx + 1, w):
+        back[x::w] = acc = step(acc, west[x - 1])
+    acc = col
+    for x in range(sx - 1, -1, -1):
+        back[x::w] = acc = step(acc, east[x])
     return there, back
+
+
+def _dijkstra(
+    src: int, dst: int, loads: Sequence[int], links: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[list[int], list[int], list[int]]:
+    """Dijkstra over (load, hops) from tile index ``src`` along ``links``.
+
+    ``links[u]`` lists ``(v, link id)`` for the tiles ``v`` the search may
+    step to from ``u``: ``ArchGraph.out_links`` searches forward, and
+    ``ArchGraph.in_links`` over reversed links, which gives the routes from
+    every tile into ``src``.  The search stops once ``dst`` is settled; with
+    ``dst = -1`` it settles every tile.  Returns the (load, hops) of every
+    settled tile and its parent, by tile index.  Heap entries are
+    ``(load, hops, index)``, so ties break on linear tile index, and
+    neighbours relax in ``links`` order, so the first optimal parent found
+    wins.
+    """
+    n = len(links)
+    best = [0] * n
+    hop = [0] * n
+    parent = [-1] * n  # -1: not reached yet (``src`` is settled first)
+    done = [False] * n
+    heap = [(0, 0, src)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        load, hops, u = pop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == dst:
+            break
+        hops += 1
+        for v, link in links[u]:
+            if done[v]:
+                continue
+            cand = load + loads[link]
+            if parent[v] < 0 or cand < best[v] or (cand == best[v] and hops < hop[v]):
+                best[v] = cand
+                hop[v] = hops
+                parent[v] = u
+                push(heap, (cand, hops, v))
+    return best, hop, parent
 
 
 def min_load_route(src: Coord, dst: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> Path:
@@ -113,30 +161,29 @@ def min_load_route(src: Coord, dst: Coord, ledger: ChannelLoadLedger, arch: Arch
     arch.require_in_mesh(dst)
     if src == dst:
         return (src,)
-    dist: dict[Coord, tuple[int, int]] = {src: (0, 0)}
-    parent: dict[Coord, Coord] = {}
-    heap: list[tuple[int, int, int, Coord]] = [(0, 0, arch.linear_index(src), src)]
-    done: set[Coord] = set()
-    while heap:
-        load, hops, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == dst:
-            break
-        for v in arch.neighbors(u):
-            if v in done:
-                continue
-            cand = (load + ledger.load((u, v)), hops + 1)
-            if v not in dist or cand < dist[v]:
-                dist[v] = cand
-                parent[v] = u
-                heapq.heappush(heap, (cand[0], cand[1], arch.linear_index(v), v))
-    path = [dst]
-    while path[-1] != src:
+    s, d = arch.linear_index(src), arch.linear_index(dst)
+    _, _, parent = _dijkstra(s, d, ledger.by_link_id(), arch.out_links)
+    path = [d]
+    while path[-1] != s:
         path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
+    return tuple(map(arch.coord_at, reversed(path)))
+
+
+def min_load_tree(
+    src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph, into: bool = False
+) -> tuple[list[int], list[int]]:
+    """(load, hops) of ``min_load_route`` from ``src`` to every tile.
+
+    Returns two lists indexed by linear tile index.  With ``into``, the
+    routes run from every tile to ``src`` instead.  A lexicographic optimum
+    is unique as a value, so each entry equals the load and hop count of
+    the path ``min_load_route`` returns for that pair, whatever tie it
+    breaks; one full search replaces one route per tile.
+    """
+    arch.require_in_mesh(src)
+    links = arch.in_links if into else arch.out_links
+    best, hop, _ = _dijkstra(arch.linear_index(src), -1, ledger.by_link_id(), links)
+    return best, hop
 
 
 def route(

@@ -336,13 +336,12 @@ class _Engine:
     def _check_platform_coverage(self) -> dict[TileKind, int]:
         """Free tiles of each kind; raise if some application can never fit."""
         kinds = {t.kind for r in self.apps for t in r.graph.tasks}
-        tiles = [self.arch.kind(c) for c in self.arch.coords()]
         for task_kind in sorted(kinds, key=lambda k: k.value):
-            if not any(compatible(task_kind, tk) for tk in tiles):
+            if not self.arch.tiles_for(task_kind):
                 raise ValidationError(
                     f"platform has no compatible tiles for {task_kind.value} tasks"
                 )
-        free = {k: tiles.count(k) for k in (TileKind.ISP, TileKind.RA)}
+        free = {k: self.arch.count_kind(k) for k in (TileKind.ISP, TileKind.RA)}
         for r in self.apps:
             for kind, need in r.demand.items():
                 if need > free[kind]:

@@ -511,6 +511,32 @@ class TestXYFoldScoring:
             assert map_pl(req, state, xy) == (min(cands, key=want, default=None), len(cands)), seed
 
 
+class TestMinLoadTreeScoring:
+    """pl and bn under the load-aware router, scored from one search from
+    the requester and one into it, against the per-candidate ``_pl_key``."""
+
+    @pytest.mark.parametrize("name", FOLD_ARCHES)
+    def test_matches_per_candidate_scorer(self, name):
+        arch = FOLD_ARCHES[name]
+        policy = RoutePolicy.MIN_LOAD
+        for seed in range(200):
+            state, req, _ = random_partial_state(arch, seed)
+            r = req.requester_tile
+            cands = [c for c in arch.coords()
+                     if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
+            scored = cands + [r]
+            want = partial(heuristics._pl_key, req, state, policy=policy)
+            got = heuristics._min_load_pl_key(req, state)
+            assert [got(t) for t in scored] == [want(t) for t in scored], seed
+            best = min(cands, key=want, default=None)
+            assert map_pl(req, state, policy) == (best, len(cands)), seed
+            shells = ([t for t in manhattan_shell(r, n, arch) if t in cands]
+                      for n in range(1, shell_limit(r, arch) + 1))
+            shell = next((s for s in shells if s), [])
+            best = min(shell, key=want, default=None)
+            assert map_bn(req, state, policy) == (best, len(shell)), seed
+
+
 class TestHeuristicProperties:
     @pytest.mark.parametrize("seed", range(25))
     def test_results_are_free_and_compatible(self, seed):

@@ -20,6 +20,8 @@ from nocmap.model import (
     manhattan,
 )
 
+from nocmap.oracles import random_ledger
+
 from conftest import chain_app, small_arch
 
 
@@ -91,6 +93,25 @@ class TestArchGraph:
         for c in arch8.coords():
             assert arch8.coord_at(arch8.linear_index(c)) == c
         assert arch8.linear_index((3, 2)) == 2 * 8 + 3
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (1, 4), (4, 1), (3, 5), (8, 8)])
+    def test_link_tables(self, width, height):
+        """Link ids are positions in ``links()``; the adjacency and the
+        column/row crossing tables name the same links by id."""
+        arch = small_arch(width, height)
+        ids = arch.link_ids
+        assert list(ids) == list(arch.links())
+        assert list(ids.values()) == list(range(len(arch.links())))
+        for c in arch.coords():
+            i = arch.linear_index(c)
+            nbrs = arch.neighbors(c)
+            assert arch.out_links[i] == tuple((arch.linear_index(n), ids[c, n]) for n in nbrs)
+            assert arch.in_links[i] == tuple((arch.linear_index(n), ids[n, c]) for n in nbrs)
+        xs, ys = range(width), range(height)
+        assert arch.east == tuple(tuple(ids[(x, y), (x + 1, y)] for y in ys) for x in xs[:-1])
+        assert arch.west == tuple(tuple(ids[(x + 1, y), (x, y)] for y in ys) for x in xs[:-1])
+        assert arch.south == tuple(tuple(ids[(x, y), (x, y + 1)] for x in xs) for y in ys[:-1])
+        assert arch.north == tuple(tuple(ids[(x, y + 1), (x, y)] for x in xs) for y in ys[:-1])
 
     def test_two_managers_rejected(self):
         kinds = {(x, y): TileKind.ISP for x in range(2) for y in range(2)}
@@ -378,6 +399,70 @@ class TestLedgerReconstruction:
         # The links before the failing one keep their updates.
         assert ledger.load(((0, 0), (1, 0))) == 5
         assert ledger.total_load() == sum(ledger.loads().values()) == 5
+
+    def test_unknown_link_rejected_by_every_accessor(self):
+        arch = small_arch(3, 3)
+        ledger = ChannelLoadLedger(arch)
+        off_mesh = ((2, 0), (3, 0))
+        not_adjacent = ((0, 0), (1, 1))
+        for link in (off_mesh, not_adjacent):
+            for call in (
+                lambda: ledger.load(link),
+                lambda: ledger.set_load(link, 1),
+                lambda: ledger.path_loads(link),
+                lambda: ledger.path_peak(link),
+                lambda: ledger.add_path(link, 1),
+                lambda: ledger.remove_path(link, 0),
+            ):
+                with pytest.raises(ValidationError, match=r"unknown link"):
+                    call()
+        assert ledger == ChannelLoadLedger(arch)
+
+    def test_part_way_failure_recounts_total(self):
+        """A path update that fails keeps the links before the failing one
+        updated, leaves the rest alone and recounts the running total."""
+        arch = small_arch(3, 3)
+        ledger = ChannelLoadLedger(arch)
+        ledger.set_load(((1, 1), (2, 1)), 7)
+        before = ledger.loads()
+        path = ((0, 0), (1, 0), (1, 1), (2, 1), (3, 1))  # the last link is off the mesh
+        with pytest.raises(ValidationError, match="unknown link"):
+            ledger.add_path(path, 4)
+        after = ledger.loads()
+        changed = {link for link in after if after[link] != before[link]}
+        assert changed == set(zip(path[:4], path[1:4]))
+        assert after[((1, 1), (2, 1))] == 11
+        assert ledger.total_load() == sum(after.values()) == 7 + 3 * 4
+        with pytest.raises(StateError, match="would go negative"):
+            ledger.remove_path(((0, 0), (1, 0), (1, 1), (1, 2)), 4)
+        assert ledger.load(((0, 0), (1, 0))) == ledger.load(((1, 0), (1, 1))) == 0
+        assert ledger.total_load() == sum(ledger.loads().values()) == 11
+
+    def test_loads_follow_link_order(self):
+        arch = small_arch(4, 3)
+        ledger = random_ledger(arch, 3)
+        loads = ledger.loads()
+        assert list(loads) == list(arch.links())
+        assert list(loads.values()) == [ledger.load(link) for link in arch.links()]
+
+    def test_copy_is_independent(self):
+        arch = small_arch(3, 3)
+        ledger = random_ledger(arch, 4)
+        snapshot = (ledger.loads(), ledger.total_load())
+        dup = ledger.copy()
+        assert dup == ledger
+        dup.add_path(((0, 0), (1, 0), (1, 1)), 9)
+        dup.set_load(((2, 2), (2, 1)), 0)
+        assert (ledger.loads(), ledger.total_load()) == snapshot
+        assert dup != ledger
+        ledger.add_path(((0, 0), (0, 1)), 5)
+        assert dup.load(((0, 0), (0, 1))) == snapshot[0][((0, 0), (0, 1))]
+
+    def test_ledgers_of_different_meshes_differ(self):
+        """2x3 and 3x2 meshes have the same number of links, but not the same links."""
+        a, b = ChannelLoadLedger(small_arch(2, 3)), ChannelLoadLedger(small_arch(3, 2))
+        assert len(a.loads()) == len(b.loads())
+        assert a != b
 
     def test_over_release_rejected(self):
         arch = small_arch(3, 3)

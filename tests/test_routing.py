@@ -9,6 +9,7 @@ from nocmap.oracles import enumerate_objectives, random_ledger, route_oracle
 from nocmap.routing import (
     RoutePolicy,
     min_load_route,
+    min_load_tree,
     path_cost,
     path_hops,
     route,
@@ -135,6 +136,31 @@ class TestMinLoadRoute:
             ledger.set_load(link, ledger.load(link) + rng.randint(1, 200))
             after = path_cost(min_load_route(src, dst, ledger, arch), ledger)
             assert after >= before
+
+
+class TestMinLoadTree:
+    @pytest.mark.parametrize(
+        "size", [(1, 1), (1, 5), (5, 1), (3, 4), (4, 4)], ids=lambda s: "%dx%d" % s
+    )
+    def test_matches_routes_to_and_from_every_tile(self, size):
+        """The full search from ``src``, and the one over reversed links into
+        it, give the load and hops of every pair's ``min_load_route``."""
+        arch = small_arch(*size)
+        for seed in range(12):
+            ledger = random_ledger(arch, seed, high=2 if seed % 2 else 500)
+            for src in arch.coords():
+                there = min_load_tree(src, ledger, arch)
+                back = min_load_tree(src, ledger, arch, into=True)
+                for dst in arch.coords():
+                    i = arch.linear_index(dst)
+                    to = min_load_route(src, dst, ledger, arch)
+                    fro = min_load_route(dst, src, ledger, arch)
+                    assert (there[0][i], there[1][i]) == (path_cost(to, ledger), path_hops(to))
+                    assert (back[0][i], back[1][i]) == (path_cost(fro, ledger), path_hops(fro))
+
+    def test_out_of_mesh_rejected(self, arch8):
+        with pytest.raises(ValidationError):
+            min_load_tree((0, 8), ChannelLoadLedger(arch8), arch8, into=True)
 
 
 # "platform/ledger" -> SHA-256 of ``min_load_route`` for every (src, dst)

@@ -232,7 +232,7 @@ class TestSimulateBasics:
             [Task("t0", TaskKind.INITIAL, 100), Task("t1", TaskKind.HARDWARE, 100)],
             [Edge("t0", "t1", 100, 100)],
         )
-        with pytest.raises(ValidationError, match="hardware"):
+        with pytest.raises(ValidationError, match="no compatible tiles for hardware tasks"):
             simulate(Scenario(apps=[g], heuristic="spiral", arch=arch))
 
     def test_duplicate_app_ids_rejected(self):
