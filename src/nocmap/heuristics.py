@@ -345,12 +345,10 @@ def _xy_channel_load_key(
     base_peak = ledger.peak_load()
     base_total = ledger.total_load()
     volume = req.vms + req.vsm
-    w, (rx, ry) = arch.width, r
 
     def key(tile: Coord) -> tuple[int, int, int]:
-        x, y = tile
-        i = y * w + x  # linear_index and manhattan inlined: one call per candidate
-        hops = abs(x - rx) + abs(y - ry)
+        i = arch.linear_index(tile)
+        hops = manhattan(r, tile)
         peak = max(base_peak, there[i] + req.vms, back[i] + req.vsm) if hops else base_peak
         total = base_total + hops * volume
         return (total, peak, i) if average_first else (peak, total, i)
@@ -407,12 +405,10 @@ def _xy_pl_key(req: MapRequest, state: MappingState) -> Callable[[Coord], tuple[
     """``_pl_key`` under XY routing, for every tile from one fold."""
     arch, r = state.arch, req.requester_tile
     there, back = xy_fold(r, state.ledger, arch, add)
-    w, (rx, ry) = arch.width, r
 
     def key(tile: Coord) -> tuple[int, int, int]:
-        x, y = tile
-        i = y * w + x  # linear_index and manhattan inlined: one call per candidate
-        return (there[i] + back[i], 2 * (abs(x - rx) + abs(y - ry)), i)
+        i = arch.linear_index(tile)
+        return (there[i] + back[i], 2 * manhattan(r, tile), i)
 
     return key
 

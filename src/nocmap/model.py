@@ -450,11 +450,11 @@ class ChannelLoadLedger:
 
     def path_loads(self, path: Sequence[Coord]) -> list[int]:
         """Load of each link of ``path``, in path order; empty for a single tile."""
+        load, ids = self._load, self._ids
         try:
-            ids = list(map(self._ids.__getitem__, zip(path, path[1:])))
+            return [load[ids[link]] for link in zip(path, path[1:])]
         except KeyError as exc:
             raise ValidationError(f"unknown link {exc.args[0]}") from None
-        return list(map(self._load.__getitem__, ids))
 
     def path_peak(self, path: Sequence[Coord]) -> int:
         """Highest load on the links of ``path``; 0 for a single tile."""
