@@ -19,7 +19,6 @@ from nocmap.model import (
     compatible,
     manhattan,
 )
-
 from nocmap.oracles import random_ledger
 
 from conftest import chain_app, small_arch
@@ -417,7 +416,7 @@ class TestLedgerReconstruction:
                 lambda: ledger.add_path(link, 1),
                 lambda: ledger.remove_path(link, 0),
             ):
-                with pytest.raises(ValidationError, match=r"unknown link"):
+                with pytest.raises(ValidationError, match="unknown link"):
                     call()
         assert ledger == ChannelLoadLedger(arch)
 
