@@ -457,8 +457,10 @@ def map_bn(
 ) -> tuple[Coord | None, int]:
     """Path-load choice restricted to the nearest non-empty Manhattan shell.
 
-    Under XY each shell tile costs two routes (see ``_pl_key``); under the
-    load-aware router two ``min_load_tree`` searches score the whole shell.
+    Each shell tile costs two routes (see ``_pl_key``).  The shell is often
+    a few tiles, and a route to a near tile stops early, so this costs less
+    than the two whole-mesh searches ``map_pl`` makes under the load-aware
+    router.
     """
     if req.requester_tile is None:
         raise StateError("best-neighbour placement requires a requester tile")
@@ -470,11 +472,8 @@ def map_bn(
             if _free_compatible(state, t, req.task.kind)
         ]
         if shell:
-            if policy is RoutePolicy.XY:
-                key = partial(_pl_key, req, state, policy=policy)
-            else:
-                key = _min_load_pl_key(req, state)
-            return min(shell, key=key), len(shell)
+            best = min(shell, key=lambda t: _pl_key(req, state, t, policy))
+            return best, len(shell)
     return None, 0
 
 

@@ -263,35 +263,38 @@ class ArchGraph:
         self.manager: Coord = managers[0]
         # Integer link ids: a link's position in ``links()``.  The ledger
         # keeps its loads in a list indexed by them, and the routers walk
-        # these tables instead of hashing coordinate pairs.  ``out_links[i]``
-        # and ``in_links[i]`` pair each neighbour of tile index ``i``, in
-        # ``neighbors`` order, with the link to it and the link from it.
-        self._neighbors: dict[Coord, tuple[Coord, ...]] = {}
+        # these tables instead of hashing coordinate pairs.  ``adjacent[i]``
+        # lists the neighbours of tile index ``i`` by index, in linear-index
+        # order; the links to them have consecutive ids from
+        # ``first_link[i]``.  ``opposite[k]`` is the id of link ``k`` run the
+        # other way.
+        self._cells = cells = tuple(self.coords())
         links: list[DirectedLink] = []
-        out_links: list[tuple[tuple[int, int], ...]] = []
-        in_links: list[list[tuple[int, int]]] = [[] for _ in range(width * height)]
-        for c in self.coords():
+        ids: dict[DirectedLink, int] = {}
+        adjacent: list[tuple[int, ...]] = []
+        first_link: list[int] = []
+        for i, c in enumerate(cells):
             x, y = c
-            i = y * width + x
-            # Listed in linear-index order: i - width, i - 1, i + 1, i + width.
-            adj = ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1))
-            nbrs = tuple(a for a in adj if 0 <= a[0] < width and 0 <= a[1] < height)
-            self._neighbors[c] = nbrs
-            out = []
-            for n in nbrs:
-                j, k = n[1] * width + n[0], len(links)
-                out.append((j, k))
-                in_links[j].append((i, k))
-                links.append((c, n))
-            out_links.append(tuple(out))
+            adj = (
+                (y > 0, i - width),
+                (x > 0, i - 1),
+                (x < width - 1, i + 1),
+                (y < height - 1, i + width),
+            )
+            adjacent.append(tuple(j for ok, j in adj if ok))
+            first_link.append(len(links))
+            for j in adjacent[-1]:
+                ids[c, cells[j]] = len(links)
+                links.append((c, cells[j]))
         self._links = tuple(links)
-        self.link_ids: Mapping[DirectedLink, int] = {link: k for k, link in enumerate(links)}
-        self.out_links = tuple(out_links)
-        self.in_links = tuple(map(tuple, in_links))
+        self.link_ids: Mapping[DirectedLink, int] = ids
+        self.adjacent = tuple(adjacent)
+        self.first_link = tuple(first_link)
+        self.opposite = tuple(ids[b, a] for a, b in links)
         # Links between adjacent columns and rows, as link ids:
         # east[x][y] is (x, y) -> (x+1, y), west[x][y] is (x+1, y) -> (x, y),
         # south[y][x] is (x, y) -> (x, y+1), north[y][x] is (x, y+1) -> (x, y).
-        ids, rows, cols = self.link_ids, range(height), range(width)
+        rows, cols = range(height), range(width)
         self.east = tuple(tuple(ids[(x, y), (x + 1, y)] for y in rows) for x in cols[:-1])
         self.west = tuple(tuple(ids[(x + 1, y), (x, y)] for y in rows) for x in cols[:-1])
         self.south = tuple(tuple(ids[(x, y), (x, y + 1)] for x in cols) for y in rows[:-1])
@@ -300,7 +303,7 @@ class ArchGraph:
         # Tiles each task kind may use, in raster order and as a set.
         runs = {tk: [k for k in TaskKind if compatible(k, tk)] for tk in TileKind}
         usable: dict[TaskKind, list[Coord]] = {k: [] for k in TaskKind}
-        for c in self.coords():
+        for c in cells:
             for k in runs[self._kinds[c]]:
                 usable[k].append(c)
         self._tiles_for = {k: tuple(tiles) for k, tiles in usable.items()}
@@ -370,7 +373,8 @@ class ArchGraph:
 
     def neighbors(self, c: Coord) -> tuple[Coord, ...]:
         """In-mesh 4-neighbours ordered by linear index."""
-        return self._neighbors[c]
+        self.require_in_mesh(c)
+        return tuple(map(self._cells.__getitem__, self.adjacent[self.linear_index(c)]))
 
     def count_kind(self, kind: TileKind) -> int:
         return self._kind_count[kind]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .model import ArchGraph, ChannelLoadLedger, Coord
@@ -64,14 +65,22 @@ def xy_fold(
     ``src``'s column.  So the folds along ``src``'s row, extended one row
     at a time up and down every column at once, give ``there``; the folds
     along ``src``'s column, extended one column at a time, give ``back``.
-    That is O(tiles) reads of the ledger's per-link list.  ``op`` must be
-    associative and commutative, since a route back is folded from its end.
+    The row and column of ``src`` are read along the routes ``xy_route``
+    gives to and from their ends; the rest is O(tiles) reads of the
+    ledger's per-link list.  ``op`` must be associative and commutative,
+    since a route back is folded from its end.
     """
-    arch.require_in_mesh(src)
     sx, sy = src
     w, h = arch.width, arch.height
     east, west, south, north = arch.east, arch.west, arch.south, arch.north
     load = ledger.by_link_id().__getitem__
+
+    def folds(loads: Sequence[int]) -> list[int]:
+        """Folds of the first 0, 1, ..., ``len(loads)`` entries of ``loads``."""
+        return list(accumulate(loads, op, initial=0))
+
+    def route_loads(a: Coord, b: Coord) -> list[int]:
+        return ledger.path_loads(xy_route(a, b, arch))
 
     def step(acc: list[int], link_ids: Sequence[int]) -> list[int]:
         """``acc`` with each entry extended by the load of one link."""
@@ -79,11 +88,8 @@ def xy_fold(
 
     there = [0] * (w * h)
     back = [0] * (w * h)
-    row = [0] * w  # row[x]: fold from src to (x, sy)
-    for x in range(sx + 1, w):
-        row[x] = op(row[x - 1], load(east[x - 1][sy]))
-    for x in range(sx - 1, -1, -1):
-        row[x] = op(row[x + 1], load(west[x][sy]))
+    # row[x]: fold from src to (x, sy); col[y]: fold from (sx, y) to src.
+    row = folds(route_loads(src, (0, sy)))[::-1] + folds(route_loads(src, (w - 1, sy)))[1:]
     there[sy * w : sy * w + w] = row
     acc = row
     for y in range(sy + 1, h):
@@ -91,11 +97,10 @@ def xy_fold(
     acc = row
     for y in range(sy - 1, -1, -1):
         there[y * w : y * w + w] = acc = step(acc, north[y])
-    col = [0] * h  # col[y]: fold from (sx, y) to src
-    for y in range(sy + 1, h):
-        col[y] = op(col[y - 1], load(north[y - 1][sx]))
-    for y in range(sy - 1, -1, -1):
-        col[y] = op(col[y + 1], load(south[y][sx]))
+    col = (
+        folds(route_loads((sx, 0), src)[::-1])[::-1]
+        + folds(route_loads((sx, h - 1), src)[::-1])[1:]
+    )
     back[sx::w] = col
     acc = col
     for x in range(sx + 1, w):
@@ -107,21 +112,20 @@ def xy_fold(
 
 
 def _dijkstra(
-    src: int, dst: int, loads: Sequence[int], links: Sequence[Sequence[tuple[int, int]]]
+    src: int, dst: int, loads: Sequence[int], arch: ArchGraph
 ) -> tuple[list[int], list[int], list[int]]:
-    """Dijkstra over (load, hops) from tile index ``src`` along ``links``.
+    """Dijkstra over (load, hops) from tile index ``src`` on ``arch``.
 
-    ``links[u]`` lists ``(v, link id)`` for the tiles ``v`` the search may
-    step to from ``u``: ``ArchGraph.out_links`` searches forward, and
-    ``ArchGraph.in_links`` over reversed links, which gives the routes from
-    every tile into ``src``.  The search stops once ``dst`` is settled; with
-    ``dst = -1`` it settles every tile.  Returns the (load, hops) of every
-    settled tile and its parent, by tile index.  Heap entries are
-    ``(load, hops, index)``, so ties break on linear tile index, and
-    neighbours relax in ``links`` order, so the first optimal parent found
-    wins.
+    A step from tile index ``u`` to ``v`` costs ``loads`` at the id of the
+    link ``u -> v`` (see ``ArchGraph.adjacent``).  The search stops once
+    ``dst`` is settled; with ``dst = -1`` it settles every tile.  Returns
+    the (load, hops) of every settled tile and its parent, by tile index.
+    Heap entries are ``(load, hops, index)``, so ties break on linear tile
+    index, and neighbours relax in linear-index order, so the first optimal
+    parent found wins.
     """
-    n = len(links)
+    adjacent, first_link = arch.adjacent, arch.first_link
+    n = len(adjacent)
     best = [0] * n
     hop = [0] * n
     parent = [-1] * n  # -1: not reached yet (``src`` is settled first)
@@ -136,7 +140,9 @@ def _dijkstra(
         if u == dst:
             break
         hops += 1
-        for v, link in links[u]:
+        link = first_link[u] - 1  # the links out of u have consecutive ids
+        for v in adjacent[u]:
+            link += 1
             if done[v]:
                 continue
             cand = load + loads[link]
@@ -162,7 +168,7 @@ def min_load_route(src: Coord, dst: Coord, ledger: ChannelLoadLedger, arch: Arch
     if src == dst:
         return (src,)
     s, d = arch.linear_index(src), arch.linear_index(dst)
-    _, _, parent = _dijkstra(s, d, ledger.by_link_id(), arch.out_links)
+    _, _, parent = _dijkstra(s, d, ledger.by_link_id(), arch)
     path = [d]
     while path[-1] != s:
         path.append(parent[path[-1]])
@@ -175,14 +181,18 @@ def min_load_tree(
     """(load, hops) of ``min_load_route`` from ``src`` to every tile.
 
     Returns two lists indexed by linear tile index.  With ``into``, the
-    routes run from every tile to ``src`` instead.  A lexicographic optimum
-    is unique as a value, so each entry equals the load and hop count of
-    the path ``min_load_route`` returns for that pair, whatever tie it
-    breaks; one full search replaces one route per tile.
+    routes run from every tile to ``src`` instead: the search steps from
+    ``u`` to ``v`` at the load of link ``v -> u``, so it reads each link's
+    load at the id of the opposite link.  A lexicographic optimum is unique
+    as a value, so each entry equals the load and hop count of the path
+    ``min_load_route`` returns for that pair, whatever tie it breaks; one
+    full search replaces one route per tile.
     """
     arch.require_in_mesh(src)
-    links = arch.in_links if into else arch.out_links
-    best, hop, _ = _dijkstra(arch.linear_index(src), -1, ledger.by_link_id(), links)
+    loads = ledger.by_link_id()
+    if into:
+        loads = list(map(loads.__getitem__, arch.opposite))
+    best, hop, _ = _dijkstra(arch.linear_index(src), -1, loads, arch)
     return best, hop
 
 

@@ -512,8 +512,8 @@ class TestXYFoldScoring:
 
 
 class TestMinLoadTreeScoring:
-    """pl and bn under the load-aware router, scored from one search from
-    the requester and one into it, against the per-candidate ``_pl_key``."""
+    """pl under the load-aware router, scored from one search from the
+    requester and one into it, against the per-candidate ``_pl_key``."""
 
     @pytest.mark.parametrize("name", FOLD_ARCHES)
     def test_matches_per_candidate_scorer(self, name):
@@ -530,11 +530,6 @@ class TestMinLoadTreeScoring:
             assert [got(t) for t in scored] == [want(t) for t in scored], seed
             best = min(cands, key=want, default=None)
             assert map_pl(req, state, policy) == (best, len(cands)), seed
-            shells = ([t for t in manhattan_shell(r, n, arch) if t in cands]
-                      for n in range(1, shell_limit(r, arch) + 1))
-            shell = next((s for s in shells if s), [])
-            best = min(shell, key=want, default=None)
-            assert map_bn(req, state, policy) == (best, len(shell)), seed
 
 
 class TestHeuristicProperties:
