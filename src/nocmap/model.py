@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Coord = tuple[int, int]
@@ -290,15 +291,20 @@ class ArchGraph:
         self.link_ids: Mapping[DirectedLink, int] = ids
         self.adjacent = tuple(adjacent)
         self.first_link = tuple(first_link)
-        self.opposite = tuple(ids[b, a] for a, b in links)
         # Links between adjacent columns and rows, as link ids:
         # east[x][y] is (x, y) -> (x+1, y), west[x][y] is (x+1, y) -> (x, y),
         # south[y][x] is (x, y) -> (x, y+1), north[y][x] is (x, y+1) -> (x, y).
-        rows, cols = range(height), range(width)
-        self.east = tuple(tuple(ids[(x, y), (x + 1, y)] for y in rows) for x in cols[:-1])
-        self.west = tuple(tuple(ids[(x + 1, y), (x, y)] for y in rows) for x in cols[:-1])
-        self.south = tuple(tuple(ids[(x, y), (x, y + 1)] for x in cols) for y in rows[:-1])
-        self.north = tuple(tuple(ids[(x, y + 1), (x, y)] for x in cols) for y in rows[:-1])
+        # A tile's links run up, left, right, down (those in the mesh), so
+        # each id is its tile's first link id plus the links listed before it.
+        f, w, rows, cols = self.first_link, width, range(height), range(width)
+        self.east = tuple(tuple(f[y * w + x] + (y > 0) + (x > 0) for y in rows) for x in cols[:-1])
+        self.west = tuple(tuple(f[y * w + x + 1] + (y > 0) for y in rows) for x in cols[:-1])
+        self.south = tuple(tuple(f[y * w + x + 1] - 1 for x in cols) for y in rows[:-1])
+        self.north = tuple(tuple(f[(y + 1) * w + x] for x in cols) for y in rows[:-1])
+        opposite = [0] * len(links)
+        for there, back in zip(chain(*self.east, *self.south), chain(*self.west, *self.north)):
+            opposite[there], opposite[back] = back, there
+        self.opposite = tuple(opposite)
         self._kind_count = Counter(self._kinds.values())
         # Tiles each task kind may use, in raster order and as a set.
         runs = {tk: [k for k in TaskKind if compatible(k, tk)] for tk in TileKind}
