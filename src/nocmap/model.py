@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Coord = tuple[int, int]
@@ -76,6 +76,10 @@ class Task:
     instructions: int
 
     def __post_init__(self) -> None:
+        if not is_int(self.instructions):
+            raise ValidationError(
+                f"task {self.id!r}: instructions must be an integer, got {self.instructions!r}"
+            )
         if self.instructions < 1:
             raise ValidationError(
                 f"task {self.id!r}: instructions must be >= 1, got {self.instructions}"
@@ -98,6 +102,11 @@ class Edge:
     def __post_init__(self) -> None:
         if self.mtid == self.stid:
             raise ValidationError(f"edge {self.mtid!r}->{self.stid!r}: self loop")
+        if not (is_int(self.vms) and is_int(self.vsm)):
+            raise ValidationError(
+                f"edge {self.mtid!r}->{self.stid!r}: volumes must be integers, "
+                f"got {self.vms!r} and {self.vsm!r}"
+            )
         if self.vms < 0 or self.vsm < 0:
             raise ValidationError(
                 f"edge {self.mtid!r}->{self.stid!r}: volumes must be non-negative"
@@ -247,6 +256,11 @@ def _check_mesh_size(width: int, height: int) -> None:
         )
 
 
+def _check_amount(name: str, value: int) -> None:
+    if not is_int(value) or value < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 class ArchGraph:
     """W x H mesh of typed tiles with directed links between 4-neighbours."""
 
@@ -344,7 +358,11 @@ class ArchGraph:
         return cls(width, height, kinds)
 
     def in_mesh(self, c: Coord) -> bool:
-        return 0 <= c[0] < self.width and 0 <= c[1] < self.height
+        """True iff ``c`` is a tile of the mesh; an unhashable value is not."""
+        try:
+            return c in self._kinds
+        except TypeError:
+            return False
 
     def require_in_mesh(self, c: Coord) -> None:
         if not self.in_mesh(c):
@@ -406,12 +424,16 @@ class ChannelLoadLedger:
     and ``avg_load`` are O(1) and ``add_path``/``remove_path`` cost O(path):
     one id lookup and one list update per link.  ``peak_load`` scans every
     link; ``path_loads`` and ``path_peak`` read only the links of one path.
+    Every path method resolves the whole path first and raises
+    ``ValidationError`` on a step that is not a mesh link, so a failed update
+    changes nothing.
     """
 
     def __init__(self, arch: ArchGraph):
         self.arch = arch
         self._ids = arch.link_ids
         self._load: list[int] = [0] * len(arch.links())
+        self._every_id = list(range(len(self._load)))  # read-only; shared by copies
         self._total = 0
 
     def _id(self, link: DirectedLink) -> int:
@@ -423,48 +445,51 @@ class ChannelLoadLedger:
     def load(self, link: DirectedLink) -> int:
         return self._load[self._id(link)]
 
+    def _on_path(self, path: Sequence[Coord], table: Sequence[int]) -> list[int]:
+        """``table`` at the id of each link of ``path``, in path order: the
+        loads for ``_load``, the ids themselves for ``_every_id``."""
+        ids = self._ids
+        try:
+            return [table[ids[link]] for link in zip(path, path[1:])]
+        except KeyError as exc:
+            raise ValidationError(f"unknown link {exc.args[0]}") from None
+
     def set_load(self, link: DirectedLink, value: int) -> None:
         i = self._id(link)
-        if value < 0:
-            raise ValidationError(f"load must be non-negative, got {value}")
+        _check_amount("load", value)
         self._total += value - self._load[i]
         self._load[i] = value
 
     def add_path(self, path: Sequence[Coord], volume: int) -> None:
-        if volume < 0:
-            raise ValidationError(f"volume must be non-negative, got {volume}")
+        _check_amount("volume", volume)
         self._shift(path, volume)
 
     def remove_path(self, path: Sequence[Coord], volume: int) -> None:
+        _check_amount("volume", volume)
         self._shift(path, -volume)
 
     def _shift(self, path: Sequence[Coord], delta: int) -> None:
-        """Add ``delta`` to the load of every link of ``path``.
-
-        On an unknown link or a load that would go negative, the links
-        before it keep their new loads and the total is recounted.
-        """
-        load, ids = self._load, self._ids
-        try:
-            for link in zip(path, path[1:]):
-                i = ids[link]
-                new = load[i] + delta
-                if new < 0:
-                    self._total = sum(load)
-                    raise StateError(f"removing {-delta} from link {link} would go negative")
-                load[i] = new
-        except KeyError:
-            self._total = sum(load)
-            raise ValidationError(f"unknown link {link}") from None
-        self._total += delta * max(len(path) - 1, 0)
+        """Add ``delta`` to the load of every link of ``path``.  The whole
+        path is resolved, and every new load checked, before any is written."""
+        load = self._load
+        ids = self._on_path(path, self._every_id)
+        if delta < 0:
+            # A link that ``path`` repeats loses ``-delta`` on every visit;
+            # pinned routes repeat none, so only such a path pays for a Counter.
+            visits = zip(ids, repeat(1)) if len(set(ids)) == len(ids) else Counter(ids).items()
+            for i, n in visits:
+                if load[i] + n * delta < 0:
+                    link = self.arch.links()[i]
+                    raise StateError(
+                        f"removing {-n * delta} from link {link} would go negative"
+                    )
+        for i in ids:
+            load[i] += delta
+        self._total += delta * len(ids)
 
     def path_loads(self, path: Sequence[Coord]) -> list[int]:
         """Load of each link of ``path``, in path order; empty for a single tile."""
-        load, ids = self._load, self._ids
-        try:
-            return [load[ids[link]] for link in zip(path, path[1:])]
-        except KeyError as exc:
-            raise ValidationError(f"unknown link {exc.args[0]}") from None
+        return self._on_path(path, self._load)
 
     def path_peak(self, path: Sequence[Coord]) -> int:
         """Highest load on the links of ``path``; 0 for a single tile."""
@@ -489,6 +514,7 @@ class ChannelLoadLedger:
         dup.arch = self.arch
         dup._ids = self._ids
         dup._load = self._load.copy()
+        dup._every_id = self._every_id
         dup._total = self._total
         return dup
 
@@ -503,18 +529,6 @@ class ChannelLoadLedger:
 
 
 RouteKey = tuple[str, str, str, str]  # (app, mtid, stid, direction)
-
-
-def _check_path(path: Sequence[Coord], arch: ArchGraph) -> None:
-    if not path:
-        raise ValidationError("empty path")
-    for c in path:
-        arch.require_in_mesh(c)
-    if len(set(path)) != len(path):
-        raise ValidationError(f"path revisits a tile: {list(path)}")
-    for a, b in zip(path, path[1:]):
-        if manhattan(a, b) != 1:
-            raise ValidationError(f"path step {a}->{b} is not 4-adjacent")
 
 
 class MappingState:
@@ -567,11 +581,12 @@ class MappingState:
         if m_tile is None or s_tile is None:
             raise StateError(f"route {key} has an unmapped endpoint")
         src, dst = (m_tile, s_tile) if direction == DIR_MS else (s_tile, m_tile)
-        _check_path(path, self.arch)
-        if path[0] != src or path[-1] != dst:
-            raise ValidationError(
-                f"route {key}: path runs {path[0]}->{path[-1]}, expected {src}->{dst}"
-            )
+        if not path or path[0] != src or path[-1] != dst:
+            raise ValidationError(f"route {key}: path {list(path)} does not run {src}->{dst}")
+        if len(set(path)) != len(path):
+            raise ValidationError(f"route {key}: path {list(path)} revisits a tile")
+        # The ledger rejects an off-mesh tile or a non-adjacent step as an
+        # unknown link, before it writes any load.
         self.ledger.add_path(path, volume)
         self.routes[key] = (tuple(path), volume)
 

@@ -19,7 +19,6 @@ batches; ``simulate(..., check=True)`` and ``nocmap run --check`` run it.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .heuristics import MapRequest, map_channel_load, map_pl, ring_limit, spiral_ring
@@ -374,10 +373,9 @@ def check_engine(engine) -> None:
                 f"placement: task {task} sits on {tile}, "
                 f"which tile_owner gives to {state.tile_owner.get(tile)}"
             )
-    tiles = Counter(engine.arch.kind(c) for c in engine.arch.coords())
     running = [r for r in engine.apps if r.admitted_at is not None and r.finished_at is None]
     for kind, free in engine.free.items():
-        want_free = tiles[kind] - sum(r.demand[kind] for r in running)
+        want_free = engine.arch.count_kind(kind) - sum(r.demand[kind] for r in running)
         if free != want_free:
             raise InvariantError(
                 f"free: {free} free {kind.value} tiles, "

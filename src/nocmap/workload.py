@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 from xml.sax.saxutils import quoteattr
 
-from .model import Edge, Task, TaskGraph, TaskKind, ValidationError
+from .model import Edge, Task, TaskGraph, TaskKind, ValidationError, is_int
 from .sim import SimReport
 
 WORKLOAD_VERSION = "1"
@@ -62,6 +62,10 @@ class GenConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("app_count", "tasks_min", "tasks_max", "vms", "vsm", "instructions", "seed"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.app_count < 1:
             raise ValidationError(f"app_count must be >= 1, got {self.app_count}")
         if not 1 <= self.tasks_min <= self.tasks_max:

@@ -114,6 +114,26 @@ class TestArchGraph:
                 assert links[arch.south[y][x]] == ((x, y), (x, y + 1))
                 assert links[arch.north[y][x]] == ((x, y + 1), (x, y))
 
+    @pytest.mark.parametrize("c", [(0.5, 0), (1, 1, 5), (4, 0), (0, -1), [1, 1], None])
+    def test_only_mesh_tiles_are_in_the_mesh(self, c):
+        """A coordinate is in the mesh iff it is one of its tiles; every
+        query that takes a tile rejects anything else at once."""
+        from nocmap.routing import min_load_route, xy_route
+
+        arch = small_arch(4, 4)
+        assert not arch.in_mesh(c)
+        for call in (
+            lambda: arch.require_in_mesh(c),
+            lambda: arch.kind(c),
+            lambda: arch.neighbors(c),
+            lambda: xy_route(c, (2, 0), arch),
+            lambda: xy_route((2, 0), c, arch),
+            lambda: min_load_route(c, (2, 0), ChannelLoadLedger(arch), arch),
+            lambda: min_load_route((2, 0), c, ChannelLoadLedger(arch), arch),
+        ):
+            with pytest.raises(ValidationError, match="outside the 4x4 mesh"):
+                call()
+
     def test_two_managers_rejected(self):
         kinds = {(x, y): TileKind.ISP for x in range(2) for y in range(2)}
         kinds[(0, 0)] = TileKind.MANAGER
@@ -169,6 +189,16 @@ class TestTaskGraphValidation:
         edges = [Edge("t0", "t1", 100, 100), Edge("t1", "t0", 100, 100)]
         with pytest.raises(ValidationError):
             TaskGraph("app0", tasks, edges)
+
+    @pytest.mark.parametrize("instructions", [2.5, "5", True, None])
+    def test_non_integer_instructions_rejected(self, instructions):
+        with pytest.raises(ValidationError, match="instructions must be an integer"):
+            Task("t1", TaskKind.SOFTWARE, instructions)
+
+    @pytest.mark.parametrize("vms,vsm", [(1.5, 1), (1, "1"), (True, 0), (100, None)])
+    def test_non_integer_volume_rejected(self, vms, vsm):
+        with pytest.raises(ValidationError, match="volumes must be integers"):
+            Edge("t0", "t1", vms, vsm)
 
     def test_general_dag_accepted(self):
         # diamond: two masters feed t3
@@ -249,6 +279,28 @@ class TestMappingState:
         _place_chain(state, "a", [(1, 0), (1, 1)])
         with pytest.raises(ValidationError):
             state.apply_route("a", "t0", "t1", "ms", ((1, 1), (1, 0)), 10)
+
+    @pytest.mark.parametrize(
+        "tiles,path",
+        [
+            ([(1, 0), (1, 1)], ()),
+            ([(1, 0), (1, 1)], ((1, 0), (1, 1), (1, 0), (1, 1))),  # revisits
+            ([(3, 0), (3, 2)], ((3, 0), (3, 1), (4, 1), (3, 2))),  # off the mesh
+            ([(1, 0), (1, 2)], ((1, 0), (1, 1), (2, 2), (1, 2))),  # not adjacent
+        ],
+    )
+    def test_rejected_path_changes_nothing(self, tiles, path):
+        arch = small_arch(4, 4)
+        state = MappingState(arch)
+        _place_chain(state, "b", [(0, 1), (0, 3)])
+        state.apply_route("b", "t0", "t1", "ms", ((0, 1), (0, 2), (0, 3)), 40)
+        _place_chain(state, "a", tiles)
+        ledger, routes = state.ledger.copy(), dict(state.routes)
+        with pytest.raises(ValidationError):
+            state.apply_route("a", "t0", "t1", "ms", path, 10)
+        assert state.ledger == ledger
+        assert state.ledger.total_load() == ledger.total_load() == 80
+        assert state.routes == routes
 
     def test_non_adjacent_path_rejected(self):
         arch = small_arch(4, 4)
@@ -389,20 +441,53 @@ class TestLedgerReconstruction:
             )
 
     def test_failed_path_update_keeps_total(self):
+        """A failed ``add_path`` or ``remove_path`` changes no load and not
+        the total, also where the links before the failing one are known."""
         ledger = ChannelLoadLedger(small_arch(3, 3))
-        ledger.add_path(((0, 0), (1, 0)), 5)
-        with pytest.raises(ValidationError, match="unknown link"):
-            ledger.add_path(((0, 0), (1, 0), (1, 1), (1, 5)), 10)
-        nonzero = {link: v for link, v in ledger.loads().items() if v}
-        assert nonzero == {((0, 0), (1, 0)): 15, ((1, 0), (1, 1)): 10}
-        assert ledger.total_load() == 25
-        with pytest.raises(StateError, match="would go negative"):
-            ledger.remove_path(((0, 0), (1, 0), (1, 1), (2, 1)), 10)
-        with pytest.raises(ValidationError, match="unknown link"):
-            ledger.path_peak(((0, 0), (5, 0)))
-        # The links before the failing one keep their updates.
-        assert ledger.load(((0, 0), (1, 0))) == 5
-        assert ledger.total_load() == sum(ledger.loads().values()) == 5
+        loop = ((0, 0), (1, 0), (0, 0), (1, 0))  # repeats the link (0, 0) -> (1, 0)
+        ledger.add_path(loop, 4)
+        ledger.set_load(((1, 0), (0, 0)), 20)
+        ledger.add_path(((1, 0), (1, 1)), 3)
+        before = ledger.loads()
+        assert ledger.total_load() == 8 + 20 + 3
+        down = ((1, 0), (1, 1), (2, 1))
+        failures = [
+            (ValidationError, "unknown link", lambda: ledger.add_path(loop + ((1, 5),), 10)),
+            (ValidationError, "unknown link", lambda: ledger.add_path(down[:2] + ((5, 1),), 1)),
+            (ValidationError, "unknown link", lambda: ledger.remove_path(loop + ((2, 1),), 1)),
+            # The first link of ``down`` holds 3 and may lose 3; the next holds 0.
+            (StateError, "would go negative", lambda: ledger.remove_path(down, 3)),
+            # Each visit of the repeated link alone would fit: 8 - 5 >= 0.
+            (StateError, "would go negative", lambda: ledger.remove_path(loop, 5)),
+            (ValidationError, "unknown link", lambda: ledger.path_peak(((0, 0), (5, 0)))),
+        ]
+        for error, message, call in failures:
+            with pytest.raises(error, match=message):
+                call()
+            assert ledger.loads() == before
+            assert ledger.total_load() == sum(before.values()) == 31
+        ledger.remove_path(loop, 4)
+        assert ledger.load(((0, 0), (1, 0))) == 0
+        assert ledger.total_load() == 31 - 12
+
+    @pytest.mark.parametrize("volume", [-3, 2.5, 1.0, True, "1", None])
+    def test_volume_must_be_a_non_negative_integer(self, volume):
+        arch = small_arch(3, 3)
+        ledger = ChannelLoadLedger(arch)
+        path = ((0, 0), (1, 0), (1, 1))
+        ledger.add_path(path, 5)
+        for call in (
+            lambda: ledger.add_path(path, volume),
+            lambda: ledger.remove_path(path, volume),
+            lambda: ledger.set_load(((0, 0), (1, 0)), volume),
+        ):
+            with pytest.raises(ValidationError, match="must be a non-negative integer"):
+                call()
+        assert ledger.loads() == ChannelLoadLedger(arch).loads() | {
+            ((0, 0), (1, 0)): 5,
+            ((1, 0), (1, 1)): 5,
+        }
+        assert ledger.total_load() == 10
 
     def test_unknown_link_rejected_by_every_accessor(self):
         arch = small_arch(3, 3)

@@ -143,6 +143,16 @@ class TestGenerateWorkload:
         with pytest.raises(ValidationError):
             GenConfig(app_count=1, hw_task_probability=1.5).validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("app_count", 2.0), ("tasks_min", 1.5), ("tasks_max", "9"), ("vms", True),
+         ("vsm", 0.5), ("instructions", None), ("seed", "x")],
+    )
+    def test_non_integer_field_rejected(self, field, value):
+        cfg = GenConfig(**{"app_count": 2, "tasks_max": 3, field: value})
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            generate_workload(cfg)
+
 
 class TestReportCsv:
     def _reports(self, heuristics=("spiral", "nn", "bn"), seeds=(1, 2)):
