@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Coord = tuple[int, int]
@@ -358,9 +358,11 @@ class ArchGraph:
         return cls(width, height, kinds)
 
     def in_mesh(self, c: Coord) -> bool:
-        """True iff ``c`` is a tile of the mesh; an unhashable value is not."""
+        """True iff ``c`` is a tile of the mesh with ``int`` parts: ``(1.0, 0)``
+        and ``(True, 0)`` equal a tile but are not one; an unhashable value
+        is not one either."""
         try:
-            return c in self._kinds
+            return c in self._kinds and type(c[0]) is int and type(c[1]) is int
         except TypeError:
             return False
 
@@ -433,7 +435,6 @@ class ChannelLoadLedger:
         self.arch = arch
         self._ids = arch.link_ids
         self._load: list[int] = [0] * len(arch.links())
-        self._every_id = list(range(len(self._load)))  # read-only; shared by copies
         self._total = 0
 
     def _id(self, link: DirectedLink) -> int:
@@ -445,12 +446,11 @@ class ChannelLoadLedger:
     def load(self, link: DirectedLink) -> int:
         return self._load[self._id(link)]
 
-    def _on_path(self, path: Sequence[Coord], table: Sequence[int]) -> list[int]:
-        """``table`` at the id of each link of ``path``, in path order: the
-        loads for ``_load``, the ids themselves for ``_every_id``."""
+    def _on_path(self, path: Sequence[Coord]) -> list[int]:
+        """The id of each link of ``path``, in path order."""
         ids = self._ids
         try:
-            return [table[ids[link]] for link in zip(path, path[1:])]
+            return [ids[link] for link in zip(path, path[1:])]
         except KeyError as exc:
             raise ValidationError(f"unknown link {exc.args[0]}") from None
 
@@ -470,26 +470,25 @@ class ChannelLoadLedger:
 
     def _shift(self, path: Sequence[Coord], delta: int) -> None:
         """Add ``delta`` to the load of every link of ``path``.  The whole
-        path is resolved, and every new load checked, before any is written."""
+        path is resolved before any load is written, and a removal that
+        takes a load below zero is undone before it raises."""
         load = self._load
-        ids = self._on_path(path, self._every_id)
-        if delta < 0:
-            # A link that ``path`` repeats loses ``-delta`` on every visit;
-            # pinned routes repeat none, so only such a path pays for a Counter.
-            visits = zip(ids, repeat(1)) if len(set(ids)) == len(ids) else Counter(ids).items()
-            for i, n in visits:
-                if load[i] + n * delta < 0:
-                    link = self.arch.links()[i]
-                    raise StateError(
-                        f"removing {-n * delta} from link {link} would go negative"
-                    )
+        ids = self._on_path(path)
         for i in ids:
             load[i] += delta
+        if delta < 0 and min(map(load.__getitem__, ids), default=0) < 0:
+            bad = next(i for i in ids if load[i] < 0)
+            for i in ids:
+                load[i] -= delta
+            raise StateError(
+                f"removing {-delta * ids.count(bad)} from link "
+                f"{self.arch.links()[bad]} would go negative"
+            )
         self._total += delta * len(ids)
 
     def path_loads(self, path: Sequence[Coord]) -> list[int]:
         """Load of each link of ``path``, in path order; empty for a single tile."""
-        return self._on_path(path, self._load)
+        return list(map(self._load.__getitem__, self._on_path(path)))
 
     def path_peak(self, path: Sequence[Coord]) -> int:
         """Highest load on the links of ``path``; 0 for a single tile."""
@@ -514,7 +513,6 @@ class ChannelLoadLedger:
         dup.arch = self.arch
         dup._ids = self._ids
         dup._load = self._load.copy()
-        dup._every_id = self._every_id
         dup._total = self._total
         return dup
 

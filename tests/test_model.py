@@ -114,10 +114,12 @@ class TestArchGraph:
                 assert links[arch.south[y][x]] == ((x, y), (x, y + 1))
                 assert links[arch.north[y][x]] == ((x, y + 1), (x, y))
 
-    @pytest.mark.parametrize("c", [(0.5, 0), (1, 1, 5), (4, 0), (0, -1), [1, 1], None])
+    @pytest.mark.parametrize(
+        "c", [(0.5, 0), (1.0, 0), (True, 0), (1, 1, 5), (4, 0), (0, -1), [1, 1], None]
+    )
     def test_only_mesh_tiles_are_in_the_mesh(self, c):
-        """A coordinate is in the mesh iff it is one of its tiles; every
-        query that takes a tile rejects anything else at once."""
+        """A coordinate is in the mesh iff it is one of its tiles, with ``int``
+        parts; every query that takes a tile rejects anything else at once."""
         from nocmap.routing import min_load_route, xy_route
 
         arch = small_arch(4, 4)
