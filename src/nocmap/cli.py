@@ -22,7 +22,7 @@ from .heuristics import HEURISTIC_NAMES
 from .model import ArchGraph, ValidationError
 from .oracles import InvariantError, check_placement, check_routing, check_spiral
 from .routing import RoutePolicy
-from .sim import DeadlockError, Scenario, SimReport, simulate, write_event_log
+from .sim import DeadlockError, Scenario, SimReport, run_comparison, simulate, write_event_log
 from .workload import GenConfig, generate_workload, parse_workload_file, write_report, write_workload
 
 EXIT_OK = 0
@@ -114,26 +114,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.apps is not None and args.apps < 1:
         raise _UsageError("--apps must be >= 1")
     arch = _build_arch(args)
-    workloads: dict[int, list] = {}
+    reports: list[SimReport] = []
     for seed in range(1, args.seeds + 1):
         if args.workload is not None:
-            workloads[seed] = parse_workload_file(args.workload)
+            apps = parse_workload_file(args.workload)
         else:
-            workloads[seed] = generate_workload(GenConfig(app_count=args.apps, seed=seed))
-    reports: list[SimReport] = []
-    for h in heuristics:
-        for seed in range(1, args.seeds + 1):
-            reports.append(
-                simulate(
-                    Scenario(
-                        apps=workloads[seed],
-                        heuristic=h,
-                        route_policy=args.route,
-                        seed=seed,
-                        arch=arch,
-                    )
-                )
-            )
+            apps = generate_workload(GenConfig(app_count=args.apps, seed=seed))
+        reports += run_comparison(
+            [Scenario(apps=apps, heuristic=h, route_policy=args.route, seed=seed, arch=arch)
+             for h in heuristics]
+        )
     write_report(reports, args.out)
     for line in summarize(reports):
         print(line)

@@ -15,10 +15,11 @@ All but ``spiral`` are the reference heuristics of Carvalho, Calazans &
 Moraes, "Heuristics for Dynamic Task Mapping in NoC-based Heterogeneous
 MPSoCs", RSP 2007.
 
-Every heuristic is a pure function of (request, state); ``ff`` additionally
-threads its cursor.  Each returns the chosen tile (or ``None`` when no free
-compatible tile exists) plus the number of candidate tiles it examined,
-which callers aggregate as a mapping-effort proxy.
+Every heuristic, and ``place_initial``, is a pure function of (request,
+state) that writes nothing; ``ff`` additionally threads its cursor.  Each
+returns the chosen tile (or ``None`` when no free compatible tile exists)
+plus the number of candidate tiles it examined, which callers aggregate as
+a mapping-effort proxy.
 """
 from __future__ import annotations
 
@@ -71,8 +72,8 @@ DEFAULT_ROUTE_POLICY = {
 class MapRequest:
     """Demand to place one task, raised by the tile running its master.
 
-    ``requester_tile`` is None only for initial tasks under cluster placement;
-    reference heuristics use the manager tile as the requester instead.
+    ``requester_tile`` is the master's tile, or the manager tile for an
+    initial task; initial tasks under cluster placement build no request.
     ``vms``/``vsm`` are the packet volumes of the triggering edge (0/0 for
     initial tasks, which have no inbound edge).
     """
@@ -302,27 +303,23 @@ def _channel_load_key(
     average_first: bool,
     base_peak: int,
 ) -> tuple[int, int, int]:
-    """Ledger loads after tentatively routing both directions to ``tile``.
+    """Ledger loads after routing both directions to ``tile`` on a copy.
 
     The key is (peak, total, linear index), or (total, peak, linear index)
-    with ``average_first``.  The forward load is on the ledger while the
-    back route is chosen, so a load-aware router sees it.  Adding load only
+    with ``average_first``.  The forward load is on the copy while the back
+    route is chosen, so a load-aware router sees it.  Adding load only
     raises the links it touches, so the peak is ``base_peak`` (the peak
-    before any tentative route) or the highest load on a tentative path:
-    scoring costs O(path), not O(links).
+    before any tentative route) or the highest load on a tentative path.
     """
     arch = state.arch
-    ledger = state.ledger
-    applied: list[tuple[tuple[Coord, ...], int]] = []
+    trial = state.ledger.copy()
+    peak = base_peak
     for volume, src, dst in ((req.vms, req.requester_tile, tile), (req.vsm, tile, req.requester_tile)):
         if volume >= 1:
-            path = route(policy, src, dst, ledger, arch)
-            ledger.add_path(path, volume)
-            applied.append((path, volume))
-    peak = max([base_peak] + [ledger.path_peak(path) for path, _ in applied])
-    total = ledger.total_load()
-    for path, volume in reversed(applied):
-        ledger.remove_path(path, volume)
+            path = route(policy, src, dst, trial, arch)
+            trial.add_path(path, volume)
+            peak = max(peak, trial.path_peak(path))
+    total = trial.total_load()
     if average_first:
         return (total, peak, arch.linear_index(tile))
     return (peak, total, arch.linear_index(tile))
@@ -368,7 +365,7 @@ def map_channel_load(
     Under XY a call costs O(tiles): one ``xy_fold`` from the requester
     scores every candidate (see ``_xy_channel_load_key``).  Under the
     load-aware router the ledger's peak is read once per call and each
-    candidate costs two routes and O(path) ledger work
+    candidate costs a copy of the link loads and two routes on that copy
     (see ``_channel_load_key``).
     """
     if req.requester_tile is None:

@@ -440,7 +440,7 @@ class ChannelLoadLedger:
     def _id(self, link: DirectedLink) -> int:
         try:
             return self._ids[link]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable tile
             raise ValidationError(f"unknown link {link}") from None
 
     def load(self, link: DirectedLink) -> int:
@@ -451,8 +451,8 @@ class ChannelLoadLedger:
         ids = self._ids
         try:
             return [ids[link] for link in zip(path, path[1:])]
-        except KeyError as exc:
-            raise ValidationError(f"unknown link {exc.args[0]}") from None
+        except (KeyError, TypeError):
+            return [self._id(link) for link in zip(path, path[1:])]  # raises on the bad link
 
     def set_load(self, link: DirectedLink, value: int) -> None:
         i = self._id(link)
@@ -581,10 +581,14 @@ class MappingState:
         src, dst = (m_tile, s_tile) if direction == DIR_MS else (s_tile, m_tile)
         if not path or path[0] != src or path[-1] != dst:
             raise ValidationError(f"route {key}: path {list(path)} does not run {src}->{dst}")
-        if len(set(path)) != len(path):
+        try:
+            revisits = len(set(path)) != len(path)
+        except TypeError:
+            revisits = False
+        if revisits:
             raise ValidationError(f"route {key}: path {list(path)} revisits a tile")
-        # The ledger rejects an off-mesh tile or a non-adjacent step as an
-        # unknown link, before it writes any load.
+        # The ledger rejects an off-mesh or unhashable tile or a non-adjacent
+        # step as an unknown link, before it writes any load.
         self.ledger.add_path(path, volume)
         self.routes[key] = (tuple(path), volume)
 

@@ -19,7 +19,8 @@ batches; ``simulate(..., check=True)`` and ``nocmap run --check`` run it.
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple
+from functools import wraps
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .heuristics import MapRequest, map_channel_load, map_pl, ring_limit, spiral_ring
 from .model import (
@@ -210,11 +211,33 @@ class CheckResult(NamedTuple):
     counterexample: str | None
 
 
-def check_routing(ledgers: int = 100) -> CheckResult:
+_Outcome = tuple[bool, Callable[[], str]]
+
+
+def _tally(suite: Callable[..., Iterator[_Outcome]]) -> Callable[..., CheckResult]:
+    """Wrap a generator of (passed, describe) outcomes into a suite that
+    counts its checks and failures.  Only the first failure is described,
+    before the generator resumes, so it reads the state that failed."""
+
+    @wraps(suite)
+    def run(*args: int) -> CheckResult:
+        checks = failures = 0
+        first = None
+        for passed, describe in suite(*args):
+            checks += 1
+            if not passed:
+                failures += 1
+                if first is None:
+                    first = describe()
+        return CheckResult(checks, failures, first)
+
+    return run
+
+
+@_tally
+def check_routing(ledgers: int = 100) -> Iterator[_Outcome]:
     """Router (load, hops) equals exhaustive enumeration on 2x2, 3x3 and 4x4
     meshes, for every src/dst pair under ``random_ledger`` seeds 0..ledgers-1."""
-    checks = failures = 0
-    first = None
     for size in (2, 3, 4):
         arch = ArchGraph.uniform(size, size)
         for seed in range(ledgers):
@@ -227,16 +250,11 @@ def check_routing(ledgers: int = 100) -> CheckResult:
                     path = min_load_route(src, dst, ledger, arch)
                     got = (sum(ledger.load(l) for l in zip(path, path[1:])), len(path) - 1)
                     want = best[dst][:2]
-                    checks += 1
-                    if got != want:
-                        failures += 1
-                        if first is None:
-                            loads = {l: v for l, v in ledger.loads().items() if v}
-                            first = (
-                                f"mesh {size}x{size} seed {seed} {src}->{dst}: "
-                                f"got (load,hops)={got}, oracle={want}; nonzero loads {loads}"
-                            )
-    return CheckResult(checks, failures, first)
+                    yield got == want, lambda: (
+                        f"mesh {size}x{size} seed {seed} {src}->{dst}: "
+                        f"got (load,hops)={got}, oracle={want}; nonzero loads "
+                        f"{dict((l, v) for l, v in ledger.loads().items() if v)}"
+                    )
 
 
 def placement_cases(
@@ -254,32 +272,25 @@ def placement_cases(
     }
 
 
-def check_placement(states: int = 100) -> CheckResult:
+@_tally
+def check_placement(states: int = 100) -> Iterator[_Outcome]:
     """mmc, mac and pl placements equal the brute-force oracles, tie-breaks
     included, on ``placement_cases`` seeds 0..states-1."""
-    checks = failures = 0
-    first = None
     for seed in range(states):
         policy, cases = placement_cases(seed)
         for name, (got, want) in cases.items():
-            checks += 1
-            if got != want:
-                failures += 1
-                if first is None:
-                    first = (
-                        f"heuristic {name} seed {seed} "
-                        f"policy {policy.value}: got {got}, oracle {want}"
-                    )
-    return CheckResult(checks, failures, first)
+            yield got == want, lambda: (
+                f"heuristic {name} seed {seed} "
+                f"policy {policy.value}: got {got}, oracle {want}"
+            )
 
 
-def check_spiral() -> CheckResult:
+@_tally
+def check_spiral() -> Iterator[_Outcome]:
     """For each centre of the default 8x8 mesh, ring ``hop`` holds only tiles
     at Chebyshev distance ``hop``, and the rings together visit every other
     tile exactly once."""
     arch = ArchGraph.default_8x8()
-    checks = failures = 0
-    first = None
     for center in arch.coords():
         seen: list[Coord] = []
         on_ring = True
@@ -290,12 +301,9 @@ def check_spiral() -> CheckResult:
             )
             seen.extend(ring)
         expected = sorted(c for c in arch.coords() if c != center)
-        checks += 1
-        if not on_ring or sorted(seen) != expected:
-            failures += 1
-            if first is None:
-                first = f"centre {center} rings are not a permutation"
-    return CheckResult(checks, failures, first)
+        yield on_ring and sorted(seen) == expected, lambda: (
+            f"centre {center} rings are not a permutation"
+        )
 
 
 class FullHistoryLinkSchedule:

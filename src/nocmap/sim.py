@@ -189,20 +189,18 @@ def compute_energy(task: Task, tile_kind: TileKind, params: PlatformParams) -> i
     return task.instructions * params.energy_per_instruction[tile_kind]
 
 
-def comm_latency(volume: int, hops: int, congestion_delay: int = 0) -> int:
+def comm_latency(volume: int, hops: int) -> int:
     """Cycles to deliver a pipelined packet stream over a fixed route.
 
     The head packet needs one cycle per hop and the remaining volume - 1
-    packets stream behind it, so the uncontended latency is
-    hops + volume - 1; any wait for the links is added on top.
+    packets stream behind it, so the latency is hops + volume - 1.  A wait
+    for the links is not part of it: it delays the transfer's start cycle.
     """
     if volume < 1:
         raise ValidationError(f"volume must be >= 1, got {volume}")
     if hops < 1:
         raise StateError(f"a transfer of {volume} packets needs at least one hop")
-    if congestion_delay < 0:
-        raise ValidationError("congestion delay must be non-negative")
-    return congestion_delay + hops + volume - 1
+    return hops + volume - 1
 
 
 class LinkSchedule:
@@ -469,12 +467,12 @@ class _Engine:
         """Route one direction of ``edge`` on the current ledger, pin it and
         queue its transfer as ready at cycle ``t``.
 
-        Only pins raise link loads (placement's tentative routes are undone
-        before it returns), so the running peak and average are sampled
-        here, in O(path).  The running peak is exact from the pinned path
-        alone: a link's load is at its highest right after the pin that last
-        raised it, and that pin sampled it.  The average is O(1) from the
-        ledger's running total."""
+        Placement writes nothing: pins, deliveries and releases are the
+        ledger's only writers, and only pins raise loads, so the running
+        peak and average are sampled here, in O(path).  The running peak is
+        exact from the pinned path alone: a link's load is at its highest
+        right after the pin that last raised it, and that pin sampled it.
+        The average is O(1) from the ledger's running total."""
         m_tile = self.state.task_tile(app_id, edge.mtid)
         s_tile = self.state.task_tile(app_id, edge.stid)
         if direction == DIR_MS:

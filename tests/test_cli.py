@@ -1,6 +1,7 @@
 import json
 import time
 from functools import partial
+from hashlib import sha256
 
 import pytest
 
@@ -222,11 +223,31 @@ class TestCompare:
                      "--heuristics", "nn", "--out", str(tmp_path / "c.csv"))
         assert rc == 1
 
+    def test_empty_heuristic_list_is_validation_error(self, tmp_path):
+        rc = run_cli("compare", "--apps", "2", "--heuristics", ",",
+                     "--out", str(tmp_path / "c.csv"))
+        assert rc == 3
+        assert not (tmp_path / "c.csv").exists()
+
     def test_unknown_heuristic_in_list(self, tmp_path, capsys):
         rc = run_cli("compare", "--apps", "2", "--heuristics", "nn,bogus",
                      "--out", str(tmp_path / "c.csv"))
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_pinned_digests(self, tmp_path, capsys):
+        """The CSV and stdout of a small sweep, pinned by SHA-256."""
+        out = tmp_path / "cmp.csv"
+        rc = run_cli("compare", "--apps", "2", "--heuristics", "spiral,nn,bn",
+                     "--seeds", "2", "--out", str(out))
+        assert rc == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert sha256(out.read_bytes()).hexdigest() == (
+            "ad48c95afb87976e03743173f44d515747eb6227a8263439816540dcbd57b7d7"
+        )
+        assert sha256(stdout).hexdigest() == (
+            "fe83ded5c4eeeebff95487b2972efe75e5a9bcbcb13fec3871a3447d529b9ebc"
+        )
 
     def test_byte_identical_outputs(self, tmp_path):
         outs = []

@@ -24,7 +24,6 @@ from nocmap.heuristics import (
 )
 from nocmap.model import (
     ArchGraph,
-    ChannelLoadLedger,
     MappingState,
     Task,
     TaskKind,
@@ -342,9 +341,9 @@ class TestMapMMC:
 
     @pytest.mark.parametrize("policy", [RoutePolicy.MIN_LOAD])
     def test_back_route_sees_forward_load(self, monkeypatch, policy):
-        """The slave->master route is chosen with the candidate's
-        master->slave load on the ledger, and both are undone afterwards.
-        Under XY the back route reads no loads (see
+        """The slave->master route is chosen on a scratch copy of the ledger
+        that holds the candidate's master->slave load; the state's ledger
+        is left as it was.  Under XY the back route reads no loads (see
         ``test_xy_scoring_never_writes_the_ledger``)."""
         arch = small_arch(3, 1)
         state = MappingState(arch)
@@ -367,27 +366,37 @@ class TestMapMMC:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_xy_scoring_never_writes_the_ledger(self, monkeypatch, seed):
+        """Placement writes nothing, under either route policy: every
+        heuristic through ``HeuristicEngine.place``, and ``place_initial``.
+        The writers are refused on the state's own ledger only, so scratch
+        copies stay writable.  Under XY, mmc, mac and pl also match the
+        oracles."""
         state, req, _ = random_partial_state(arch_4x4(), seed)
         want = {
             "mmc": oracle_channel_load(req, state, RoutePolicy.XY, False),
             "mac": oracle_channel_load(req, state, RoutePolicy.XY, True),
             "pl": oracle_path_load(req, state, RoutePolicy.XY),
         }
-        before = state.ledger.copy()
+        ledger = state.ledger.copy()
+        before = (ledger, dict(state.placement), dict(state.tile_owner), dict(state.routes))
 
         def refuse(*args):
-            raise AssertionError("XY placement wrote the ledger")
+            raise AssertionError("placement wrote the state's ledger")
 
-        monkeypatch.setattr(ChannelLoadLedger, "add_path", refuse)
-        monkeypatch.setattr(ChannelLoadLedger, "remove_path", refuse)
+        for writer in ("add_path", "remove_path", "set_load"):
+            monkeypatch.setattr(state.ledger, writer, refuse)
         got = {
             "mmc": map_channel_load(req, state, RoutePolicy.XY, False)[0],
             "mac": map_channel_load(req, state, RoutePolicy.XY, True)[0],
             "pl": map_pl(req, state, RoutePolicy.XY)[0],
         }
         assert got == want
-        assert state.ledger == before
-        assert state.ledger.total_load() == before.total_load()
+        for policy in RoutePolicy:
+            for kind in HeuristicKind:
+                HeuristicEngine(kind, policy).place(req, state)
+        place_initial(ClusterGrid.for_mesh(state.arch), set(), state)
+        assert (state.ledger, state.placement, state.tile_owner, state.routes) == before
+        assert state.ledger.total_load() == ledger.total_load()
 
 
 class TestMapMAC:

@@ -289,6 +289,7 @@ class TestMappingState:
             ([(1, 0), (1, 1)], ((1, 0), (1, 1), (1, 0), (1, 1))),  # revisits
             ([(3, 0), (3, 2)], ((3, 0), (3, 1), (4, 1), (3, 2))),  # off the mesh
             ([(1, 0), (1, 2)], ((1, 0), (1, 1), (2, 2), (1, 2))),  # not adjacent
+            ([(1, 0), (1, 2)], ((1, 0), [1, 1], (1, 2))),  # unhashable
         ],
     )
     def test_rejected_path_changes_nothing(self, tiles, path):
@@ -496,7 +497,8 @@ class TestLedgerReconstruction:
         ledger = ChannelLoadLedger(arch)
         off_mesh = ((2, 0), (3, 0))
         not_adjacent = ((0, 0), (1, 1))
-        for link in (off_mesh, not_adjacent):
+        unhashable = [((1, 0), [1, 1]), ([1, 0], (1, 1))]
+        for link in (off_mesh, not_adjacent, *unhashable):
             for call in (
                 lambda: ledger.load(link),
                 lambda: ledger.set_load(link, 1),

@@ -78,9 +78,6 @@ class TestCommLatency:
     def test_single_packet_single_hop(self):
         assert comm_latency(1, 1) == 1
 
-    def test_congestion_delay_adds(self):
-        assert comm_latency(10, 2, congestion_delay=7) == 18
-
     def test_zero_hops_rejected(self):
         with pytest.raises(StateError):
             comm_latency(5, 0)
