@@ -102,6 +102,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
+    if not heuristics:
+        raise _UsageError(f"--heuristics names no heuristic: {args.heuristics!r}")
     for h in heuristics:
         if h not in HEURISTIC_NAMES:
             raise _UsageError(

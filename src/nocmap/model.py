@@ -460,18 +460,21 @@ class ChannelLoadLedger:
         self._total += value - self._load[i]
         self._load[i] = value
 
-    def add_path(self, path: Sequence[Coord], volume: int) -> None:
+    def add_path(self, path: Sequence[Coord], volume: int) -> list[int]:
+        """Add ``volume`` to every link of ``path``; return the links' ids in
+        path order (empty for a single tile)."""
         _check_amount("volume", volume)
-        self._shift(path, volume)
+        return self._shift(path, volume)
 
     def remove_path(self, path: Sequence[Coord], volume: int) -> None:
         _check_amount("volume", volume)
         self._shift(path, -volume)
 
-    def _shift(self, path: Sequence[Coord], delta: int) -> None:
-        """Add ``delta`` to the load of every link of ``path``.  The whole
-        path is resolved before any load is written, and a removal that
-        takes a load below zero is undone before it raises."""
+    def _shift(self, path: Sequence[Coord], delta: int) -> list[int]:
+        """Add ``delta`` to the load of every link of ``path`` and return the
+        links' ids.  The whole path is resolved before any load is written,
+        and a removal that takes a load below zero is undone before it
+        raises."""
         load = self._load
         ids = self._on_path(path)
         for i in ids:
@@ -485,6 +488,7 @@ class ChannelLoadLedger:
                 f"{self.arch.links()[bad]} would go negative"
             )
         self._total += delta * len(ids)
+        return ids
 
     def path_loads(self, path: Sequence[Coord]) -> list[int]:
         """Load of each link of ``path``, in path order; empty for a single tile."""
@@ -527,6 +531,9 @@ class ChannelLoadLedger:
 
 
 RouteKey = tuple[str, str, str, str]  # (app, mtid, stid, direction)
+# A pinned route: its path, its volume, and the id of each link of the path
+# in path order, as the ledger resolved them when the route was pinned.
+PinnedRoute = tuple[tuple[Coord, ...], int, tuple[int, ...]]
 
 
 class MappingState:
@@ -536,7 +543,7 @@ class MappingState:
         self.arch = arch
         self.placement: dict[tuple[str, str], Coord] = {}
         self.tile_owner: dict[Coord, tuple[str, str]] = {}
-        self.routes: dict[RouteKey, tuple[tuple[Coord, ...], int]] = {}
+        self.routes: dict[RouteKey, PinnedRoute] = {}
         self.ledger = ChannelLoadLedger(arch)
 
     def tile_free(self, c: Coord) -> bool:
@@ -568,7 +575,10 @@ class MappingState:
         path: Sequence[Coord],
         volume: int,
     ) -> None:
-        """Pin a route for one communication direction and load its links."""
+        """Pin a route for one communication direction and load its links.
+
+        The route is stored with the link ids ``add_path`` resolved, so its
+        readers need not resolve the path again."""
         if direction not in DIRECTIONS:
             raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         key: RouteKey = (app, mtid, stid, direction)
@@ -589,13 +599,13 @@ class MappingState:
             raise ValidationError(f"route {key}: path {list(path)} revisits a tile")
         # The ledger rejects an off-mesh or unhashable tile or a non-adjacent
         # step as an unknown link, before it writes any load.
-        self.ledger.add_path(path, volume)
-        self.routes[key] = (tuple(path), volume)
+        links = self.ledger.add_path(path, volume)
+        self.routes[key] = (tuple(path), volume, tuple(links))
 
     def remove_route(self, key: RouteKey) -> None:
         if key not in self.routes:
             raise StateError(f"no route stored for {key}")
-        path, volume = self.routes.pop(key)
+        path, volume, _ = self.routes.pop(key)
         self.ledger.remove_path(path, volume)
 
     def release_app(self, app: str) -> None:
@@ -607,12 +617,13 @@ class MappingState:
             c = self.placement.pop(key)
             del self.tile_owner[c]
         for rkey in [k for k in self.routes if k[0] == app]:
-            path, volume = self.routes.pop(rkey)
+            path, volume, _ = self.routes.pop(rkey)
             self.ledger.remove_path(path, volume)
 
     def rebuild_ledger(self) -> ChannelLoadLedger:
-        """Fresh ledger recomputed from the stored routes (consistency oracle)."""
+        """Fresh ledger recomputed from the stored routes' paths, not their
+        link ids (consistency oracle)."""
         fresh = ChannelLoadLedger(self.arch)
-        for path, volume in self.routes.values():
+        for path, volume, _ in self.routes.values():
             fresh.add_path(path, volume)
         return fresh

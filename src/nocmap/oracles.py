@@ -346,8 +346,11 @@ def check_engine(engine) -> None:
 
     ``engine`` is a ``sim._Engine`` between two event batches.  Checked:
 
+    * ``routes``: the link ids stored with each pinned route are
+      ``arch.link_ids`` of its path's steps;
     * ``ledger``: every link load, and the running total, equal what
-      ``MappingState.rebuild_ledger`` recomputes from the pinned routes;
+      ``MappingState.rebuild_ledger`` recomputes from the pinned routes'
+      paths;
     * ``link-schedule``: each link's reservations are sorted and no two
       overlap;
     * ``placement``: ``placement`` and ``tile_owner`` are inverse maps;
@@ -355,6 +358,13 @@ def check_engine(engine) -> None:
       that kind minus the demand of the admitted, unfinished applications.
     """
     state = engine.state
+    link_ids, links = engine.arch.link_ids, engine.arch.links()
+    for key, (path, _, stored) in state.routes.items():
+        resolved = tuple(link_ids.get(step) for step in zip(path, path[1:]))
+        if stored != resolved:
+            raise InvariantError(
+                f"routes: route {key} stores link ids {stored}, its path gives {resolved}"
+            )
     got, want = state.ledger.loads(), state.rebuild_ledger().loads()
     for link, load in want.items():
         if got[link] != load:
@@ -369,7 +379,7 @@ def check_engine(engine) -> None:
     for link, spans in engine.links_sched.spans().items():
         for a, b in zip(spans, spans[1:]):
             if a[1] > b[0]:
-                raise InvariantError(f"link-schedule: link {link} holds {a} before {b}")
+                raise InvariantError(f"link-schedule: link {links[link]} holds {a} before {b}")
     if len(state.placement) != len(state.tile_owner):
         raise InvariantError(
             f"placement: {len(state.placement)} placed tasks "

@@ -20,9 +20,9 @@ import csv
 import heapq
 from bisect import insort
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .heuristics import (
     ClusterGrid,
@@ -36,7 +36,6 @@ from .model import (
     Coord,
     DIR_MS,
     DIR_SM,
-    DirectedLink,
     Edge,
     MappingState,
     NocError,
@@ -117,8 +116,9 @@ class Scenario:
         return [0] * len(self.apps) if self.arrivals is None else list(self.arrivals)
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
+    """One event-log row; the fields are the CSV columns, in order."""
+
     cycle: int
     kind: str
     app: str
@@ -209,7 +209,9 @@ class LinkSchedule:
     Each transfer holds every directed link on its path for its entire
     duration.  ``earliest_start`` finds the first cycle at or after the ready
     time where all links are simultaneously free for the duration, so gaps
-    between existing reservations are used.
+    between existing reservations are used.  Links are only dictionary
+    keys: the engine names them by link id (``ArchGraph.link_ids``), as its
+    pinned routes store them, but any hashable key works.
 
     ``ready`` must not decrease from one ``earliest_start`` call to the next
     (the engine passes its clock); a call that breaks this raises
@@ -223,10 +225,10 @@ class LinkSchedule:
     """
 
     def __init__(self) -> None:
-        self._busy: dict[DirectedLink, list[tuple[int, int]]] = {}
+        self._busy: dict[Hashable, list[tuple[int, int]]] = {}
         self._clock = 0
 
-    def earliest_start(self, links: Iterable[DirectedLink], ready: int, duration: int) -> int:
+    def earliest_start(self, links: Iterable[Hashable], ready: int, duration: int) -> int:
         if ready < self._clock:
             raise StateError(f"ready cycle {ready} is before an earlier call's {self._clock}")
         self._clock = ready
@@ -252,12 +254,12 @@ class LinkSchedule:
                 return t
             t = bumped
 
-    def reserve(self, links: Iterable[DirectedLink], start: int, duration: int) -> None:
+    def reserve(self, links: Iterable[Hashable], start: int, duration: int) -> None:
         span = (start, start + duration)
         for link in links:
             insort(self._busy.setdefault(link, []), span)
 
-    def spans(self) -> Mapping[DirectedLink, Sequence[tuple[int, int]]]:
+    def spans(self) -> Mapping[Hashable, Sequence[tuple[int, int]]]:
         """Each link's (start, end) reservations not yet dropped, by start."""
         return self._busy
 
@@ -400,10 +402,9 @@ class _Engine:
         self._count_down(run, t)
 
     def _on_comm_ready(self, t: int, app_id: str, mtid: str, stid: str, direction: str) -> None:
-        path, volume = self.state.routes[(app_id, mtid, stid, direction)]
-        hops = len(path) - 1
+        path, volume, links = self.state.routes[(app_id, mtid, stid, direction)]
+        hops = len(links)
         duration = comm_latency(volume, hops)
-        links = list(zip(path, path[1:]))
         start = self.links_sched.earliest_start(links, t, duration)
         self.links_sched.reserve(links, start, duration)
         self._log(
@@ -416,8 +417,8 @@ class _Engine:
 
     def _on_comm_end(self, t: int, app_id: str, mtid: str, stid: str, direction: str) -> None:
         run = self.by_id[app_id]
-        path, volume = self.state.routes[(app_id, mtid, stid, direction)]
-        hops = len(path) - 1
+        path, volume, links = self.state.routes[(app_id, mtid, stid, direction)]
+        hops = len(links)
         energy = volume * hops * self.params.energy_per_packet_hop
         self.energy_comm += energy
         self._log(
@@ -469,10 +470,11 @@ class _Engine:
 
         Placement writes nothing: pins, deliveries and releases are the
         ledger's only writers, and only pins raise loads, so the running
-        peak and average are sampled here, in O(path).  The running peak is
-        exact from the pinned path alone: a link's load is at its highest
-        right after the pin that last raised it, and that pin sampled it.
-        The average is O(1) from the ledger's running total."""
+        peak and average are sampled here.  The running peak is exact from
+        the pinned path alone: a link's load is at its highest right after
+        the pin that last raised it, and that pin sampled it.  It is read
+        through the link ids stored with the route, in O(path), and the
+        average is O(1) from the ledger's running total."""
         m_tile = self.state.task_tile(app_id, edge.mtid)
         s_tile = self.state.task_tile(app_id, edge.stid)
         if direction == DIR_MS:
@@ -481,10 +483,13 @@ class _Engine:
             src, dst, volume = s_tile, m_tile, edge.vsm
         ledger = self.state.ledger
         path = route(self.h.route_policy, src, dst, ledger, self.arch)
-        self.state.apply_route(app_id, edge.mtid, edge.stid, direction, path, volume)
-        self.peak_seen = max(self.peak_seen, ledger.path_peak(path))
+        key = (app_id, edge.mtid, edge.stid, direction)
+        self.state.apply_route(*key, path, volume)
+        load = ledger.by_link_id()
+        links = self.state.routes[key][2]
+        self.peak_seen = max(self.peak_seen, max(map(load.__getitem__, links), default=0))
         self.avg_seen = max(self.avg_seen, ledger.avg_load())
-        heapq.heappush(self.heap, (t, _RANK_COMM_READY, (app_id, edge.mtid, edge.stid, direction)))
+        heapq.heappush(self.heap, (t, _RANK_COMM_READY, key))
 
     def _edge_delivered(self, run: _AppRun, tid: str, t: int) -> None:
         run.waiting[tid] -= 1
@@ -631,5 +636,4 @@ def write_event_log(events: Iterable[EventRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EVENT_LOG_HEADER)
-        for e in events:
-            writer.writerow([e.cycle, e.kind, e.app, e.task, e.location, e.detail])
+        writer.writerows(events)

@@ -223,10 +223,10 @@ class TestCompare:
                      "--heuristics", "nn", "--out", str(tmp_path / "c.csv"))
         assert rc == 1
 
-    def test_empty_heuristic_list_is_validation_error(self, tmp_path):
+    def test_empty_heuristic_list_is_usage_error(self, tmp_path):
         rc = run_cli("compare", "--apps", "2", "--heuristics", ",",
                      "--out", str(tmp_path / "c.csv"))
-        assert rc == 3
+        assert rc == 1
         assert not (tmp_path / "c.csv").exists()
 
     def test_unknown_heuristic_in_list(self, tmp_path, capsys):

@@ -240,6 +240,15 @@ class TestMappingState:
             assert state.ledger.load(link) == 100
         assert state.ledger.peak_load() == 100
 
+    def test_pinned_route_keeps_its_link_ids(self):
+        arch = small_arch(4, 4)
+        state = MappingState(arch)
+        _place_chain(state, "a", [(2, 1), (1, 2)])
+        path = ((2, 1), (1, 1), (1, 2))
+        state.apply_route("a", "t0", "t1", "ms", path, 30)
+        ids = (arch.link_ids[(2, 1), (1, 1)], arch.link_ids[(1, 1), (1, 2)])
+        assert state.routes == {("a", "t0", "t1", "ms"): (path, 30, ids)}
+
     def test_zero_volume_leaves_ledger_unchanged(self):
         arch = small_arch(4, 4)
         state = MappingState(arch)
@@ -305,6 +314,18 @@ class TestMappingState:
         assert state.ledger.total_load() == ledger.total_load() == 80
         assert state.routes == routes
 
+    def test_negative_volume_changes_nothing(self):
+        arch = small_arch(4, 4)
+        state = MappingState(arch)
+        _place_chain(state, "a", [(0, 1), (0, 3)])
+        state.apply_route("a", "t0", "t1", "ms", ((0, 1), (0, 2), (0, 3)), 40)
+        ledger, routes = state.ledger.copy(), dict(state.routes)
+        with pytest.raises(ValidationError, match="volume"):
+            state.apply_route("a", "t0", "t1", "sm", ((0, 3), (0, 2), (0, 1)), -1)
+        assert state.ledger == ledger
+        assert state.ledger.total_load() == 80
+        assert state.routes == routes
+
     def test_non_adjacent_path_rejected(self):
         arch = small_arch(4, 4)
         state = MappingState(arch)
@@ -355,6 +376,23 @@ class TestMappingState:
         state = MappingState(small_arch(4, 4))
         with pytest.raises(ValidationError):
             state.release_app("ghost")
+
+    def test_remove_and_release_match_rebuild(self):
+        arch = small_arch(4, 4)
+        state = MappingState(arch)
+        _place_chain(state, "a", [(1, 0), (3, 1)])
+        _place_chain(state, "b", [(0, 2), (2, 2)])
+        state.apply_route("a", "t0", "t1", "ms", ((1, 0), (2, 0), (3, 0), (3, 1)), 60)
+        state.apply_route("a", "t0", "t1", "sm", ((3, 1), (2, 1), (1, 1), (1, 0)), 25)
+        state.apply_route("b", "t0", "t1", "ms", ((0, 2), (1, 2), (2, 2)), 9)
+        state.apply_route("b", "t0", "t1", "sm", ((2, 2), (2, 1), (1, 1), (0, 1), (0, 2)), 4)
+        state.remove_route(("a", "t0", "t1", "sm"))
+        assert state.ledger == state.rebuild_ledger()
+        assert state.ledger.total_load() == state.rebuild_ledger().total_load() == 180 + 18 + 16
+        state.release_app("b")
+        assert state.ledger == state.rebuild_ledger()
+        assert state.ledger.total_load() == 180
+        assert list(state.routes) == [("a", "t0", "t1", "ms")]
 
     def test_remove_route_roundtrip(self):
         arch = small_arch(4, 4)
@@ -536,6 +574,16 @@ class TestLedgerReconstruction:
         a, b = ChannelLoadLedger(small_arch(2, 3)), ChannelLoadLedger(small_arch(3, 2))
         assert len(a.loads()) == len(b.loads())
         assert a != b
+
+    def test_add_path_returns_link_ids_in_path_order(self):
+        arch = small_arch(3, 3)
+        ledger = ChannelLoadLedger(arch)
+        path = ((1, 1), (0, 1), (0, 0), (1, 0), (2, 0))
+        got = ledger.add_path(path, 7)
+        assert got == [arch.link_ids[link] for link in zip(path, path[1:])]
+        assert [arch.links()[i] for i in got] == list(zip(path, path[1:]))
+        assert ledger.add_path(((2, 2),), 7) == []
+        assert ledger.total_load() == 28
 
     def test_over_release_rejected(self):
         arch = small_arch(3, 3)

@@ -51,9 +51,18 @@ def test_spiral_check_catches_dropped_tile(monkeypatch):
 
 def _corrupt_ledger(engine):
     if engine.state.routes:
-        path, _ = next(iter(engine.state.routes.values()))
+        path, _, _ = next(iter(engine.state.routes.values()))
         link = (path[0], path[1])
         engine.state.ledger.set_load(link, engine.state.ledger.load(link) + 1)
+        return True
+    return False
+
+
+def _corrupt_route_link_ids(engine):
+    """Overwrite one stored link id; the loads stay consistent."""
+    for key, (path, volume, links) in engine.state.routes.items():
+        wrong = engine.arch.link_ids[path[1], path[0]]
+        engine.state.routes[key] = (path, volume, (wrong, *links[1:]))
         return True
     return False
 
@@ -81,6 +90,7 @@ def _corrupt_free(engine):
 
 @pytest.mark.parametrize("corrupt,invariant", [
     (_corrupt_ledger, "ledger"),
+    (_corrupt_route_link_ids, "routes"),
     (_corrupt_link_schedule, "link-schedule"),
     (_corrupt_tile_owner, "placement"),
     (_corrupt_free, "free"),

@@ -14,7 +14,9 @@ from nocmap.model import (
     ValidationError,
 )
 from nocmap.sim import (
+    EVENT_LOG_HEADER,
     DeadlockError,
+    EventRecord,
     LinkSchedule,
     PlatformParams,
     Scenario,
@@ -142,11 +144,15 @@ class TestLinkSchedule:
         with pytest.raises(StateError):
             sched.earliest_start([link], 9, 5)
 
-    def test_matches_full_history_oracle(self):
+    @pytest.mark.parametrize("by_id", [False, True], ids=["coords", "ids"])
+    def test_matches_full_history_oracle(self, by_id):
         """Seeded random call sequences over the sub-paths of a 4-link route,
         reserving at every answer.  Transfers arrive faster than the links
-        drain them, so links hold dozens of reservations ahead of the clock."""
+        drain them, so links hold dozens of reservations ahead of the clock.
+        The links are named by coordinates, or by id as the engine names them."""
         links = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0)), ((3, 0), (3, 1))]
+        if by_id:
+            links = [ArchGraph.uniform(4, 2).link_ids[link] for link in links]
         for seed in range(200):
             rng = random.Random(seed)
             sched, oracle = LinkSchedule(), FullHistoryLinkSchedule()
@@ -562,3 +568,17 @@ class TestEventLogFile:
         assert "\r" not in text
         cycles = [int(line.split(",")[0]) for line in lines[1:]]
         assert cycles == sorted(cycles)
+
+    def test_records_are_immutable_rows(self):
+        """An event record is a hashable, immutable row of the six CSV
+        columns, whose ``detail`` parses with ``fields()``."""
+        e = EventRecord(120, "comm_end", "app0", "t0->t1:ms", "1,0->1,2", "volume=4;hops=2")
+        assert EventRecord._fields == EVENT_LOG_HEADER
+        assert tuple(e) == (120, "comm_end", "app0", "t0->t1:ms", "1,0->1,2", "volume=4;hops=2")
+        assert e.fields() == {"volume": "4", "hops": "2"}
+        assert e._replace(detail="").fields() == {}
+        assert hash(e) == hash(EventRecord(*e))
+        with pytest.raises(AttributeError):
+            e.cycle = 0
+        with pytest.raises(TypeError):
+            e[0] = 0
