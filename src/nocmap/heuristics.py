@@ -19,7 +19,9 @@ Every heuristic, and ``place_initial``, is a pure function of (request,
 state) that writes nothing; ``ff`` additionally threads its cursor.  Each
 returns the chosen tile (or ``None`` when no free compatible tile exists)
 plus the number of candidate tiles it examined, which callers aggregate as
-a mapping-effort proxy.
+a mapping-effort proxy.  For mmc, mac and pl that is the number of free
+compatible candidates, not the number of tiles scored: under XY, mmc and
+mac stop scoring once no candidate left can win.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import ceil
-from operator import add
+from itertools import chain
 from typing import Callable, Iterable
 
 from .model import (
@@ -328,26 +330,32 @@ def _channel_load_key(
 def _xy_channel_load_key(
     req: MapRequest, state: MappingState, average_first: bool
 ) -> Callable[[Coord], tuple[int, int, int]]:
-    """``_channel_load_key`` under XY routing, for every tile from one fold.
+    """``_channel_load_key`` under XY routing, for any tile, in O(hops).
 
     An XY route and the XY route back run in opposite directions, so they
     share no directed link, and neither depends on loads: the key needs no
     ledger writes.  A tile's peak is the highest of the peak before any
-    tentative route and each path's highest load plus its volume (a zero
-    volume adds nothing, since no link exceeds that peak); its total grows
-    by hops x (vms + vsm).  The requester's own tile routes nothing.
+    tentative route and each routed path's highest load plus its volume; its
+    total grows by hops x (vms + vsm).  Each key routes the tile both ways,
+    skipping a zero volume, and reads the loads on those paths.  The
+    requester's own tile routes nothing, so its key holds the base peak and
+    total.
     """
     arch, ledger, r = state.arch, state.ledger, req.requester_tile
-    there, back = xy_fold(r, ledger, arch, max)
     base_peak = ledger.peak_load()
     base_total = ledger.total_load()
     volume = req.vms + req.vsm
 
     def key(tile: Coord) -> tuple[int, int, int]:
-        i = arch.linear_index(tile)
         hops = manhattan(r, tile)
-        peak = max(base_peak, there[i] + req.vms, back[i] + req.vsm) if hops else base_peak
+        peak = base_peak
+        if hops:
+            for v, src, dst in ((req.vms, r, tile), (req.vsm, tile, r)):
+                if v >= 1:
+                    path = route(RoutePolicy.XY, src, dst, ledger, arch)
+                    peak = max(peak, ledger.path_peak(path) + v)
         total = base_total + hops * volume
+        i = arch.linear_index(tile)
         return (total, peak, i) if average_first else (peak, total, i)
 
     return key
@@ -362,8 +370,20 @@ def map_channel_load(
     mac (``average_first``) minimises the resulting average load, compared
     through the exact integer total since the link count is constant, and
     breaks ties on the peak.  Remaining ties break on linear tile index.
-    Under XY a call costs O(tiles): one ``xy_fold`` from the requester
-    scores every candidate (see ``_xy_channel_load_key``).  Under the
+    The examined count is the number of free compatible candidates.
+
+    Under XY the candidates are scored in the order of a lower bound on
+    their keys, nearest first, and the walk stops once the next bound
+    exceeds the best key scored.  A tile ``h >= 1`` hops away adds exactly
+    ``h x (vms + vsm)`` to the total, and its peak is at least the floor
+    ``max(base peak, vms, vsm)``; the requester's own tile keeps the base
+    peak and total.  So a tile's bound is its key with the peak lowered to
+    the floor, and bound order is (hops, linear index): Manhattan shells in
+    raster order, the requester's own tile first.  With no volume every
+    bound is its key, and the walk is raster order.  mmc stops after the
+    first tile that meets the floor, mac at the end of the first non-empty
+    shell at the latest, so a call costs O(tiles scored x hops) beyond
+    listing the candidates (see ``_xy_channel_load_key``).  Under the
     load-aware router the ledger's peak is read once per call and each
     candidate costs a copy of the link loads and two routes on that copy
     (see ``_channel_load_key``).
@@ -373,9 +393,7 @@ def map_channel_load(
     cands = _candidates(state, req.task.kind)
     if not cands:
         return None, 0
-    if policy is RoutePolicy.XY:
-        key = _xy_channel_load_key(req, state, average_first)
-    else:
+    if policy is not RoutePolicy.XY:
         key = partial(
             _channel_load_key,
             req,
@@ -384,7 +402,37 @@ def map_channel_load(
             average_first=average_first,
             base_peak=state.ledger.peak_load(),
         )
-    return min(cands, key=key), len(cands)
+        return min(cands, key=key), len(cands)
+    arch, r = state.arch, req.requester_tile
+    key = _xy_channel_load_key(req, state, average_first)
+    # The requester's own tile routes nothing: its key holds the base loads.
+    if average_first:
+        base_total, base_peak, _ = key(r)
+    else:
+        base_peak, base_total, _ = key(r)
+    volume = req.vms + req.vsm
+    floor = max(base_peak, req.vms, req.vsm)
+    if volume:
+        shells = (manhattan_shell(r, n, arch) for n in range(1, shell_limit(r, arch) + 1))
+        walk: Iterable[Coord] = chain([r], chain.from_iterable(shells))
+    else:
+        walk = cands
+    free = set(cands)
+    best = best_key = None
+    for tile in walk:
+        if tile not in free:
+            continue
+        hops = manhattan(r, tile)
+        peak = floor if hops else base_peak
+        total = base_total + hops * volume
+        i = arch.linear_index(tile)
+        bound = (total, peak, i) if average_first else (peak, total, i)
+        if best_key is not None and bound > best_key:
+            break
+        k = key(tile)
+        if best_key is None or k < best_key:
+            best, best_key = tile, k
+    return best, len(cands)
 
 
 def _pl_key(
@@ -401,7 +449,7 @@ def _pl_key(
 def _xy_pl_key(req: MapRequest, state: MappingState) -> Callable[[Coord], tuple[int, int, int]]:
     """``_pl_key`` under XY routing, for every tile from one fold."""
     arch, r = state.arch, req.requester_tile
-    there, back = xy_fold(r, state.ledger, arch, add)
+    there, back = xy_fold(r, state.ledger, arch)
 
     def key(tile: Coord) -> tuple[int, int, int]:
         i = arch.linear_index(tile)

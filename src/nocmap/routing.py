@@ -2,7 +2,7 @@
 
 Two routers are provided: deterministic dimension-ordered XY routing and a
 load-aware Dijkstra search that minimises the accumulated load along the
-path (ties broken by hop count).  ``xy_fold`` folds the link loads of every
+path (ties broken by hop count).  ``xy_fold`` sums the link loads of every
 XY route from one tile, and back to it, in one pass over the mesh;
 ``min_load_tree`` gives the load and hops of every load-aware route from
 one tile, or into it, from one search.  The folds and the search run on
@@ -14,7 +14,8 @@ from __future__ import annotations
 import heapq
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Sequence
+from operator import add
+from typing import Sequence
 
 from .model import ArchGraph, ChannelLoadLedger, Coord
 
@@ -52,44 +53,41 @@ def xy_route(src: Coord, dst: Coord, arch: ArchGraph) -> Path:
     return tuple(path)
 
 
-def xy_fold(
-    src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph, op: Callable[[int, int], int]
-) -> tuple[list[int], list[int]]:
-    """Fold of the link loads on every XY route from ``src`` and back to it.
+def xy_fold(src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> tuple[list[int], list[int]]:
+    """Summed link loads on every XY route from ``src`` and back to it.
 
     Returns ``(there, back)``, lists indexed by linear tile index: for each
-    tile ``t``, the ``op``-fold (``operator.add`` or ``max``, starting from
-    0) of the loads on ``xy_route(src, t)`` and on ``xy_route(t, src)``.
-    The route there is a segment of ``src``'s row, then one of ``t``'s
-    column; the route back is a segment of ``t``'s row, then one of
-    ``src``'s column.  So the folds along ``src``'s row, extended one row
-    at a time up and down every column at once, give ``there``; the folds
-    along ``src``'s column, extended one column at a time, give ``back``.
+    tile ``t``, the sum of the loads on ``xy_route(src, t)`` and on
+    ``xy_route(t, src)``.  The route there is a segment of ``src``'s row,
+    then one of ``t``'s column; the route back is a segment of ``t``'s row,
+    then one of ``src``'s column.  So the prefix sums along ``src``'s row,
+    extended one row at a time up and down every column at once, give
+    ``there``; the prefix sums along ``src``'s column, extended one column
+    at a time, give ``back``.
     The row and column of ``src`` are read along the routes ``xy_route``
     gives to and from their ends; the rest is O(tiles) reads of the
-    ledger's per-link list.  ``op`` must be associative and commutative,
-    since a route back is folded from its end.
+    ledger's per-link list.  A route back is summed from its end.
     """
     sx, sy = src
     w, h = arch.width, arch.height
     east, west, south, north = arch.east, arch.west, arch.south, arch.north
     load = ledger.by_link_id().__getitem__
 
-    def folds(loads: Sequence[int]) -> list[int]:
-        """Folds of the first 0, 1, ..., ``len(loads)`` entries of ``loads``."""
-        return list(accumulate(loads, op, initial=0))
+    def sums(loads: Sequence[int]) -> list[int]:
+        """Sums of the first 0, 1, ..., ``len(loads)`` entries of ``loads``."""
+        return list(accumulate(loads, initial=0))
 
     def route_loads(a: Coord, b: Coord) -> list[int]:
         return ledger.path_loads(xy_route(a, b, arch))
 
     def step(acc: list[int], link_ids: Sequence[int]) -> list[int]:
         """``acc`` with each entry extended by the load of one link."""
-        return list(map(op, acc, map(load, link_ids)))
+        return list(map(add, acc, map(load, link_ids)))
 
     there = [0] * (w * h)
     back = [0] * (w * h)
-    # row[x]: fold from src to (x, sy); col[y]: fold from (sx, y) to src.
-    row = folds(route_loads(src, (0, sy)))[::-1] + folds(route_loads(src, (w - 1, sy)))[1:]
+    # row[x]: sum from src to (x, sy); col[y]: sum from (sx, y) to src.
+    row = sums(route_loads(src, (0, sy)))[::-1] + sums(route_loads(src, (w - 1, sy)))[1:]
     there[sy * w : sy * w + w] = row
     acc = row
     for y in range(sy + 1, h):
@@ -98,8 +96,8 @@ def xy_fold(
     for y in range(sy - 1, -1, -1):
         there[y * w : y * w + w] = acc = step(acc, north[y])
     col = (
-        folds(route_loads((sx, 0), src)[::-1])[::-1]
-        + folds(route_loads((sx, h - 1), src)[::-1])[1:]
+        sums(route_loads((sx, 0), src)[::-1])[::-1]
+        + sums(route_loads((sx, h - 1), src)[::-1])[1:]
     )
     back[sx::w] = col
     acc = col

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
-from nocmap import heuristics
+from nocmap import heuristics, routing
 from nocmap.heuristics import (
     Cluster,
     ClusterGrid,
@@ -39,7 +40,7 @@ from nocmap.oracles import (
     placement_cases,
     random_partial_state,
 )
-from nocmap.routing import RoutePolicy
+from nocmap.routing import RoutePolicy, route
 
 from conftest import small_arch
 
@@ -364,6 +365,39 @@ class TestMapMMC:
         assert state.ledger == before
         assert state.ledger.total_load() == before.total_load()
 
+    @pytest.mark.parametrize("average_first", [False, True], ids=["mmc", "mac"])
+    @pytest.mark.parametrize("other, vms, vsm, want", [((3, 0), 7, 3, (3, 0)),
+                                                       ((2, 0), 5, 7, (2, 0))])
+    def test_matches_oracle_where_forward_load_reroutes_back(
+        self, other, vms, vsm, want, average_first
+    ):
+        """4x2 mesh, manager at (3, 1), master at (0, 0); (2, 1) and
+        ``other`` are the free tiles.  Load 2 on four links leaves the
+        one-way rung (1, 1)->(1, 0) the only load-free way east from the
+        master, and the cheapest way back from either candidate; once the
+        forward volume is on the rung, every back route takes the link
+        (2, 0)->(1, 0) instead.  Routing back on a ledger without the
+        forward load would send the back route over the rung too, which
+        raises its load to vms + vsm and changes the choice."""
+        arch = small_arch(4, 2, manager=(3, 1))
+        state = MappingState(arch)
+        place_master(state, (0, 0))
+        for c in arch.coords():
+            if state.tile_free(c) and c not in (arch.manager, (2, 1), other):
+                state.place("blk", Task(f"b{c}", TaskKind.SOFTWARE, 1), c)
+        for link in (((0, 0), (1, 0)), ((2, 0), (1, 0)), ((1, 1), (0, 1)), ((1, 1), (2, 1))):
+            state.ledger.set_load(link, 2)
+        policy = RoutePolicy.MIN_LOAD
+        req = MapRequest("app0", sw_task(), (0, 0), vms, vsm)
+        for tile in ((2, 1), other):
+            trial = state.ledger.copy()
+            trial.add_path(route(policy, (0, 0), tile, trial, arch), vms)
+            assert route(policy, tile, (0, 0), trial, arch) != route(
+                policy, tile, (0, 0), state.ledger, arch
+            )
+        assert oracle_channel_load(req, state, policy, average_first) == want
+        assert map_channel_load(req, state, policy, average_first) == (want, 2)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_xy_scoring_never_writes_the_ledger(self, monkeypatch, seed):
         """Placement writes nothing, under either route policy: every
@@ -500,24 +534,103 @@ class TestXYFoldScoring:
         for seed in range(200):
             # random_partial_state sends odd seeds to the load-aware router;
             # the fold serves XY only.
-            state, req, _ = random_partial_state(arch, seed)
-            cands = [c for c in arch.coords()
-                     if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
-            # Keys are compared on the requester's own tile too, which routes nothing.
-            scored = cands + [req.requester_tile]
-            base_peak = state.ledger.peak_load()
-            for average_first in (False, True):
-                want = partial(heuristics._channel_load_key, req, state, policy=xy,
-                               average_first=average_first, base_peak=base_peak)
-                got = heuristics._xy_channel_load_key(req, state, average_first)
-                assert [got(t) for t in scored] == [want(t) for t in scored], (seed, average_first)
-                assert map_channel_load(req, state, xy, average_first) == (
+            state, drawn, _ = random_partial_state(arch, seed)
+            # One-way requests, and an initial task's volume-0 request from
+            # the manager, as the engine makes them.
+            initial = MapRequest(drawn.app, Task("i", TaskKind.INITIAL, 100), arch.manager, 0, 0)
+            for req in (drawn, replace(drawn, vms=0), replace(drawn, vsm=0), initial):
+                case = (seed, req.vms, req.vsm)
+                cands = [c for c in arch.coords()
+                         if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
+                # Keys are compared on the requester's own tile too, which routes nothing.
+                scored = cands + [req.requester_tile]
+                base_peak = state.ledger.peak_load()
+                for average_first in (False, True):
+                    want = partial(heuristics._channel_load_key, req, state, policy=xy,
+                                   average_first=average_first, base_peak=base_peak)
+                    got = heuristics._xy_channel_load_key(req, state, average_first)
+                    assert [got(t) for t in scored] == [want(t) for t in scored], (
+                        case, average_first)
+                    assert map_channel_load(req, state, xy, average_first) == (
+                        min(cands, key=want, default=None), len(cands)
+                    ), (case, average_first)
+                want = partial(heuristics._pl_key, req, state, policy=xy)
+                got = heuristics._xy_pl_key(req, state)
+                assert [got(t) for t in scored] == [want(t) for t in scored], case
+                assert map_pl(req, state, xy) == (
                     min(cands, key=want, default=None), len(cands)
-                ), (seed, average_first)
-            want = partial(heuristics._pl_key, req, state, policy=xy)
-            got = heuristics._xy_pl_key(req, state)
-            assert [got(t) for t in scored] == [want(t) for t in scored], seed
-            assert map_pl(req, state, xy) == (min(cands, key=want, default=None), len(cands)), seed
+                ), case
+
+
+@pytest.fixture
+def xy_routes(monkeypatch):
+    """Every (src, dst) routed through ``routing.xy_route`` while the test runs."""
+    calls = []
+    real_xy_route = routing.xy_route
+
+    def recording_xy_route(src, dst, arch):
+        calls.append((src, dst))
+        return real_xy_route(src, dst, arch)
+
+    monkeypatch.setattr(routing, "xy_route", recording_xy_route)
+    return calls
+
+
+# The walk cases: a 5x5 mesh with the manager at (0, 0) and a request from
+# R = (2, 2), with vms 10 and vsm 4, so a tile off R meets the floor of its
+# peak, max(base peak, 10), unless its route there crosses a link loaded
+# above 0 or its route back one loaded above 6.  Each case gives the loads,
+# whether a master holds R, and the tile and the number of tiles routed
+# (both ways) for mmc, then for mac.
+R = (2, 2)
+N, W, E, S = (2, 1), (1, 2), (3, 2), (2, 3)
+XY_WALK_CASES = {
+    # Every route leaves R on a loaded link: mmc scores all 23 candidates,
+    # mac the four in the nearest shell.
+    "no-tile-meets-floor": ({(R, E): 5, (R, W): 6, (R, N): 7, (R, S): 8}, True, (E, 23), (E, 4)),
+    # N comes first in the nearest shell and misses by one; W, next, meets it.
+    "later-tile-in-nearest-shell": ({(R, N): 1}, True, (W, 2), (W, 2)),
+    # Every nearest tile misses; (3, 1), third in the next shell, leaves on
+    # R->E and comes back on N->R.  mac's winner stays in the nearest shell.
+    "winner-in-farther-shell": (
+        {(R, N): 5, (R, W): 5, (E, R): 8, (S, R): 8}, True, ((3, 1), 7), (E, 4)
+    ),
+    # R itself routes nothing and keeps the base loads.
+    "own-tile-free": ({(R, E): 5}, False, (R, 0), (R, 0)),
+}
+
+
+class TestXYWalk:
+    """mmc/mac under XY score candidates nearest first and stop at the first
+    that the rest cannot beat."""
+
+    @pytest.mark.parametrize("average_first", [False, True], ids=["mmc", "mac"])
+    @pytest.mark.parametrize("case", XY_WALK_CASES)
+    def test_hand_built_walks(self, xy_routes, case, average_first):
+        loads, master, *expected = XY_WALK_CASES[case]
+        state = MappingState(small_arch(5, 5))
+        if master:
+            place_master(state, R)
+        for link, load in loads.items():
+            state.ledger.set_load(link, load)
+        req = MapRequest("app0", sw_task(), R, 10, 4)
+        want = oracle_channel_load(req, state, RoutePolicy.XY, average_first)
+        tile, routed = expected[average_first]
+        assert want == tile
+        xy_routes.clear()
+        assert map_channel_load(req, state, RoutePolicy.XY, average_first)[0] == want
+        assert len(xy_routes) == 2 * routed
+
+    @pytest.mark.parametrize("average_first", [False, True], ids=["mmc", "mac"])
+    def test_empty_ledger_routes_one_candidate(self, xy_routes, average_first):
+        """The first tile of the nearest shell meets the floor, and the next
+        one's bound is above its key: two routes, there and back."""
+        state = MappingState(ArchGraph.default_8x8())
+        place_master(state, (3, 3))
+        req = MapRequest("app0", sw_task(), (3, 3), 100, 100)
+        tile, _ = map_channel_load(req, state, RoutePolicy.XY, average_first)
+        assert xy_routes == [((3, 3), (3, 2)), ((3, 2), (3, 3))]
+        assert tile == (3, 2) == oracle_channel_load(req, state, RoutePolicy.XY, average_first)
 
 
 class TestMinLoadTreeScoring:
