@@ -20,8 +20,8 @@ state) that writes nothing; ``ff`` additionally threads its cursor.  Each
 returns the chosen tile (or ``None`` when no free compatible tile exists)
 plus the number of candidate tiles it examined, which callers aggregate as
 a mapping-effort proxy.  For mmc, mac and pl that is the number of free
-compatible candidates, not the number of tiles scored: under XY, mmc and
-mac stop scoring once no candidate left can win.
+compatible candidates, not the number of tiles scored: mmc and mac stop
+scoring once no candidate left can win, under either route policy.
 """
 from __future__ import annotations
 
@@ -298,63 +298,43 @@ def _candidates(state: MappingState, kind: TaskKind) -> list[Coord]:
 
 
 def _channel_load_key(
-    req: MapRequest,
-    state: MappingState,
-    tile: Coord,
-    policy: RoutePolicy,
-    average_first: bool,
-    base_peak: int,
-) -> tuple[int, int, int]:
-    """Ledger loads after routing both directions to ``tile`` on a copy.
+    req: MapRequest, state: MappingState, policy: RoutePolicy, average_first: bool
+) -> Callable[[Coord], tuple[int, int, int]]:
+    """Ledger loads after routing both directions to a tile, for any tile.
 
     The key is (peak, total, linear index), or (total, peak, linear index)
-    with ``average_first``.  The forward load is on the copy while the back
-    route is chosen, so a load-aware router sees it.  Adding load only
-    raises the links it touches, so the peak is ``base_peak`` (the peak
-    before any tentative route) or the highest load on a tentative path.
-    """
-    arch = state.arch
-    trial = state.ledger.copy()
-    peak = base_peak
-    for volume, src, dst in ((req.vms, req.requester_tile, tile), (req.vsm, tile, req.requester_tile)):
-        if volume >= 1:
-            path = route(policy, src, dst, trial, arch)
-            trial.add_path(path, volume)
-            peak = max(peak, trial.path_peak(path))
-    total = trial.total_load()
-    if average_first:
-        return (total, peak, arch.linear_index(tile))
-    return (peak, total, arch.linear_index(tile))
-
-
-def _xy_channel_load_key(
-    req: MapRequest, state: MappingState, average_first: bool
-) -> Callable[[Coord], tuple[int, int, int]]:
-    """``_channel_load_key`` under XY routing, for any tile, in O(hops).
-
-    An XY route and the XY route back run in opposite directions, so they
-    share no directed link, and neither depends on loads: the key needs no
-    ledger writes.  A tile's peak is the highest of the peak before any
-    tentative route and each routed path's highest load plus its volume; its
-    total grows by hops x (vms + vsm).  Each key routes the tile both ways,
-    skipping a zero volume, and reads the loads on those paths.  The
+    with ``average_first``.  Each direction with a volume of at least 1 is
+    routed; the route there reads the state's ledger.  A tile's peak is the
+    highest of the peak before any tentative route and each routed path's
+    highest load plus its volume; its total grows by each volume times its
+    path's hops.  A load-aware router chooses the route back on a scratch
+    copy of the ledger that holds the forward load, so it sees that load.
+    XY routes there and back share no directed link and read no loads, so
+    under XY nothing is copied and the key writes no ledger.  The
     requester's own tile routes nothing, so its key holds the base peak and
     total.
     """
     arch, ledger, r = state.arch, state.ledger, req.requester_tile
     base_peak = ledger.peak_load()
     base_total = ledger.total_load()
-    volume = req.vms + req.vsm
+    vms, vsm = req.vms, req.vsm
+    copy_forward = policy is not RoutePolicy.XY and vms >= 1 and vsm >= 1
 
     def key(tile: Coord) -> tuple[int, int, int]:
-        hops = manhattan(r, tile)
-        peak = base_peak
-        if hops:
-            for v, src, dst in ((req.vms, r, tile), (req.vsm, tile, r)):
-                if v >= 1:
-                    path = route(RoutePolicy.XY, src, dst, ledger, arch)
-                    peak = max(peak, ledger.path_peak(path) + v)
-        total = base_total + hops * volume
+        peak, total = base_peak, base_total
+        if tile != r:
+            back_ledger = ledger
+            if vms >= 1:
+                path = route(policy, r, tile, ledger, arch)
+                peak = max(peak, ledger.path_peak(path) + vms)
+                total += vms * path_hops(path)
+                if copy_forward:
+                    back_ledger = ledger.copy()
+                    back_ledger.add_path(path, vms)
+            if vsm >= 1:
+                path = route(policy, tile, r, back_ledger, arch)
+                peak = max(peak, back_ledger.path_peak(path) + vsm)
+                total += vsm * path_hops(path)
         i = arch.linear_index(tile)
         return (total, peak, i) if average_first else (peak, total, i)
 
@@ -372,39 +352,28 @@ def map_channel_load(
     breaks ties on the peak.  Remaining ties break on linear tile index.
     The examined count is the number of free compatible candidates.
 
-    Under XY the candidates are scored in the order of a lower bound on
-    their keys, nearest first, and the walk stops once the next bound
-    exceeds the best key scored.  A tile ``h >= 1`` hops away adds exactly
-    ``h x (vms + vsm)`` to the total, and its peak is at least the floor
-    ``max(base peak, vms, vsm)``; the requester's own tile keeps the base
-    peak and total.  So a tile's bound is its key with the peak lowered to
-    the floor, and bound order is (hops, linear index): Manhattan shells in
-    raster order, the requester's own tile first.  With no volume every
-    bound is its key, and the walk is raster order.  mmc stops after the
-    first tile that meets the floor, mac at the end of the first non-empty
-    shell at the latest, so a call costs O(tiles scored x hops) beyond
-    listing the candidates (see ``_xy_channel_load_key``).  Under the
-    load-aware router the ledger's peak is read once per call and each
-    candidate costs a copy of the link loads and two routes on that copy
-    (see ``_channel_load_key``).
+    Under either route policy the candidates are scored in the order of a
+    lower bound on their keys, nearest first, and the walk stops once the
+    next bound exceeds the best key scored.  A route is at least as long as
+    the Manhattan distance, so a tile ``h >= 1`` hops away adds at least
+    ``h x (vms + vsm)`` to the total (exactly that under XY), and its peak
+    is at least the floor ``max(base peak, vms, vsm)``; the requester's own
+    tile keeps the base peak and total.  So a tile's bound is its key with
+    the peak lowered to the floor and the total to that sum, and bound
+    order is (hops, linear index): Manhattan shells in raster order, the
+    requester's own tile first.  With no volume every bound is its key, and
+    the walk is raster order.  Under XY, mmc stops after the first tile
+    that meets the floor, mac at the end of the first non-empty shell at
+    the latest.  Each tile scored costs two routes, plus a copy of the link
+    loads under the load-aware router (see ``_channel_load_key``).
     """
     if req.requester_tile is None:
         raise StateError("channel-load placement requires a requester tile")
     cands = _candidates(state, req.task.kind)
     if not cands:
         return None, 0
-    if policy is not RoutePolicy.XY:
-        key = partial(
-            _channel_load_key,
-            req,
-            state,
-            policy=policy,
-            average_first=average_first,
-            base_peak=state.ledger.peak_load(),
-        )
-        return min(cands, key=key), len(cands)
     arch, r = state.arch, req.requester_tile
-    key = _xy_channel_load_key(req, state, average_first)
+    key = _channel_load_key(req, state, policy, average_first)
     # The requester's own tile routes nothing: its key holds the base loads.
     if average_first:
         base_total, base_peak, _ = key(r)

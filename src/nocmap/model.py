@@ -261,6 +261,12 @@ def _check_amount(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
+def _int_parts(c: Coord) -> bool:
+    """True iff both parts of ``c`` are of type ``int``: ``(1.0, 0)`` and
+    ``(True, 0)`` equal a tile but are not one."""
+    return type(c[0]) is int and type(c[1]) is int
+
+
 class ArchGraph:
     """W x H mesh of typed tiles with directed links between 4-neighbours."""
 
@@ -270,8 +276,8 @@ class ArchGraph:
         self.height = height
         self._kinds = dict(kinds)
         expected = {(x, y) for x in range(width) for y in range(height)}
-        if set(self._kinds) != expected:
-            raise ValidationError("tile kind map must cover the mesh exactly")
+        if set(self._kinds) != expected or not all(map(_int_parts, self._kinds)):
+            raise ValidationError("tile kind map must cover the mesh exactly, with int coordinates")
         managers = [c for c, k in self._kinds.items() if k is TileKind.MANAGER]
         if len(managers) != 1:
             raise ValidationError(f"exactly one manager tile required, got {len(managers)}")
@@ -347,10 +353,10 @@ class ArchGraph:
             (x, y): TileKind.ISP for x in range(width) for y in range(height)
         }
         for c in ra:
-            if c not in kinds:
+            if c not in kinds or not _int_parts(c):
                 raise ValidationError(f"RA tile {c} outside the {width}x{height} mesh")
             kinds[c] = TileKind.RA
-        if manager not in kinds:
+        if manager not in kinds or not _int_parts(manager):
             raise ValidationError(f"manager tile {manager} outside the mesh")
         if kinds[manager] is TileKind.RA:
             raise ValidationError(f"manager tile {manager} collides with an RA tile")
@@ -358,11 +364,10 @@ class ArchGraph:
         return cls(width, height, kinds)
 
     def in_mesh(self, c: Coord) -> bool:
-        """True iff ``c`` is a tile of the mesh with ``int`` parts: ``(1.0, 0)``
-        and ``(True, 0)`` equal a tile but are not one; an unhashable value
-        is not one either."""
+        """True iff ``c`` is a tile of the mesh with ``int`` parts (see
+        ``_int_parts``); an unhashable value is not one either."""
         try:
-            return c in self._kinds and type(c[0]) is int and type(c[1]) is int
+            return c in self._kinds and _int_parts(c)
         except TypeError:
             return False
 

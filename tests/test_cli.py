@@ -165,6 +165,15 @@ class TestRun:
         assert rc == 3 and time.time() - t0 < 1
         assert "mesh width must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("layout", [{"manager": [True, 0]}, {"ra": [[1, 1], [2.0, 2]]}])
+    def test_layout_file_non_integer_tile(self, tmp_path, workload, capsys, layout):
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps({"width": 4, "height": 4, **layout}))
+        rc = run_cli("run", "--workload", str(workload), "--heuristic", "nn",
+                     "--layout-file", str(path), "--out", str(tmp_path / "r.csv"))
+        assert rc == 3
+        assert "outside the" in capsys.readouterr().err
+
     @pytest.mark.parametrize("width", ["65", "100000"])
     def test_mesh_over_size_cap(self, tmp_path, workload, capsys, width):
         t0 = time.time()

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from nocmap import heuristics, routing
+from nocmap import heuristics
 from nocmap.heuristics import (
     Cluster,
     ClusterGrid,
@@ -525,15 +525,14 @@ FOLD_ARCHES = {
 
 
 class TestXYFoldScoring:
-    """The fold-based XY scorers against the per-candidate ones."""
+    """mmc and mac against the oracle under both route policies, and the
+    fold-based XY pl scorer against the per-candidate one."""
 
     @pytest.mark.parametrize("name", FOLD_ARCHES)
     def test_matches_per_candidate_scorers(self, name):
         arch = FOLD_ARCHES[name]
         xy = RoutePolicy.XY
         for seed in range(200):
-            # random_partial_state sends odd seeds to the load-aware router;
-            # the fold serves XY only.
             state, drawn, _ = random_partial_state(arch, seed)
             # One-way requests, and an initial task's volume-0 request from
             # the manager, as the engine makes them.
@@ -542,18 +541,15 @@ class TestXYFoldScoring:
                 case = (seed, req.vms, req.vsm)
                 cands = [c for c in arch.coords()
                          if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
-                # Keys are compared on the requester's own tile too, which routes nothing.
+                for policy in RoutePolicy:
+                    for average_first in (False, True):
+                        want = oracle_channel_load(req, state, policy, average_first)
+                        assert map_channel_load(req, state, policy, average_first) == (
+                            want, len(cands)
+                        ), (case, policy, average_first)
+                # The fold serves XY only.  Keys are compared on the
+                # requester's own tile too, which routes nothing.
                 scored = cands + [req.requester_tile]
-                base_peak = state.ledger.peak_load()
-                for average_first in (False, True):
-                    want = partial(heuristics._channel_load_key, req, state, policy=xy,
-                                   average_first=average_first, base_peak=base_peak)
-                    got = heuristics._xy_channel_load_key(req, state, average_first)
-                    assert [got(t) for t in scored] == [want(t) for t in scored], (
-                        case, average_first)
-                    assert map_channel_load(req, state, xy, average_first) == (
-                        min(cands, key=want, default=None), len(cands)
-                    ), (case, average_first)
                 want = partial(heuristics._pl_key, req, state, policy=xy)
                 got = heuristics._xy_pl_key(req, state)
                 assert [got(t) for t in scored] == [want(t) for t in scored], case
@@ -563,74 +559,83 @@ class TestXYFoldScoring:
 
 
 @pytest.fixture
-def xy_routes(monkeypatch):
-    """Every (src, dst) routed through ``routing.xy_route`` while the test runs."""
+def routes(monkeypatch):
+    """Every (src, dst) routed through ``heuristics.route`` while the test runs."""
     calls = []
-    real_xy_route = routing.xy_route
+    real_route = heuristics.route
 
-    def recording_xy_route(src, dst, arch):
+    def recording_route(policy, src, dst, ledger, arch):
         calls.append((src, dst))
-        return real_xy_route(src, dst, arch)
+        return real_route(policy, src, dst, ledger, arch)
 
-    monkeypatch.setattr(routing, "xy_route", recording_xy_route)
+    monkeypatch.setattr(heuristics, "route", recording_route)
     return calls
 
 
 # The walk cases: a 5x5 mesh with the manager at (0, 0) and a request from
-# R = (2, 2), with vms 10 and vsm 4, so a tile off R meets the floor of its
-# peak, max(base peak, 10), unless its route there crosses a link loaded
-# above 0 or its route back one loaded above 6.  Each case gives the loads,
-# whether a master holds R, and the tile and the number of tiles routed
-# (both ways) for mmc, then for mac.
+# R = (2, 2), with vms 10 and vsm 4.  Under XY a tile off R meets the floor
+# of its peak, max(base peak, 10), unless its route there crosses a link
+# loaded above 0 or its route back one loaded above 6.  Each case gives the
+# route policy, the loads, whether a master holds R, and the tile and the
+# number of tiles routed (both ways) for mmc, then for mac.
 R = (2, 2)
 N, W, E, S = (2, 1), (1, 2), (3, 2), (2, 3)
-XY_WALK_CASES = {
+XY, MIN_LOAD = RoutePolicy.XY, RoutePolicy.MIN_LOAD
+WALK_CASES = {
     # Every route leaves R on a loaded link: mmc scores all 23 candidates,
     # mac the four in the nearest shell.
-    "no-tile-meets-floor": ({(R, E): 5, (R, W): 6, (R, N): 7, (R, S): 8}, True, (E, 23), (E, 4)),
+    "no-tile-meets-floor": (
+        XY, {(R, E): 5, (R, W): 6, (R, N): 7, (R, S): 8}, True, (E, 23), (E, 4)
+    ),
     # N comes first in the nearest shell and misses by one; W, next, meets it.
-    "later-tile-in-nearest-shell": ({(R, N): 1}, True, (W, 2), (W, 2)),
+    "later-tile-in-nearest-shell": (XY, {(R, N): 1}, True, (W, 2), (W, 2)),
     # Every nearest tile misses; (3, 1), third in the next shell, leaves on
     # R->E and comes back on N->R.  mac's winner stays in the nearest shell.
     "winner-in-farther-shell": (
-        {(R, N): 5, (R, W): 5, (E, R): 8, (S, R): 8}, True, ((3, 1), 7), (E, 4)
+        XY, {(R, N): 5, (R, W): 5, (E, R): 8, (S, R): 8}, True, ((3, 1), 7), (E, 4)
     ),
     # R itself routes nothing and keeps the base loads.
-    "own-tile-free": ({(R, E): 5}, False, (R, 0), (R, 0)),
+    "own-tile-free": (XY, {(R, E): 5}, False, (R, 0), (R, 0)),
+    # The load-aware route back from N detours round the loaded link N->R
+    # over three load-free hops, so N's total, 5 + 10 + 3 x 4, is above its
+    # bound 5 + 1 x 14 (under XY, N would win on that bound).  W, next,
+    # meets the bound, and E's bound is above W's key only on the linear
+    # index.
+    "detour-under-mdijkstra": (MIN_LOAD, {(N, R): 5}, True, (W, 2), (W, 2)),
 }
 
 
 class TestXYWalk:
-    """mmc/mac under XY score candidates nearest first and stop at the first
-    that the rest cannot beat."""
+    """mmc/mac score candidates nearest first and stop at the first that the
+    rest cannot beat, under either route policy."""
 
     @pytest.mark.parametrize("average_first", [False, True], ids=["mmc", "mac"])
-    @pytest.mark.parametrize("case", XY_WALK_CASES)
-    def test_hand_built_walks(self, xy_routes, case, average_first):
-        loads, master, *expected = XY_WALK_CASES[case]
+    @pytest.mark.parametrize("case", WALK_CASES)
+    def test_hand_built_walks(self, routes, case, average_first):
+        policy, loads, master, *expected = WALK_CASES[case]
         state = MappingState(small_arch(5, 5))
         if master:
             place_master(state, R)
         for link, load in loads.items():
             state.ledger.set_load(link, load)
         req = MapRequest("app0", sw_task(), R, 10, 4)
-        want = oracle_channel_load(req, state, RoutePolicy.XY, average_first)
+        want = oracle_channel_load(req, state, policy, average_first)
         tile, routed = expected[average_first]
         assert want == tile
-        xy_routes.clear()
-        assert map_channel_load(req, state, RoutePolicy.XY, average_first)[0] == want
-        assert len(xy_routes) == 2 * routed
+        assert map_channel_load(req, state, policy, average_first)[0] == want
+        assert len(routes) == 2 * routed
 
     @pytest.mark.parametrize("average_first", [False, True], ids=["mmc", "mac"])
-    def test_empty_ledger_routes_one_candidate(self, xy_routes, average_first):
+    @pytest.mark.parametrize("policy", RoutePolicy, ids=lambda p: p.value)
+    def test_empty_ledger_routes_one_candidate(self, routes, policy, average_first):
         """The first tile of the nearest shell meets the floor, and the next
         one's bound is above its key: two routes, there and back."""
         state = MappingState(ArchGraph.default_8x8())
         place_master(state, (3, 3))
         req = MapRequest("app0", sw_task(), (3, 3), 100, 100)
-        tile, _ = map_channel_load(req, state, RoutePolicy.XY, average_first)
-        assert xy_routes == [((3, 3), (3, 2)), ((3, 2), (3, 3))]
-        assert tile == (3, 2) == oracle_channel_load(req, state, RoutePolicy.XY, average_first)
+        tile, _ = map_channel_load(req, state, policy, average_first)
+        assert routes == [((3, 3), (3, 2)), ((3, 2), (3, 3))]
+        assert tile == (3, 2) == oracle_channel_load(req, state, policy, average_first)
 
 
 class TestMinLoadTreeScoring:

@@ -143,6 +143,24 @@ class TestArchGraph:
         with pytest.raises(ValidationError):
             ArchGraph(2, 2, kinds)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ArchGraph.uniform(4, 4, manager=(True, 0)),
+            lambda: ArchGraph.uniform(4, 4, manager=(0, 1.0)),
+            lambda: ArchGraph.uniform(4, 4, ra=[(1, 1), (1.0, 2)]),
+            lambda: ArchGraph(2, 1, {(0, 0): TileKind.MANAGER, (1.0, 0): TileKind.ISP}),
+            lambda: ArchGraph(2, 1, {(False, 0): TileKind.MANAGER, (1, 0): TileKind.ISP}),
+        ],
+        ids=["bool-manager", "float-manager", "float-ra", "float-key", "bool-key"],
+    )
+    def test_non_int_tile_coordinates_rejected(self, build):
+        """A tile given as ``(1.0, 0)`` or ``(True, 0)`` equals a mesh tile
+        but is not one (see ``in_mesh``); a mesh built from one would hold a
+        tile other than the one named, or keys that are not tiles."""
+        with pytest.raises(ValidationError):
+            build()
+
 
 class TestTaskGraphValidation:
     def test_zero_instructions_rejected(self):
