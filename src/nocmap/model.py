@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Coord = tuple[int, int]
@@ -69,6 +70,13 @@ def manhattan(a: Coord, b: Coord) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+def _require_str(what: str, value: object) -> None:
+    # Checked after a value's other faults, whose messages name it whatever
+    # its type.
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a str, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Task:
     id: str
@@ -84,6 +92,7 @@ class Task:
             raise ValidationError(
                 f"task {self.id!r}: instructions must be >= 1, got {self.instructions}"
             )
+        _require_str("task id", self.id)
 
 
 @dataclass(frozen=True)
@@ -115,96 +124,108 @@ class Edge:
             raise ValidationError(
                 f"edge {self.mtid!r}->{self.stid!r}: at least one direction must carry traffic"
             )
+        _require_str("edge master id", self.mtid)
+        _require_str("edge slave id", self.stid)
+
+
+_SLAVE_ID = attrgetter("stid")
+_MASTER_ID = attrgetter("mtid")
 
 
 class TaskGraph:
-    """Validated application graph: one initial task, acyclic, connected."""
+    """Validated application graph: one initial task, acyclic, connected.
+
+    Validation is O(tasks + edges): the loop that checks each edge also
+    files it under its master and its slave, and Kahn's sort and the
+    reachability walk run over those lists.
+    """
 
     def __init__(self, app_id: str, tasks: Sequence[Task], edges: Sequence[Edge]):
         self.app_id = app_id
         self.tasks = tuple(tasks)
         self.edges = tuple(edges)
         self._by_id = {t.id: t for t in self.tasks}
-        self._validate()
-        out: dict[str, list[Edge]] = {t.id: [] for t in self.tasks}
-        inc: dict[str, list[Edge]] = {t.id: [] for t in self.tasks}
-        for e in self.edges:
-            out[e.mtid].append(e)
-            inc[e.stid].append(e)
-        self._out = {tid: tuple(sorted(es, key=lambda e: e.stid)) for tid, es in out.items()}
-        self._in = {tid: tuple(sorted(es, key=lambda e: e.mtid)) for tid, es in inc.items()}
+        self.initial = self._root()
+        out, inc = self._file_edges()
+        self._check_acyclic(out, inc)
+        self._check_reachable(out)
+        _require_str("application id", app_id)
+        # Each task's edges in the id order of their other ends, which differ.
+        self._out = {
+            tid: tuple(sorted(es, key=_SLAVE_ID) if len(es) > 1 else es) for tid, es in out.items()
+        }
+        self._in = {
+            tid: tuple(sorted(es, key=_MASTER_ID) if len(es) > 1 else es) for tid, es in inc.items()
+        }
 
-    def _validate(self) -> None:
+    def _fail(self, what: str) -> ValidationError:
+        return ValidationError(f"application {self.app_id!r}: {what}")
+
+    def _root(self) -> Task:
         if not self.tasks:
-            raise ValidationError(f"application {self.app_id!r}: no tasks")
+            raise self._fail("no tasks")
         if len(self._by_id) != len(self.tasks):
-            raise ValidationError(f"application {self.app_id!r}: duplicate task ids")
+            raise self._fail("duplicate task ids")
         roots = [t for t in self.tasks if t.kind is TaskKind.INITIAL]
         if len(roots) > 1:
-            ids = ", ".join(t.id for t in roots)
-            raise ValidationError(f"application {self.app_id!r}: multiple roots ({ids})")
+            raise self._fail(f"multiple roots ({', '.join(t.id for t in roots)})")
         if not roots:
-            raise ValidationError(f"application {self.app_id!r}: missing initial task")
-        seen_edges = set()
+            raise self._fail("missing initial task")
+        return roots[0]
+
+    def _file_edges(self) -> tuple[dict[str, list[Edge]], dict[str, list[Edge]]]:
+        """Check each edge and list the edges out of and into every task."""
+        out: dict[str, list[Edge]] = {tid: [] for tid in self._by_id}
+        inc: dict[str, list[Edge]] = {tid: [] for tid in self._by_id}
+        seen: set[tuple[str, str]] = set()
+        root = self.initial.id
         for e in self.edges:
-            for tid in (e.mtid, e.stid):
-                if tid not in self._by_id:
-                    raise ValidationError(
-                        f"application {self.app_id!r}: unknown task {tid!r} in edge"
-                    )
-            if (e.mtid, e.stid) in seen_edges:
-                raise ValidationError(
-                    f"application {self.app_id!r}: duplicate edge {e.mtid!r}->{e.stid!r}"
-                )
-            seen_edges.add((e.mtid, e.stid))
-            if e.stid == roots[0].id:
-                raise ValidationError(
-                    f"application {self.app_id!r}: initial task {e.stid!r} has a master"
-                )
-        # Kahn's algorithm; leftover nodes expose the offending cycle edges.
-        indeg = {t.id: 0 for t in self.tasks}
-        for e in self.edges:
-            indeg[e.stid] += 1
-        ready = sorted(tid for tid, d in indeg.items() if d == 0)
-        order = []
+            m, s = e.mtid, e.stid
+            if m not in out or s not in out:
+                raise self._fail(f"unknown task {m if m not in out else s!r} in edge")
+            if (m, s) in seen:
+                raise self._fail(f"duplicate edge {m!r}->{s!r}")
+            seen.add((m, s))
+            if s == root:
+                raise self._fail(f"initial task {s!r} has a master")
+            out[m].append(e)
+            inc[s].append(e)
+        return out, inc
+
+    def _check_acyclic(self, out: dict[str, list[Edge]], inc: dict[str, list[Edge]]) -> None:
+        # Kahn's algorithm; tasks it never reaches expose the cycle edges.
+        indeg = {tid: len(es) for tid, es in inc.items()}
+        ready = [tid for tid, d in indeg.items() if not d]
+        done = 0
         while ready:
-            tid = ready.pop()
-            order.append(tid)
-            for e in self.edges:
-                if e.mtid == tid:
-                    indeg[e.stid] -= 1
-                    if indeg[e.stid] == 0:
-                        ready.append(e.stid)
-        if len(order) != len(self.tasks):
-            stuck = {tid for tid, d in indeg.items() if d > 0}
+            done += 1
+            for e in out[ready.pop()]:
+                indeg[e.stid] -= 1
+                if not indeg[e.stid]:
+                    ready.append(e.stid)
+        if done != len(self.tasks):
+            stuck = {tid for tid, d in indeg.items() if d}
             cyc = [f"{e.mtid}->{e.stid}" for e in self.edges if e.mtid in stuck and e.stid in stuck]
-            raise ValidationError(
-                f"application {self.app_id!r}: cyclic graph ({', '.join(cyc)})"
-            )
-        # Every non-initial task must descend from the initial task.
-        reach = {roots[0].id}
-        frontier = [roots[0].id]
+            raise self._fail(f"cyclic graph ({', '.join(cyc)})")
+
+    def _check_reachable(self, out: dict[str, list[Edge]]) -> None:
+        """Every non-initial task must descend from the initial task."""
+        reach = {self.initial.id}
+        frontier = [self.initial.id]
         while frontier:
-            tid = frontier.pop()
-            for e in self.edges:
-                if e.mtid == tid and e.stid not in reach:
+            for e in out[frontier.pop()]:
+                if e.stid not in reach:
                     reach.add(e.stid)
                     frontier.append(e.stid)
         for t in self.tasks:
             if t.id not in reach:
-                raise ValidationError(
-                    f"application {self.app_id!r}: unreachable task {t.id!r}"
-                )
-
-    @property
-    def initial(self) -> Task:
-        return next(t for t in self.tasks if t.kind is TaskKind.INITIAL)
+                raise self._fail(f"unreachable task {t.id!r}")
 
     def task(self, tid: str) -> Task:
         try:
             return self._by_id[tid]
         except KeyError:
-            raise ValidationError(f"application {self.app_id!r}: unknown task {tid!r}") from None
+            raise self._fail(f"unknown task {tid!r}") from None
 
     def outgoing(self, tid: str) -> tuple[Edge, ...]:
         """Edges mastered by ``tid``, ordered by slave id."""
@@ -352,11 +373,18 @@ class ArchGraph:
         kinds: dict[Coord, TileKind] = {
             (x, y): TileKind.ISP for x in range(width) for y in range(height)
         }
+
+        def is_tile(c: Coord) -> bool:
+            try:
+                return c in kinds and _int_parts(c)
+            except TypeError:  # unhashable, such as a list
+                return False
+
         for c in ra:
-            if c not in kinds or not _int_parts(c):
+            if not is_tile(c):
                 raise ValidationError(f"RA tile {c} outside the {width}x{height} mesh")
             kinds[c] = TileKind.RA
-        if manager not in kinds or not _int_parts(manager):
+        if not is_tile(manager):
             raise ValidationError(f"manager tile {manager} outside the mesh")
         if kinds[manager] is TileKind.RA:
             raise ValidationError(f"manager tile {manager} collides with an RA tile")

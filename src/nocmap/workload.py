@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import random
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,6 +27,8 @@ from .model import Edge, Task, TaskGraph, TaskKind, ValidationError, is_int
 from .sim import SimReport
 
 WORKLOAD_VERSION = "1"
+
+_KINDS = {k.value: k for k in TaskKind}
 
 REPORT_HEADER = (
     "heuristic",
@@ -101,19 +104,39 @@ def generate_workload(cfg: GenConfig) -> list[TaskGraph]:
     return apps
 
 
+# Characters that ``quoteattr`` would change or that XML 1.0 cannot hold
+# (outside its ``Char`` production); the second class is the latter alone.
+_NEEDS_QUOTEATTR = re.compile('[\x00-\x1f&<>"\ud800-\udfff\ufffe\uffff]')
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _quote_id(app_id: str, value: str) -> str:
+    """``value`` as a quoted attribute, the same bytes ``quoteattr`` gives."""
+    if not _NEEDS_QUOTEATTR.search(value):
+        return f'"{value}"'
+    if _NOT_XML_CHAR.search(value):
+        raise ValidationError(
+            f"application {app_id!r}: id {value!r} has a character XML 1.0 cannot represent"
+        )
+    return quoteattr(value)
+
+
 def serialize_workload(apps: Sequence[TaskGraph]) -> str:
-    lines = [f"<workload version={quoteattr(WORKLOAD_VERSION)}>"]
+    """The workload document.  Only ids can hold characters that need
+    escaping (see ``_quote_id``); kinds and integers are written as they are."""
+    lines = [f'<workload version="{WORKLOAD_VERSION}">']
     for g in apps:
-        lines.append(f"  <application id={quoteattr(g.app_id)}>")
+        app_id = g.app_id
+        lines.append(f"  <application id={_quote_id(app_id, app_id)}>")
         for t in g.tasks:
             lines.append(
-                f"    <task id={quoteattr(t.id)} kind={quoteattr(t.kind.value)} "
-                f"instructions={quoteattr(str(t.instructions))}/>"
+                f'    <task id={_quote_id(app_id, t.id)} kind="{t.kind.value}" '
+                f'instructions="{t.instructions}"/>'
             )
         for e in g.edges:
             lines.append(
-                f"    <edge master={quoteattr(e.mtid)} slave={quoteattr(e.stid)} "
-                f"vms={quoteattr(str(e.vms))} vsm={quoteattr(str(e.vsm))}/>"
+                f"    <edge master={_quote_id(app_id, e.mtid)} slave={_quote_id(app_id, e.stid)} "
+                f'vms="{e.vms}" vsm="{e.vsm}"/>'
             )
         lines.append("  </application>")
     lines.append("</workload>")
@@ -159,17 +182,14 @@ def parse_workload(data: str | bytes) -> list[TaskGraph]:
         app_id = _attr(app_elem, "id", "<application>")
         tasks: list[Task] = []
         edges: list[Edge] = []
+        ctx = f"application {app_id!r}"
         for child in app_elem:
-            ctx = f"application {app_id!r}"
             if child.tag == "task":
                 tid = _attr(child, "id", ctx)
                 kind_raw = _attr(child, "kind", ctx)
-                try:
-                    kind = TaskKind(kind_raw)
-                except ValueError:
-                    raise ValidationError(
-                        f"{ctx}: task {tid!r} has unknown kind {kind_raw!r}"
-                    ) from None
+                kind = _KINDS.get(kind_raw)
+                if kind is None:
+                    raise ValidationError(f"{ctx}: task {tid!r} has unknown kind {kind_raw!r}")
                 tasks.append(Task(tid, kind, _int_attr(child, "instructions", ctx)))
             elif child.tag == "edge":
                 edges.append(

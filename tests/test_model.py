@@ -1,4 +1,5 @@
 import random
+import re
 from collections import deque
 
 import pytest
@@ -161,6 +162,27 @@ class TestArchGraph:
         with pytest.raises(ValidationError):
             build()
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: ArchGraph.uniform(4, 4, ra=[[1, 2]]), "RA tile [1, 2] outside the 4x4 mesh"),
+            (lambda: ArchGraph.uniform(4, 4, manager=[0, 0]), "manager tile [0, 0] outside the mesh"),
+        ],
+        ids=["list-ra", "list-manager"],
+    )
+    def test_unhashable_tile_rejected(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def _exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
+def _tasks(spec):
+    """Tasks from ``(id, kind value)`` pairs."""
+    return [Task(tid, TaskKind(kind), 100) for tid, kind in spec]
+
 
 class TestTaskGraphValidation:
     def test_zero_instructions_rejected(self):
@@ -186,29 +208,111 @@ class TestTaskGraphValidation:
             Task("t2", TaskKind.SOFTWARE, 100),
         ]
         edges = [Edge("t0", "t1", 100, 100), Edge("t1", "t2", 100, 100), Edge("t2", "t1", 100, 100)]
-        with pytest.raises(ValidationError, match="cyclic graph"):
+        with pytest.raises(ValidationError, match=_exactly("application 'app0': cyclic graph (t1->t2, t2->t1)")):
+            TaskGraph("app0", tasks, edges)
+
+    def test_cycle_lists_every_edge_between_stuck_tasks(self):
+        """The message names, in edge order, every edge whose two ends Kahn's
+        sort never frees: both cycles, the edge joining them and the edge
+        into a task that only a cycle feeds."""
+        tasks = [Task("t0", TaskKind.INITIAL, 100)] + [
+            Task(f"t{i}", TaskKind.SOFTWARE, 100) for i in range(1, 7)
+        ]
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 4), (0, 6), (5, 6)]
+        edges = [Edge(f"t{m}", f"t{s}", 100, 100) for m, s in pairs]
+        cycle = "t1->t2, t2->t3, t3->t1, t3->t4, t4->t5, t5->t4, t5->t6"
+        with pytest.raises(ValidationError, match=_exactly(f"application 'app0': cyclic graph ({cycle})")):
             TaskGraph("app0", tasks, edges)
 
     def test_multiple_roots_rejected(self):
         tasks = [Task("t0", TaskKind.INITIAL, 100), Task("t1", TaskKind.INITIAL, 100)]
-        with pytest.raises(ValidationError, match="multiple roots"):
+        with pytest.raises(ValidationError, match=_exactly("application 'app0': multiple roots (t0, t1)")):
             TaskGraph("app0", tasks, [Edge("t0", "t1", 100, 100)])
 
     def test_second_zero_indegree_task_rejected(self):
         tasks = [Task("t0", TaskKind.INITIAL, 100), Task("t1", TaskKind.SOFTWARE, 100)]
-        with pytest.raises(ValidationError, match="unreachable"):
+        with pytest.raises(ValidationError, match=_exactly("application 'app0': unreachable task 't1'")):
             TaskGraph("app0", tasks, [])
 
     def test_unknown_edge_reference_rejected(self):
         tasks = [Task("t0", TaskKind.INITIAL, 100)]
-        with pytest.raises(ValidationError, match="unknown task"):
+        with pytest.raises(ValidationError, match=_exactly("application 'app0': unknown task 'tX' in edge")):
             TaskGraph("app0", tasks, [Edge("t0", "tX", 100, 100)])
 
     def test_edge_into_initial_rejected(self):
         tasks = [Task("t0", TaskKind.INITIAL, 100), Task("t1", TaskKind.SOFTWARE, 100)]
         edges = [Edge("t0", "t1", 100, 100), Edge("t1", "t0", 100, 100)]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=_exactly("application 'app0': initial task 't0' has a master")):
             TaskGraph("app0", tasks, edges)
+
+    @pytest.mark.parametrize(
+        "tasks,edges,message",
+        [
+            ([], [], "no tasks"),
+            ([("t0", "initial"), ("t0", "software")], [], "duplicate task ids"),
+            ([("t0", "software")], [], "missing initial task"),
+            ([("t0", "initial"), ("t1", "software")], [("t0", "t1"), ("t0", "t1")], "duplicate edge 't0'->'t1'"),
+        ],
+        ids=["no-tasks", "duplicate-task", "no-initial", "duplicate-edge"],
+    )
+    def test_message(self, tasks, edges, message):
+        with pytest.raises(ValidationError, match=_exactly(f"application 'app0': {message}")):
+            TaskGraph("app0", _tasks(tasks), [Edge(m, s, 100, 100) for m, s in edges])
+
+    @pytest.mark.parametrize(
+        "tasks,edges,message",
+        [
+            # A task id repeats and no task is initial: ids are checked first.
+            ([("t0", "software"), ("t0", "software")], [], "duplicate task ids"),
+            # Several roots and no root are told apart before any edge.
+            ([("t0", "initial"), ("t1", "initial")], [("t0", "tX")], "multiple roots (t0, t1)"),
+            ([("t0", "software")], [("t0", "tX")], "missing initial task"),
+            # Edges are checked in order, each for unknown ends (master
+            # first), repetition and a master for the initial task.
+            ([("t0", "initial"), ("t1", "software")], [("t0", "t1"), ("t0", "t1"), ("t1", "tX")],
+             "duplicate edge 't0'->'t1'"),
+            ([("t0", "initial"), ("t1", "software")], [("t1", "t0"), ("t0", "t1"), ("t0", "t1")],
+             "initial task 't0' has a master"),
+            ([("t0", "initial")], [("tY", "tX")], "unknown task 'tY' in edge"),
+            # Every edge is checked before the cycle search, and a cycle
+            # wins over a task no path from the initial task reaches.
+            ([("t0", "initial"), ("t1", "software"), ("t2", "software")],
+             [("t1", "t2"), ("t2", "t1"), ("t2", "t0")], "initial task 't0' has a master"),
+            ([("t0", "initial"), ("t1", "software"), ("t2", "software"), ("t3", "software")],
+             [("t1", "t2"), ("t2", "t1")], "cyclic graph (t1->t2, t2->t1)"),
+            # The first unreachable task in task order is named, not the
+            # first task without a master.
+            ([("t0", "initial"), ("t2", "software"), ("t1", "software")], [("t1", "t2")],
+             "unreachable task 't2'"),
+        ],
+        ids=["ids-before-roots", "roots-before-edges", "no-root-before-edges", "edge-order-duplicate",
+             "edge-order-master", "master-end-first", "edges-before-cycle", "cycle-before-reach",
+             "first-unreachable-in-task-order"],
+    )
+    def test_first_fault_wins(self, tasks, edges, message):
+        with pytest.raises(ValidationError, match=_exactly(f"application 'app0': {message}")):
+            TaskGraph("app0", _tasks(tasks), [Edge(m, s, 100, 100) for m, s in edges])
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Task(5, TaskKind.INITIAL, 100), "task id must be a str, got 5"),
+            (lambda: Task(b"t0", TaskKind.INITIAL, 100), "task id must be a str, got b't0'"),
+            (lambda: Edge(0, "t1", 100, 100), "edge master id must be a str, got 0"),
+            (lambda: Edge("t0", None, 100, 100), "edge slave id must be a str, got None"),
+            (lambda: TaskGraph(5, [Task("t0", TaskKind.INITIAL, 100)], []),
+             "application id must be a str, got 5"),
+            # A value's other faults are reported first, naming the id as given.
+            (lambda: Task(5, TaskKind.INITIAL, 0), "task 5: instructions must be >= 1, got 0"),
+            (lambda: Edge(1, 1, 100, 100), "edge 1->1: self loop"),
+            (lambda: TaskGraph(5, [], []), "application 5: no tasks"),
+        ],
+        ids=["task-int", "task-bytes", "edge-master", "edge-slave", "app", "task-other-fault",
+             "edge-other-fault", "app-other-fault"],
+    )
+    def test_non_str_id_rejected(self, build, message):
+        with pytest.raises(ValidationError, match=_exactly(message)):
+            build()
 
     @pytest.mark.parametrize("instructions", [2.5, "5", True, None])
     def test_non_integer_instructions_rejected(self, instructions):
@@ -238,6 +342,18 @@ class TestTaskGraphValidation:
         assert g.initial.id == "t0"
         assert [e.stid for e in g.outgoing("t0")] == ["t1", "t2"]
         assert [e.mtid for e in g.incoming("t3")] == ["t1", "t2"]
+
+    def test_edges_listed_in_id_order(self):
+        """``outgoing``/``incoming`` sort by the far end's id as strings,
+        whatever order the edges were given in."""
+        ids = ["t0", "t10", "t2", "t1", "t9"]
+        tasks = _tasks([("t0", "initial")] + [(t, "software") for t in ids[1:]] + [("sink", "software")])
+        pairs = [("t0", t) for t in reversed(ids[1:])] + [(t, "sink") for t in ids[1:]]
+        g = TaskGraph("app0", tasks, [Edge(m, s, 100, 100) for m, s in pairs])
+        assert [e.stid for e in g.outgoing("t0")] == ["t1", "t10", "t2", "t9"]
+        assert [e.mtid for e in g.incoming("sink")] == ["t1", "t10", "t2", "t9"]
+        assert g.outgoing("sink") == g.incoming("t0") == ()
+        assert [e.mtid for e in g.incoming("t10")] == ["t0"]
 
 
 def _place_chain(state, app, tiles):

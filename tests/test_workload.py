@@ -1,6 +1,9 @@
+import re
+from xml.sax.saxutils import quoteattr
+
 import pytest
 
-from nocmap.model import TaskKind, ValidationError
+from nocmap.model import Edge, Task, TaskGraph, TaskKind, ValidationError
 from nocmap.sim import Scenario, simulate
 from nocmap.workload import (
     GenConfig,
@@ -103,6 +106,87 @@ class TestRoundTrip:
         write_workload(apps, str(path))
         assert parse_workload_file(str(path)) == apps
         assert "\r" not in path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "special",
+        ["&", "<", ">", '"', "'", "\n", "\r", "\t", "\"'", "a'b\"c", "&amp;", "]]>", " x ", "\x7f", "é", "\U0001f600"],
+    )
+    def test_special_ids_round_trip(self, special):
+        """Ids holding characters ``quoteattr`` escapes, or both quote kinds,
+        round-trip and give the bytes of a writer that quotes every
+        attribute with ``quoteattr``."""
+        apps = [_two_task_app(f"app{special}", f"t{special}"), _two_task_app(special, "t1")]
+        text = serialize_workload(apps)
+        assert text == _quoteattr_everywhere(apps)
+        assert parse_workload(text) == apps
+        assert parse_workload(text.encode("utf-8")) == apps
+
+    def test_generated_bytes_match_quoteattr_writer(self):
+        apps = generate_workload(GenConfig(app_count=20, tasks_min=1, tasks_max=15, seed=9))
+        assert serialize_workload(apps) == _quoteattr_everywhere(apps)
+
+    @pytest.mark.parametrize("bad", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"])
+    @pytest.mark.parametrize("where", ["app", "task", "edge"])
+    def test_id_outside_xml_chars_rejected(self, bad, where):
+        """A character outside XML 1.0's ``Char`` production cannot be
+        written, escaped or not, so the writer names the application and
+        the id instead of writing a document the parser refuses."""
+        bad_id = f"a{bad}b"
+        if where == "app":
+            app = _two_task_app(bad_id, "t1")
+        elif where == "task":
+            app = TaskGraph("app0", [Task("t0", TaskKind.INITIAL, 1), Task(bad_id, TaskKind.SOFTWARE, 1)],
+                            [Edge("t0", bad_id, 1, 1)])
+        else:
+            app = _two_task_app("app0", bad_id)
+        message = f"application {app.app_id!r}: id {bad_id!r} has a character XML 1.0 cannot represent"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            serialize_workload([_two_task_app("ok", "t1"), app])
+
+    @pytest.mark.parametrize("shape", ["chain", "star"])
+    def test_large_application_round_trips(self, shape):
+        """One 20,000-task application: validation, writing and parsing are
+        linear in its size, so this takes well under a second; a validator
+        that rescans every edge per task would take minutes."""
+        n = 20_000
+        tasks = [Task("t0", TaskKind.INITIAL, 1)] + [Task(f"t{i}", TaskKind.SOFTWARE, 1) for i in range(1, n)]
+        masters = range(n - 1) if shape == "chain" else [0] * (n - 1)
+        edges = [Edge(f"t{m}", f"t{i}", 1, 1) for i, m in enumerate(masters, start=1)]
+        apps = [TaskGraph("big", tasks, edges)]
+        back = parse_workload(serialize_workload(apps))
+        assert back == apps
+        g = back[0]
+        assert g.initial.id == "t0"
+        if shape == "star":
+            assert [e.stid for e in g.outgoing("t0")] == sorted(f"t{i}" for i in range(1, n))
+        else:
+            assert [e.stid for e in g.outgoing("t0")] == ["t1"]
+            assert [e.mtid for e in g.incoming(f"t{n - 1}")] == [f"t{n - 2}"]
+
+
+def _two_task_app(app_id, tid):
+    return TaskGraph(app_id, [Task("t0", TaskKind.INITIAL, 7), Task(tid, TaskKind.HARDWARE, 8)],
+                     [Edge("t0", tid, 0, 9)])
+
+
+def _quoteattr_everywhere(apps):
+    """Reference writer: every attribute through ``quoteattr``."""
+    lines = [f"<workload version={quoteattr('1')}>"]
+    for g in apps:
+        lines.append(f"  <application id={quoteattr(g.app_id)}>")
+        for t in g.tasks:
+            lines.append(
+                f"    <task id={quoteattr(t.id)} kind={quoteattr(t.kind.value)} "
+                f"instructions={quoteattr(str(t.instructions))}/>"
+            )
+        for e in g.edges:
+            lines.append(
+                f"    <edge master={quoteattr(e.mtid)} slave={quoteattr(e.stid)} "
+                f"vms={quoteattr(str(e.vms))} vsm={quoteattr(str(e.vsm))}/>"
+            )
+        lines.append("  </application>")
+    lines.append("</workload>")
+    return "\n".join(lines) + "\n"
 
 
 class TestGenerateWorkload:
