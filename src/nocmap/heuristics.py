@@ -21,7 +21,9 @@ returns the chosen tile (or ``None`` when no free compatible tile exists)
 plus the number of candidate tiles it examined, which callers aggregate as
 a mapping-effort proxy.  For mmc, mac and pl that is the number of free
 compatible candidates, not the number of tiles scored: mmc and mac stop
-scoring once no candidate left can win, under either route policy.
+scoring once no candidate left can win, under either route policy, and
+under XY skip a candidate whose routes already lose on the links they must
+cross along the requester's row and column.
 """
 from __future__ import annotations
 
@@ -42,7 +44,15 @@ from .model import (
     ValidationError,
     manhattan,
 )
-from .routing import RoutePolicy, min_load_tree, path_cost, path_hops, route, xy_fold
+from .routing import (
+    RoutePolicy,
+    min_load_tree,
+    path_cost,
+    path_hops,
+    route,
+    xy_fold,
+    xy_leg_peaks,
+)
 
 
 class HeuristicKind(Enum):
@@ -358,14 +368,25 @@ def map_channel_load(
     the Manhattan distance, so a tile ``h >= 1`` hops away adds at least
     ``h x (vms + vsm)`` to the total (exactly that under XY), and its peak
     is at least the floor ``max(base peak, vms, vsm)``; the requester's own
-    tile keeps the base peak and total.  So a tile's bound is its key with
-    the peak lowered to the floor and the total to that sum, and bound
+    tile keeps the base peak and total.  So a tile's shell bound is its key
+    with the peak lowered to the floor and the total to that sum, and bound
     order is (hops, linear index): Manhattan shells in raster order, the
     requester's own tile first.  With no volume every bound is its key, and
-    the walk is raster order.  Under XY, mmc stops after the first tile
-    that meets the floor, mac at the end of the first non-empty shell at
-    the latest.  Each tile scored costs two routes, plus a copy of the link
-    loads under the load-aware router (see ``_channel_load_key``).
+    the walk is raster order.
+
+    Under XY a tile's own bound is tighter.  Its route there starts along
+    the requester's row (all on its column if the tile shares that column),
+    and its route back ends along the requester's column (all on its row if
+    the tile shares that row), so its peak is at least each of those legs'
+    highest load plus the volume routed over it (see ``xy_leg_peaks``; a
+    zero volume adds nothing).  A tile whose own bound exceeds the best key
+    is skipped unscored.  The legs are read once per call, and only when a
+    scored key misses its bound: mmc stops after the first tile that meets
+    the floor, mac at the end of the first non-empty shell at the latest,
+    without reading them.  Under the load-aware router a route need not
+    start or end along the requester's row or column, and the bound stays
+    the shell bound.  Each tile scored costs two routes, plus a copy of the
+    link loads under the load-aware router (see ``_channel_load_key``).
     """
     if req.requester_tile is None:
         raise StateError("channel-load placement requires a requester tile")
@@ -379,13 +400,20 @@ def map_channel_load(
         base_total, base_peak, _ = key(r)
     else:
         base_peak, base_total, _ = key(r)
-    volume = req.vms + req.vsm
-    floor = max(base_peak, req.vms, req.vsm)
+    vms, vsm = req.vms, req.vsm
+    volume = vms + vsm
+    floor = max(base_peak, vms, vsm)
     if volume:
         shells = (manhattan_shell(r, n, arch) for n in range(1, shell_limit(r, arch) + 1))
         walk: Iterable[Coord] = chain([r], chain.from_iterable(shells))
     else:
         walk = cands
+    rx, ry = r
+    legs = None  # xy_leg_peaks(r), read once a scored key misses its bound
+
+    def order(peak: int, total: int, i: int) -> tuple[int, int, int]:
+        return (total, peak, i) if average_first else (peak, total, i)
+
     free = set(cands)
     best = best_key = None
     for tile in walk:
@@ -395,9 +423,20 @@ def map_channel_load(
         peak = floor if hops else base_peak
         total = base_total + hops * volume
         i = arch.linear_index(tile)
-        bound = (total, peak, i) if average_first else (peak, total, i)
-        if best_key is not None and bound > best_key:
-            break
+        if best_key is not None:
+            if order(peak, total, i) > best_key:
+                break
+            if policy is RoutePolicy.XY:
+                if legs is None:
+                    legs = xy_leg_peaks(r, state.ledger, arch)
+                row_out, row_in, col_out, col_in = legs
+                tx, ty = tile
+                if vms:
+                    peak = max(peak, (col_out[ty] if tx == rx else row_out[tx]) + vms)
+                if vsm:
+                    peak = max(peak, (row_in[tx] if ty == ry else col_in[ty]) + vsm)
+                if order(peak, total, i) > best_key:
+                    continue
         k = key(tile)
         if best_key is None or k < best_key:
             best, best_key = tile, k

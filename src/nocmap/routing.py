@@ -4,10 +4,12 @@ Two routers are provided: deterministic dimension-ordered XY routing and a
 load-aware Dijkstra search that minimises the accumulated load along the
 path (ties broken by hop count).  ``xy_fold`` sums the link loads of every
 XY route from one tile, and back to it, in one pass over the mesh;
-``min_load_tree`` gives the load and hops of every load-aware route from
-one tile, or into it, from one search.  The folds and the search run on
-linear tile indices and the integer link ids of ``ArchGraph``, reading the
-ledger's per-link list; only a returned path is built from coordinates.
+``xy_leg_peaks`` gives the highest load on each XY route between a tile and
+the tiles of its own row and column; ``min_load_tree`` gives the load and
+hops of every load-aware route from one tile, or into it, from one search.
+The folds and the search run on linear tile indices and the integer link
+ids of ``ArchGraph``, reading the ledger's per-link list; only a returned
+path is built from coordinates.
 """
 from __future__ import annotations
 
@@ -107,6 +109,44 @@ def xy_fold(src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> tuple[lis
     for x in range(sx - 1, -1, -1):
         back[x::w] = acc = step(acc, east[x])
     return there, back
+
+
+def xy_leg_peaks(
+    src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Highest link load on every XY route between ``src`` and a tile of
+    its own row or column.
+
+    Returns ``(row_out, row_in, col_out, col_in)``: ``row_out[x]`` is the
+    highest load on ``xy_route(src, (x, sy))`` and ``row_in[x]`` that on
+    ``xy_route((x, sy), src)``; ``col_out[y]`` and ``col_in[y]`` are the
+    same for the tile ``(sx, y)``.  Each is 0 at ``src`` itself.  An XY
+    route from ``src`` to a tile off its column starts along its row, and a
+    route into ``src`` from a tile off its row ends along its column, so
+    every XY route from or to ``src`` has a peak at least that of the leg
+    it shares with ``src``'s row or column.  The row and column are read
+    along the routes ``xy_route`` gives to and from their ends, as in
+    ``xy_fold``: O(width + height).
+    """
+    sx, sy = src
+    w, h = arch.width, arch.height
+
+    def outward(end: Coord, into: bool) -> list[int]:
+        """Running maxima of the loads between ``src`` and ``end``, read
+        from ``src`` outward: entry k is the peak of the k links nearest
+        ``src``."""
+        if into:
+            loads = ledger.path_loads(xy_route(end, src, arch))[::-1]
+        else:
+            loads = ledger.path_loads(xy_route(src, end, arch))
+        return list(accumulate(loads, max, initial=0))
+
+    def line(first: Coord, last: Coord, into: bool) -> list[int]:
+        """Peaks indexed by position along the line from ``first`` to ``last``."""
+        return outward(first, into)[::-1] + outward(last, into)[1:]
+
+    row, col = ((0, sy), (w - 1, sy)), ((sx, 0), (sx, h - 1))
+    return line(*row, False), line(*row, True), line(*col, False), line(*col, True)
 
 
 def _dijkstra(

@@ -156,11 +156,17 @@ def _attr(elem: ET.Element, name: str, context: str) -> str:
 
 
 def _int_attr(elem: ET.Element, name: str, context: str) -> int:
+    """The attribute as an integer written the way ``str(int)`` writes it, so
+    that a parsed document serializes back to its own bytes: no ``+``,
+    space, underscore, leading zero or non-ASCII digit."""
     raw = _attr(elem, name, context)
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ValidationError(f"{context}: attribute {name}={raw!r} is not an integer") from None
+        value = None
+    if value is None or str(value) != raw:
+        raise ValidationError(f"{context}: attribute {name}={raw!r} is not an integer")
+    return value
 
 
 def parse_workload(data: str | bytes) -> list[TaskGraph]:

@@ -41,8 +41,10 @@ from nocmap.oracles import (
     random_partial_state,
 )
 from nocmap.routing import RoutePolicy, route
+from nocmap.sim import simulate
 
 from conftest import small_arch
+from test_golden import golden_scenario
 
 # mmc, mac, pl and bn, each called as (request, state, policy)
 LOAD_MAPPERS = (
@@ -575,24 +577,32 @@ def routes(monkeypatch):
 # The walk cases: a 5x5 mesh with the manager at (0, 0) and a request from
 # R = (2, 2), with vms 10 and vsm 4.  Under XY a tile off R meets the floor
 # of its peak, max(base peak, 10), unless its route there crosses a link
-# loaded above 0 or its route back one loaded above 6.  Each case gives the
-# route policy, the loads, whether a master holds R, and the tile and the
-# number of tiles routed (both ways) for mmc, then for mac.
+# loaded above 0 or its route back one loaded above 6.  Under XY a tile is
+# skipped unscored when the part of its route there or back that runs along
+# R's row or column already takes its peak above the best key.  Each case
+# gives the route policy, the loads, whether a master holds R, and the tile
+# and the number of tiles routed (both ways) for mmc, then for mac.
 R = (2, 2)
 N, W, E, S = (2, 1), (1, 2), (3, 2), (2, 3)
 XY, MIN_LOAD = RoutePolicy.XY, RoutePolicy.MIN_LOAD
 WALK_CASES = {
-    # Every route leaves R on a loaded link: mmc scores all 23 candidates,
-    # mac the four in the nearest shell.
+    # Every route leaves R on a loaded link.  N, W and E are scored, each
+    # below the last, and S, which leaves over R->S, is skipped.  mmc skips
+    # every farther tile too, as each leaves over one of the four links;
+    # mac stops at the end of the nearest shell.
     "no-tile-meets-floor": (
-        XY, {(R, E): 5, (R, W): 6, (R, N): 7, (R, S): 8}, True, (E, 23), (E, 4)
+        XY, {(R, E): 5, (R, W): 6, (R, N): 7, (R, S): 8}, True, (E, 3), (E, 3)
     ),
     # N comes first in the nearest shell and misses by one; W, next, meets it.
     "later-tile-in-nearest-shell": (XY, {(R, N): 1}, True, (W, 2), (W, 2)),
     # Every nearest tile misses; (3, 1), third in the next shell, leaves on
-    # R->E and comes back on N->R.  mac's winner stays in the nearest shell.
+    # R->E and comes back on N->R.  W and S tie N and E on their legs and
+    # lose on the index, and every other tile of the next shell leaves over
+    # R->N or R->W or comes back over E->R or S->R: mmc scores N, E and
+    # (3, 1).  mac's winner stays in the nearest shell, where it scores N
+    # and E.
     "winner-in-farther-shell": (
-        XY, {(R, N): 5, (R, W): 5, (E, R): 8, (S, R): 8}, True, ((3, 1), 7), (E, 4)
+        XY, {(R, N): 5, (R, W): 5, (E, R): 8, (S, R): 8}, True, ((3, 1), 3), (E, 2)
     ),
     # R itself routes nothing and keeps the base loads.
     "own-tile-free": (XY, {(R, E): 5}, False, (R, 0), (R, 0)),
@@ -636,6 +646,72 @@ class TestXYWalk:
         tile, _ = map_channel_load(req, state, policy, average_first)
         assert routes == [((3, 3), (3, 2)), ((3, 2), (3, 3))]
         assert tile == (3, 2) == oracle_channel_load(req, state, policy, average_first)
+
+    @pytest.mark.parametrize("average_first", [False, True], ids=["mmc", "mac"])
+    @pytest.mark.parametrize(
+        "other, link, load", [(S, (R, S), 5), (E, (E, R), 9)], ids=["column", "row"]
+    )
+    def test_skips_tile_on_its_leg_along_the_requester(
+        self, routes, other, link, load, average_first
+    ):
+        """W and one tile of R's column (S) or row (E) are free.  W leaves
+        R on R->W at load 2, so its peak is 12, above the floor 10.  The
+        other tile's shell bound is below W's key, but its route there runs
+        along R's column over R->S (15 with vms 10), or its route back along
+        R's row over E->R (13 with vsm 4): it is skipped unrouted."""
+        state = MappingState(small_arch(5, 5))
+        place_master(state, R)
+        for c in state.arch.coords():
+            if state.tile_free(c) and c not in (state.arch.manager, W, other):
+                state.place("blk", Task(f"b{c}", TaskKind.SOFTWARE, 1), c)
+        state.ledger.set_load((R, W), 2)
+        state.ledger.set_load(link, load)
+        req = MapRequest("app0", sw_task(), R, 10, 4)
+        assert oracle_channel_load(req, state, XY, average_first) == W
+        assert map_channel_load(req, state, XY, average_first) == (W, 2)
+        assert routes == [(R, W), (W, R)]
+
+    @pytest.mark.parametrize("name", FOLD_ARCHES)
+    def test_matches_oracle_with_loaded_requester_lines(self, name):
+        """Every link of the requester's row and column carries a random
+        load, so most calls miss the floor and the walk skips tiles on the
+        legs of their routes along that row and column.  mmc and mac still
+        match the oracle under both route policies, for two-way and one-way
+        requests, and the winners include tiles of the requester's row and
+        of its column."""
+        arch = FOLD_ARCHES[name]
+        rng = random.Random(name)
+        seen = {(policy, af): set() for policy in RoutePolicy for af in (False, True)}
+        for seed in range(100):
+            state, drawn, _ = random_partial_state(arch, seed)
+            rx, ry = r = drawn.requester_tile
+            for a, b in arch.links():
+                if a[1] == b[1] == ry or a[0] == b[0] == rx:
+                    state.ledger.set_load((a, b), rng.randint(0, 400))
+            for req in (drawn, replace(drawn, vms=0), replace(drawn, vsm=0)):
+                cands = [c for c in arch.coords()
+                         if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
+                floor = max(state.ledger.peak_load(), req.vms, req.vsm)
+                for (policy, average_first), kinds in seen.items():
+                    want = oracle_channel_load(req, state, policy, average_first)
+                    got = map_channel_load(req, state, policy, average_first)
+                    assert got == (want, len(cands)), (seed, req.vms, req.vsm, policy)
+                    if want in (None, r):
+                        continue
+                    key = heuristics._channel_load_key(req, state, policy, average_first)
+                    peak = key(want)[1 if average_first else 0]
+                    kinds.add("missed floor" if peak > floor else "met floor")
+                    kinds.add("row" if want[1] == ry else "column" if want[0] == rx else "off")
+        for kinds in seen.values():
+            assert kinds == {"missed floor", "met floor", "row", "column", "off"}
+
+    def test_golden_mmc_run_routes(self, routes):
+        """Route count of the mmc/16x16-ra/10 golden run (XY): the walk
+        routes 101 tiles both ways over the run's calls.  With the floor as
+        the only bound it routed 546, most of them in the few calls where no
+        tile meets the floor."""
+        simulate(golden_scenario("mmc/16x16-ra/10"))
+        assert len(routes) == 2 * 101
 
 
 class TestMinLoadTreeScoring:

@@ -13,6 +13,7 @@ from nocmap.routing import (
     path_hops,
     route,
     xy_fold,
+    xy_leg_peaks,
     xy_route,
 )
 
@@ -88,6 +89,39 @@ class TestXYFold:
     def test_out_of_mesh_rejected(self, arch8):
         with pytest.raises(ValidationError):
             xy_fold((8, 0), ChannelLoadLedger(arch8), arch8)
+
+
+class TestXYLegPeaks:
+    @pytest.mark.parametrize(
+        "size", [(1, 1), (1, 6), (6, 1), (3, 5), (5, 3), (4, 4)], ids=lambda s: "%dx%d" % s
+    )
+    def test_matches_route_peaks(self, size):
+        """Every tile and every tile of its row and column: each leg equals
+        the highest load on the XY route between them."""
+        arch = small_arch(*size)
+        for seed in range(20):
+            ledger = random_ledger(arch, seed)
+            for src in arch.coords():
+                sx, sy = src
+                row_out, row_in, col_out, col_in = xy_leg_peaks(src, ledger, arch)
+                assert (len(row_out), len(row_in)) == (arch.width,) * 2
+                assert (len(col_out), len(col_in)) == (arch.height,) * 2
+                for x in range(arch.width):
+                    t = (x, sy)
+                    assert (row_out[x], row_in[x]) == (
+                        ledger.path_peak(xy_route(src, t, arch)),
+                        ledger.path_peak(xy_route(t, src, arch)),
+                    ), (size, seed, src, t)
+                for y in range(arch.height):
+                    t = (sx, y)
+                    assert (col_out[y], col_in[y]) == (
+                        ledger.path_peak(xy_route(src, t, arch)),
+                        ledger.path_peak(xy_route(t, src, arch)),
+                    ), (size, seed, src, t)
+
+    def test_out_of_mesh_rejected(self, arch8):
+        with pytest.raises(ValidationError):
+            xy_leg_peaks((0, 8), ChannelLoadLedger(arch8), arch8)
 
 
 class TestMinLoadRoute:

@@ -2,6 +2,8 @@ import re
 from xml.sax.saxutils import quoteattr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nocmap.model import Edge, Task, TaskGraph, TaskKind, ValidationError
 from nocmap.sim import Scenario, simulate
@@ -64,6 +66,45 @@ class TestParseWorkload:
         bad = SAMPLE.replace('vms="100" vsm="100"/>', 'vms="-5" vsm="100"/>', 1)
         with pytest.raises(ValidationError, match="non-negative"):
             parse_workload(bad)
+
+    @pytest.mark.parametrize("attr", ["instructions", "vms", "vsm"])
+    @pytest.mark.parametrize(
+        "raw",
+        [" +1_0", "+10", "1_0", " 10", "10 ", "10\u00a0", "010", "00", "-0", "-010",
+         "\u0665", "\uff11\uff10", "10.0", "1e1", "0x10", "", "-", "\u221210"],
+    )
+    def test_non_canonical_integer_rejected(self, raw, attr):
+        """Only the strings ``str(int)`` writes are integers: a spelling
+        ``int()`` also reads (sign, space, underscore, leading zero,
+        non-ASCII digit) would re-serialize to other bytes."""
+        bad = SAMPLE.replace(f'{attr}="100"', f'{attr}="{raw}"', 1)
+        with pytest.raises(ValidationError, match=f"attribute {attr}=.* is not an integer"):
+            parse_workload(bad)
+
+    @pytest.mark.parametrize(
+        "attr, message", [("instructions", ">= 1"), ("vms", "non-negative"), ("vsm", "non-negative")]
+    )
+    def test_negative_integer_reaches_range_check(self, attr, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_workload(SAMPLE.replace(f'{attr}="100"', f'{attr}="-5"', 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["instructions", "vms", "vsm"]),
+        st.one_of(
+            st.integers(-5, 10**20).map(str),
+            st.text(alphabet="0123456789-+_ \u0665", max_size=6),
+        ),
+    )
+    def test_accepted_documents_reserialize_to_their_bytes(self, attr, raw):
+        """Whatever integer spelling parses, the document it is in
+        serializes back to the same bytes."""
+        doc = SAMPLE.replace(f'{attr}="100"', f'{attr}="{raw}"', 1)
+        try:
+            apps = parse_workload(doc)
+        except ValidationError:
+            return
+        assert serialize_workload(apps) == doc
 
     def test_malformed_xml_reports_line(self):
         with pytest.raises(ValidationError, match="line"):
