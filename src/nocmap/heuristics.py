@@ -23,7 +23,9 @@ a mapping-effort proxy.  For mmc, mac and pl that is the number of free
 compatible candidates, not the number of tiles scored: mmc and mac stop
 scoring once no candidate left can win, under either route policy, and
 under XY skip a candidate whose routes already lose on the links they must
-cross along the requester's row and column.
+cross along the requester's row and column; pl under XY stops at a
+zero-cost tile of the nearest shell, and otherwise scores every candidate
+in bulk.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import ceil
-from itertools import chain
+from itertools import chain, count
+from operator import add
 from typing import Callable, Iterable
 
 from .model import (
@@ -454,55 +457,48 @@ def _pl_key(
     return (cost, hops, arch.linear_index(tile))
 
 
-def _xy_pl_key(req: MapRequest, state: MappingState) -> Callable[[Coord], tuple[int, int, int]]:
-    """``_pl_key`` under XY routing, for every tile from one fold."""
-    arch, r = state.arch, req.requester_tile
-    there, back = xy_fold(r, state.ledger, arch)
-
-    def key(tile: Coord) -> tuple[int, int, int]:
-        i = arch.linear_index(tile)
-        return (there[i] + back[i], 2 * manhattan(r, tile), i)
-
-    return key
-
-
-def _min_load_pl_key(
-    req: MapRequest, state: MappingState
-) -> Callable[[Coord], tuple[int, int, int]]:
-    """``_pl_key`` under the load-aware router, for every tile from two
-    searches: one tree of routes from the requester and one into it."""
-    arch, r = state.arch, req.requester_tile
-    there_load, there_hops = min_load_tree(r, state.ledger, arch)
-    back_load, back_hops = min_load_tree(r, state.ledger, arch, into=True)
-
-    def key(tile: Coord) -> tuple[int, int, int]:
-        i = arch.linear_index(tile)
-        return (there_load[i] + back_load[i], there_hops[i] + back_hops[i], i)
-
-    return key
-
-
 def map_pl(
     req: MapRequest, state: MappingState, policy: RoutePolicy
 ) -> tuple[Coord | None, int]:
     """Tile with the cheapest current-load communication path, both ways.
 
     Costs are sums of existing link loads along the routes the policy would
-    choose; ties break on combined hop count, then linear index.  Either
-    policy scores every candidate from one pass per call: one ``xy_fold``
-    from the requester under XY (O(tiles)), two ``min_load_tree`` searches
-    under the load-aware router (O(links log tiles)).
+    choose; ties break on combined hop count, then linear index.
+
+    Under XY a tile's hops are twice its Manhattan distance, and no cost is
+    below 0.  So the nearest free candidates are scored first, each with
+    ``_pl_key``: if the best of them costs 0, every other candidate is
+    farther, costs more or has a higher index, and it wins.  Otherwise, and
+    always under the load-aware router, every candidate is scored in bulk
+    from one pass per call: one ``xy_fold`` from the requester under XY
+    (O(tiles)), two ``min_load_tree`` searches under the load-aware router
+    (O(links log tiles)), whose hops may exceed twice the distance.
     """
     if req.requester_tile is None:
         raise StateError("path-load placement requires a requester tile")
     cands = _candidates(state, req.task.kind)
     if not cands:
         return None, 0
+    arch, ledger, r = state.arch, state.ledger, req.requester_tile
     if policy is RoutePolicy.XY:
-        key = _xy_pl_key(req, state)
+        rx, ry = r
+        hops: Iterable[int] = [2 * (abs(x - rx) + abs(y - ry)) for x, y in cands]
+        h0 = min(hops)
+        cost, _, i = min(_pl_key(req, state, t, policy) for t, h in zip(cands, hops) if h == h0)
+        if cost == 0:
+            return arch.coord_at(i), len(cands)
+        there, back = xy_fold(r, ledger, arch)
+        idx = list(map(arch.linear_index, cands))
     else:
-        key = _min_load_pl_key(req, state)
-    return min(cands, key=key), len(cands)
+        there, there_hops = min_load_tree(r, ledger, arch)
+        back, back_hops = min_load_tree(r, ledger, arch, into=True)
+        idx = list(map(arch.linear_index, cands))
+        hops = map(add, map(there_hops.__getitem__, idx), map(back_hops.__getitem__, idx))
+    costs = map(add, map(there.__getitem__, idx), map(back.__getitem__, idx))
+    # Candidates are in raster order, so their position breaks ties as the
+    # linear index does.
+    _, _, pos = min(zip(costs, hops, count()))
+    return cands[pos], len(cands)
 
 
 def map_bn(

@@ -11,8 +11,6 @@ and acceptance criteria 1-3 both run them.  ``placement_cases`` is the one
 per-seed placement comparison, shared by ``check_placement`` and the
 per-heuristic unit tests.
 
-``FullHistoryLinkSchedule`` is the link schedule that keeps every
-reservation, against which the pruning ``LinkSchedule`` is compared.
 ``check_engine`` checks the simulation engine's invariants between event
 batches; ``simulate(..., check=True)`` and ``nocmap run --check`` run it.
 """
@@ -27,7 +25,6 @@ from .model import (
     ArchGraph,
     ChannelLoadLedger,
     Coord,
-    DirectedLink,
     MappingState,
     NocError,
     Task,
@@ -304,37 +301,6 @@ def check_spiral() -> Iterator[_Outcome]:
         yield on_ring and sorted(seen) == expected, lambda: (
             f"centre {center} rings are not a permutation"
         )
-
-
-class FullHistoryLinkSchedule:
-    """Link schedule that keeps and rescans every reservation ever made.
-
-    Same interface and answers as ``sim.LinkSchedule``, for any ``ready``
-    order: a start is bumped to the end of each reservation that overlaps
-    its window until none does.
-    """
-
-    def __init__(self) -> None:
-        self._busy: dict[DirectedLink, list[tuple[int, int]]] = {}
-
-    def earliest_start(self, links: Iterable[DirectedLink], ready: int, duration: int) -> int:
-        links = list(links)
-        t = ready
-        while True:
-            bumped = t
-            for link in links:
-                for s, e in self._busy.get(link, ()):
-                    if s < bumped + duration and e > bumped:
-                        bumped = max(bumped, e)
-            if bumped == t:
-                return t
-            t = bumped
-
-    def reserve(self, links: Iterable[DirectedLink], start: int, duration: int) -> None:
-        for link in links:
-            spans = self._busy.setdefault(link, [])
-            spans.append((start, start + duration))
-            spans.sort()
 
 
 class InvariantError(NocError):

@@ -5,7 +5,8 @@ load-aware Dijkstra search that minimises the accumulated load along the
 path (ties broken by hop count).  ``xy_fold`` sums the link loads of every
 XY route from one tile, and back to it, in one pass over the mesh;
 ``xy_leg_peaks`` gives the highest load on each XY route between a tile and
-the tiles of its own row and column; ``min_load_tree`` gives the load and
+the tiles of its own row and column, reading that row and column from the
+mesh's link tables as the fold does; ``min_load_tree`` gives the load and
 hops of every load-aware route from one tile, or into it, from one search.
 The folds and the search run on linear tile indices and the integer link
 ids of ``ArchGraph``, reading the ledger's per-link list; only a returned
@@ -17,7 +18,7 @@ import heapq
 from enum import Enum
 from itertools import accumulate
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import ArchGraph, ChannelLoadLedger, Coord
 
@@ -55,6 +56,44 @@ def xy_route(src: Coord, dst: Coord, arch: ArchGraph) -> Path:
     return tuple(path)
 
 
+def _xy_lines(
+    src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph, op: Callable[[int, int], int]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """``op``-folds of the link loads on every XY route between ``src`` and
+    a tile of its own row or column.
+
+    Returns ``(row_out, row_in, col_out, col_in)``: ``row_out[x]`` folds the
+    loads on ``xy_route(src, (x, sy))`` and ``row_in[x]`` those on
+    ``xy_route((x, sy), src)``; ``col_out[y]`` and ``col_in[y]`` do the same
+    for the tile ``(sx, y)``.  Each is 0 at ``src`` itself.  The loads are
+    read from the link tables ``arch.east/west/south/north`` in the order
+    of their distance from ``src``: O(width + height).
+    """
+    arch.require_in_mesh(src)
+    sx, sy = src
+    load = ledger.by_link_id().__getitem__
+    east = [ids[sy] for ids in arch.east]
+    west = [ids[sy] for ids in arch.west]
+    south = [ids[sx] for ids in arch.south]
+    north = [ids[sx] for ids in arch.north]
+
+    def line(low: Sequence[int], high: Sequence[int]) -> list[int]:
+        """Folds indexed by position along a line, from the link ids that
+        lead from ``src`` to its low end and to its high end, nearest
+        first."""
+        return (
+            list(accumulate(map(load, low), op, initial=0))[::-1]
+            + list(accumulate(map(load, high), op, initial=0))[1:]
+        )
+
+    return (
+        line(west[:sx][::-1], east[sx:]),
+        line(east[:sx][::-1], west[sx:]),
+        line(north[:sy][::-1], south[sy:]),
+        line(south[:sy][::-1], north[sy:]),
+    )
+
+
 def xy_fold(src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> tuple[list[int], list[int]]:
     """Summed link loads on every XY route from ``src`` and back to it.
 
@@ -62,25 +101,16 @@ def xy_fold(src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> tuple[lis
     tile ``t``, the sum of the loads on ``xy_route(src, t)`` and on
     ``xy_route(t, src)``.  The route there is a segment of ``src``'s row,
     then one of ``t``'s column; the route back is a segment of ``t``'s row,
-    then one of ``src``'s column.  So the prefix sums along ``src``'s row,
-    extended one row at a time up and down every column at once, give
-    ``there``; the prefix sums along ``src``'s column, extended one column
-    at a time, give ``back``.
-    The row and column of ``src`` are read along the routes ``xy_route``
-    gives to and from their ends; the rest is O(tiles) reads of the
-    ledger's per-link list.  A route back is summed from its end.
+    then one of ``src``'s column.  So the sums along ``src``'s row (see
+    ``_xy_lines``), extended one row at a time up and down every column at
+    once, give ``there``; the sums along ``src``'s column, extended one
+    column at a time, give ``back``.  O(tiles) reads of the ledger's
+    per-link list.
     """
     sx, sy = src
     w, h = arch.width, arch.height
     east, west, south, north = arch.east, arch.west, arch.south, arch.north
     load = ledger.by_link_id().__getitem__
-
-    def sums(loads: Sequence[int]) -> list[int]:
-        """Sums of the first 0, 1, ..., ``len(loads)`` entries of ``loads``."""
-        return list(accumulate(loads, initial=0))
-
-    def route_loads(a: Coord, b: Coord) -> list[int]:
-        return ledger.path_loads(xy_route(a, b, arch))
 
     def step(acc: list[int], link_ids: Sequence[int]) -> list[int]:
         """``acc`` with each entry extended by the load of one link."""
@@ -89,7 +119,7 @@ def xy_fold(src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> tuple[lis
     there = [0] * (w * h)
     back = [0] * (w * h)
     # row[x]: sum from src to (x, sy); col[y]: sum from (sx, y) to src.
-    row = sums(route_loads(src, (0, sy)))[::-1] + sums(route_loads(src, (w - 1, sy)))[1:]
+    row, _, _, col = _xy_lines(src, ledger, arch, add)
     there[sy * w : sy * w + w] = row
     acc = row
     for y in range(sy + 1, h):
@@ -97,10 +127,6 @@ def xy_fold(src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> tuple[lis
     acc = row
     for y in range(sy - 1, -1, -1):
         there[y * w : y * w + w] = acc = step(acc, north[y])
-    col = (
-        sums(route_loads((sx, 0), src)[::-1])[::-1]
-        + sums(route_loads((sx, h - 1), src)[::-1])[1:]
-    )
     back[sx::w] = col
     acc = col
     for x in range(sx + 1, w):
@@ -125,28 +151,10 @@ def xy_leg_peaks(
     route into ``src`` from a tile off its row ends along its column, so
     every XY route from or to ``src`` has a peak at least that of the leg
     it shares with ``src``'s row or column.  The row and column are read
-    along the routes ``xy_route`` gives to and from their ends, as in
-    ``xy_fold``: O(width + height).
+    from the link tables as in ``xy_fold`` (see ``_xy_lines``):
+    O(width + height).
     """
-    sx, sy = src
-    w, h = arch.width, arch.height
-
-    def outward(end: Coord, into: bool) -> list[int]:
-        """Running maxima of the loads between ``src`` and ``end``, read
-        from ``src`` outward: entry k is the peak of the k links nearest
-        ``src``."""
-        if into:
-            loads = ledger.path_loads(xy_route(end, src, arch))[::-1]
-        else:
-            loads = ledger.path_loads(xy_route(src, end, arch))
-        return list(accumulate(loads, max, initial=0))
-
-    def line(first: Coord, last: Coord, into: bool) -> list[int]:
-        """Peaks indexed by position along the line from ``first`` to ``last``."""
-        return outward(first, into)[::-1] + outward(last, into)[1:]
-
-    row, col = ((0, sy), (w - 1, sy)), ((sx, 0), (sx, h - 1))
-    return line(*row, False), line(*row, True), line(*col, False), line(*col, True)
+    return _xy_lines(src, ledger, arch, max)
 
 
 def _dijkstra(

@@ -40,7 +40,7 @@ from nocmap.oracles import (
     placement_cases,
     random_partial_state,
 )
-from nocmap.routing import RoutePolicy, route
+from nocmap.routing import RoutePolicy, min_load_tree, route, xy_fold
 from nocmap.sim import simulate
 
 from conftest import small_arch
@@ -527,8 +527,8 @@ FOLD_ARCHES = {
 
 
 class TestXYFoldScoring:
-    """mmc and mac against the oracle under both route policies, and the
-    fold-based XY pl scorer against the per-candidate one."""
+    """mmc and mac against the oracle under both route policies, and the XY
+    fold's sums and pl against the per-candidate pl scorer."""
 
     @pytest.mark.parametrize("name", FOLD_ARCHES)
     def test_matches_per_candidate_scorers(self, name):
@@ -549,15 +549,90 @@ class TestXYFoldScoring:
                         assert map_channel_load(req, state, policy, average_first) == (
                             want, len(cands)
                         ), (case, policy, average_first)
-                # The fold serves XY only.  Keys are compared on the
-                # requester's own tile too, which routes nothing.
+                # The fold serves XY only.  Its sums are compared with the
+                # per-candidate costs on the requester's own tile too, which
+                # routes nothing.
                 scored = cands + [req.requester_tile]
                 want = partial(heuristics._pl_key, req, state, policy=xy)
-                got = heuristics._xy_pl_key(req, state)
-                assert [got(t) for t in scored] == [want(t) for t in scored], case
+                there, back = xy_fold(req.requester_tile, state.ledger, arch)
+                got = [there[i] + back[i] for i in map(arch.linear_index, scored)]
+                assert got == [want(t)[0] for t in scored], case
                 assert map_pl(req, state, xy) == (
                     min(cands, key=want, default=None), len(cands)
                 ), case
+
+
+class TestPLNearestShell:
+    """pl under XY returns a zero-cost tile of the nearest shell without the
+    fold, and otherwise scores every candidate from it."""
+
+    @pytest.mark.parametrize("name", FOLD_ARCHES)
+    def test_matches_oracle(self, name):
+        """Sparse loads of 0-2 make zero-cost routes and cost ties common.
+        Each drawn state is asked from its drawn requester and from a random
+        tile, which is often free.  pl matches the oracle under both route
+        policies, and under XY each way a call can be settled occurs."""
+        arch = FOLD_ARCHES[name]
+        rng = random.Random(name)
+        seen = set()
+        for seed in range(150):
+            state, drawn, _ = random_partial_state(arch, seed)
+            for link in arch.links():
+                state.ledger.set_load(link, rng.choice((0, 0, 0, 1, 2)))
+            for r in (drawn.requester_tile, rng.choice(list(arch.coords()))):
+                req = replace(drawn, requester_tile=r)
+                cands = [c for c in arch.coords()
+                         if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
+                for policy in RoutePolicy:
+                    want = oracle_path_load(req, state, policy)
+                    assert map_pl(req, state, policy) == (want, len(cands)), (seed, r, policy)
+                if not cands:
+                    continue
+                keys = [heuristics._pl_key(req, state, t, RoutePolicy.XY) for t in cands]
+                h0 = min(k[1] for k in keys)
+                best = min(keys)
+                zeros = [k for k in keys if k[:2] == (0, h0)]
+                if h0 == 0:
+                    seen.add("free requester")
+                if zeros:
+                    seen.add("zero in nearest shell")
+                    if len(zeros) > 1:
+                        seen.add("zeros in nearest shell")
+                    continue
+                if best[1] > h0:
+                    seen.add("farther winner")
+                tied = [k for k in keys if k[0] == best[0]]
+                if any(k[1] > best[1] for k in tied):
+                    seen.add("cost tie on hops")
+                if any(k[1] == best[1] and k[2] > best[2] for k in tied):
+                    seen.add("cost tie on index")
+        assert seen == {
+            "free requester",
+            "zero in nearest shell",
+            "zeros in nearest shell",
+            "farther winner",
+            "cost tie on hops",
+            "cost tie on index",
+        }
+
+    def test_golden_pl_run_folds(self, monkeypatch):
+        """Of the 81 pl calls in the pl/16x16-ra/10 golden run (XY), 42
+        find a zero-cost tile in the nearest shell; the other 39 fold."""
+        calls = {"map_pl": 0, "xy_fold": 0}
+
+        def count(name):
+            real = getattr(heuristics, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(heuristics, name, counted)
+
+        for name in calls:
+            count(name)
+        simulate(golden_scenario("pl/16x16-ra/10"))
+        assert calls == {"map_pl": 81, "xy_fold": 39}
 
 
 @pytest.fixture
@@ -729,8 +804,11 @@ class TestMinLoadTreeScoring:
                      if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
             scored = cands + [r]
             want = partial(heuristics._pl_key, req, state, policy=policy)
-            got = heuristics._min_load_pl_key(req, state)
-            assert [got(t) for t in scored] == [want(t) for t in scored], seed
+            there = min_load_tree(r, state.ledger, arch)
+            back = min_load_tree(r, state.ledger, arch, into=True)
+            got = [(there[0][i] + back[0][i], there[1][i] + back[1][i], i)
+                   for i in map(arch.linear_index, scored)]
+            assert got == [want(t) for t in scored], seed
             best = min(cands, key=want, default=None)
             assert map_pl(req, state, policy) == (best, len(cands)), seed
 

@@ -1,9 +1,11 @@
 import random
+from typing import Iterable
 
 import pytest
 
 from nocmap.model import (
     ArchGraph,
+    DirectedLink,
     Edge,
     MappingState,
     StateError,
@@ -28,7 +30,6 @@ from nocmap.sim import (
     simulate,
     write_event_log,
 )
-from nocmap.oracles import FullHistoryLinkSchedule
 from nocmap.routing import RoutePolicy
 from nocmap.workload import GenConfig, generate_workload
 
@@ -91,6 +92,37 @@ class TestCommLatency:
     @pytest.mark.parametrize("volume,hops", [(1, 1), (5, 2), (100, 3), (17, 9)])
     def test_matches_cycle_accurate_toy(self, volume, hops):
         assert comm_latency(volume, hops) == pipelined_stream_cycles(volume, hops)
+
+
+class FullHistoryLinkSchedule:
+    """Link schedule that keeps and rescans every reservation ever made.
+
+    Same interface and answers as ``sim.LinkSchedule``, for any ``ready``
+    order: a start is bumped to the end of each reservation that overlaps
+    its window until none does.
+    """
+
+    def __init__(self) -> None:
+        self._busy: dict[DirectedLink, list[tuple[int, int]]] = {}
+
+    def earliest_start(self, links: Iterable[DirectedLink], ready: int, duration: int) -> int:
+        links = list(links)
+        t = ready
+        while True:
+            bumped = t
+            for link in links:
+                for s, e in self._busy.get(link, ()):
+                    if s < bumped + duration and e > bumped:
+                        bumped = max(bumped, e)
+            if bumped == t:
+                return t
+            t = bumped
+
+    def reserve(self, links: Iterable[DirectedLink], start: int, duration: int) -> None:
+        for link in links:
+            spans = self._busy.setdefault(link, [])
+            spans.append((start, start + duration))
+            spans.sort()
 
 
 class TestLinkSchedule:
