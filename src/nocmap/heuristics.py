@@ -7,7 +7,7 @@ Seven policies decide which free tile receives a newly requested task:
 * ``mac``    minimise the resulting average (total) channel load
 * ``nn``     nearest neighbour: closest free compatible tile, Manhattan shells
 * ``pl``     path load: cheapest communication path over all free tiles
-* ``bn``     best neighbour: path-load choice within the nearest shell
+* ``bn``     best neighbour: path-load choice among the nearest candidates
 * ``spiral`` ring-by-ring clockwise scan around the requesting tile, with
   cluster-centre placement for initial tasks
 
@@ -25,7 +25,8 @@ scoring once no candidate left can win, under either route policy, and
 under XY skip a candidate whose routes already lose on the links they must
 cross along the requester's row and column; pl under XY stops at a
 zero-cost tile of the nearest shell, and otherwise scores every candidate
-in bulk.
+in bulk.  Only nn walks the mesh shell by shell; mmc, mac and bn order
+the free compatible candidates by their distance from the requester.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import ceil
-from itertools import chain, count
+from itertools import count
 from operator import add
 from typing import Callable, Iterable
 
@@ -310,6 +311,12 @@ def _candidates(state: MappingState, kind: TaskKind) -> list[Coord]:
     return [c for c in state.arch.tiles_for(kind) if c not in state.tile_owner]
 
 
+def _distances(r: Coord, cands: list[Coord]) -> list[int]:
+    """Manhattan distance of each candidate from ``r``."""
+    rx, ry = r
+    return [abs(x - rx) + abs(y - ry) for x, y in cands]
+
+
 def _channel_load_key(
     req: MapRequest, state: MappingState, policy: RoutePolicy, average_first: bool
 ) -> Callable[[Coord], tuple[int, int, int]]:
@@ -373,9 +380,9 @@ def map_channel_load(
     is at least the floor ``max(base peak, vms, vsm)``; the requester's own
     tile keeps the base peak and total.  So a tile's shell bound is its key
     with the peak lowered to the floor and the total to that sum, and bound
-    order is (hops, linear index): Manhattan shells in raster order, the
-    requester's own tile first.  With no volume every bound is its key, and
-    the walk is raster order.
+    order is (hops, linear index): the candidates, listed in raster order,
+    stably sorted by their distance from the requester, its own tile first.
+    With no volume every bound is its key, and the walk is raster order.
 
     Under XY a tile's own bound is tighter.  Its route there starts along
     the requester's row (all on its column if the tile shares that column),
@@ -406,23 +413,17 @@ def map_channel_load(
     vms, vsm = req.vms, req.vsm
     volume = vms + vsm
     floor = max(base_peak, vms, vsm)
-    if volume:
-        shells = (manhattan_shell(r, n, arch) for n in range(1, shell_limit(r, arch) + 1))
-        walk: Iterable[Coord] = chain([r], chain.from_iterable(shells))
-    else:
-        walk = cands
+    dist = _distances(r, cands)
+    walk = sorted(range(len(cands)), key=dist.__getitem__) if volume else range(len(cands))
     rx, ry = r
     legs = None  # xy_leg_peaks(r), read once a scored key misses its bound
 
     def order(peak: int, total: int, i: int) -> tuple[int, int, int]:
         return (total, peak, i) if average_first else (peak, total, i)
 
-    free = set(cands)
     best = best_key = None
-    for tile in walk:
-        if tile not in free:
-            continue
-        hops = manhattan(r, tile)
+    for j in walk:
+        tile, hops = cands[j], dist[j]
         peak = floor if hops else base_peak
         total = base_total + hops * volume
         i = arch.linear_index(tile)
@@ -481,8 +482,7 @@ def map_pl(
         return None, 0
     arch, ledger, r = state.arch, state.ledger, req.requester_tile
     if policy is RoutePolicy.XY:
-        rx, ry = r
-        hops: Iterable[int] = [2 * (abs(x - rx) + abs(y - ry)) for x, y in cands]
+        hops: Iterable[int] = _distances(r, cands)  # half of each XY hop count
         h0 = min(hops)
         cost, _, i = min(_pl_key(req, state, t, policy) for t, h in zip(cands, hops) if h == h0)
         if cost == 0:
@@ -504,7 +504,8 @@ def map_pl(
 def map_bn(
     req: MapRequest, state: MappingState, policy: RoutePolicy
 ) -> tuple[Coord | None, int]:
-    """Path-load choice restricted to the nearest non-empty Manhattan shell.
+    """Path-load choice restricted to the nearest non-empty Manhattan shell:
+    the free candidates at the least distance of at least 1.
 
     Each shell tile costs two routes (see ``_pl_key``).  The shell is often
     a few tiles, and a route to a near tile stops early, so this costs less
@@ -513,17 +514,13 @@ def map_bn(
     """
     if req.requester_tile is None:
         raise StateError("best-neighbour placement requires a requester tile")
-    arch = state.arch
-    for n in range(1, shell_limit(req.requester_tile, arch) + 1):
-        shell = [
-            t
-            for t in manhattan_shell(req.requester_tile, n, arch)
-            if _free_compatible(state, t, req.task.kind)
-        ]
-        if shell:
-            best = min(shell, key=lambda t: _pl_key(req, state, t, policy))
-            return best, len(shell)
-    return None, 0
+    cands = _candidates(state, req.task.kind)
+    dist = _distances(req.requester_tile, cands)
+    h0 = min((h for h in dist if h), default=None)
+    if h0 is None:
+        return None, 0
+    shell = [t for t, h in zip(cands, dist) if h == h0]
+    return min(shell, key=lambda t: _pl_key(req, state, t, policy)), len(shell)
 
 
 def _coerce(enum: type[Enum], value: object, what: str):

@@ -56,41 +56,29 @@ def xy_route(src: Coord, dst: Coord, arch: ArchGraph) -> Path:
     return tuple(path)
 
 
-def _xy_lines(
-    src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph, op: Callable[[int, int], int]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """``op``-folds of the link loads on every XY route between ``src`` and
-    a tile of its own row or column.
+def _xy_line(
+    pos: int,
+    at: int,
+    low: Sequence[Sequence[int]],
+    high: Sequence[Sequence[int]],
+    load: Callable[[int], int],
+    op: Callable[[int, int], int],
+) -> list[int]:
+    """``op``-folds of the link loads on every XY route between one tile and
+    the tiles of its own row or column, indexed by position along that line.
 
-    Returns ``(row_out, row_in, col_out, col_in)``: ``row_out[x]`` folds the
-    loads on ``xy_route(src, (x, sy))`` and ``row_in[x]`` those on
-    ``xy_route((x, sy), src)``; ``col_out[y]`` and ``col_in[y]`` do the same
-    for the tile ``(sx, y)``.  Each is 0 at ``src`` itself.  The loads are
-    read from the link tables ``arch.east/west/south/north`` in the order
-    of their distance from ``src``: O(width + height).
+    The tile sits at position ``pos`` along the line, and the line at ``at``
+    across it.  ``low`` and ``high`` are link tables of ``ArchGraph``
+    (``east``, ``west``, ``south`` or ``north``) whose entry ``[k][at]`` is
+    a link between positions ``k`` and ``k + 1`` of the line, in the
+    direction the routes cross it: ``low`` is read below ``pos`` and
+    ``high`` above it, nearest first.  Entry ``pos`` is 0.  O(line length).
     """
-    arch.require_in_mesh(src)
-    sx, sy = src
-    load = ledger.by_link_id().__getitem__
-    east = [ids[sy] for ids in arch.east]
-    west = [ids[sy] for ids in arch.west]
-    south = [ids[sx] for ids in arch.south]
-    north = [ids[sx] for ids in arch.north]
-
-    def line(low: Sequence[int], high: Sequence[int]) -> list[int]:
-        """Folds indexed by position along a line, from the link ids that
-        lead from ``src`` to its low end and to its high end, nearest
-        first."""
-        return (
-            list(accumulate(map(load, low), op, initial=0))[::-1]
-            + list(accumulate(map(load, high), op, initial=0))[1:]
-        )
-
+    below = [ids[at] for ids in low[:pos]][::-1]
+    above = [ids[at] for ids in high[pos:]]
     return (
-        line(west[:sx][::-1], east[sx:]),
-        line(east[:sx][::-1], west[sx:]),
-        line(north[:sy][::-1], south[sy:]),
-        line(south[:sy][::-1], north[sy:]),
+        list(accumulate(map(load, below), op, initial=0))[::-1]
+        + list(accumulate(map(load, above), op, initial=0))[1:]
     )
 
 
@@ -102,11 +90,12 @@ def xy_fold(src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> tuple[lis
     ``xy_route(t, src)``.  The route there is a segment of ``src``'s row,
     then one of ``t``'s column; the route back is a segment of ``t``'s row,
     then one of ``src``'s column.  So the sums along ``src``'s row (see
-    ``_xy_lines``), extended one row at a time up and down every column at
+    ``_xy_line``), extended one row at a time up and down every column at
     once, give ``there``; the sums along ``src``'s column, extended one
     column at a time, give ``back``.  O(tiles) reads of the ledger's
     per-link list.
     """
+    arch.require_in_mesh(src)
     sx, sy = src
     w, h = arch.width, arch.height
     east, west, south, north = arch.east, arch.west, arch.south, arch.north
@@ -119,7 +108,8 @@ def xy_fold(src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> tuple[lis
     there = [0] * (w * h)
     back = [0] * (w * h)
     # row[x]: sum from src to (x, sy); col[y]: sum from (sx, y) to src.
-    row, _, _, col = _xy_lines(src, ledger, arch, add)
+    row = _xy_line(sx, sy, west, east, load, add)
+    col = _xy_line(sy, sx, south, north, load, add)
     there[sy * w : sy * w + w] = row
     acc = row
     for y in range(sy + 1, h):
@@ -151,10 +141,18 @@ def xy_leg_peaks(
     route into ``src`` from a tile off its row ends along its column, so
     every XY route from or to ``src`` has a peak at least that of the leg
     it shares with ``src``'s row or column.  The row and column are read
-    from the link tables as in ``xy_fold`` (see ``_xy_lines``):
+    from the link tables as in ``xy_fold`` (see ``_xy_line``):
     O(width + height).
     """
-    return _xy_lines(src, ledger, arch, max)
+    arch.require_in_mesh(src)
+    sx, sy = src
+    load = ledger.by_link_id().__getitem__
+    return (
+        _xy_line(sx, sy, arch.west, arch.east, load, max),
+        _xy_line(sx, sy, arch.east, arch.west, load, max),
+        _xy_line(sy, sx, arch.north, arch.south, load, max),
+        _xy_line(sy, sx, arch.south, arch.north, load, max),
+    )
 
 
 def _dijkstra(

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 
 import pytest
 
@@ -517,6 +518,26 @@ class TestMapBN:
                 break
         assert got == expected
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_examined_counts_the_nearest_shell(self, seed):
+        """bn examines the free compatible tiles of the nearest non-empty
+        Manhattan shell.  Asked from a free candidate, it still chooses
+        from distance 1 or more, never the requester's own tile."""
+        state, drawn, policy = random_partial_state(arch_4x4(), seed)
+        arch = state.arch
+        free = [c for c in arch.coords()
+                if state.tile_free(c) and compatible(drawn.task.kind, arch.kind(c))]
+        assert drawn.requester_tile not in free
+        for r in (drawn.requester_tile, free[seed % len(free)]):
+            req = replace(drawn, requester_tile=r)
+            shell = []
+            for n in range(1, shell_limit(r, arch) + 1):
+                shell = [c for c in manhattan_shell(r, n, arch) if c in free]
+                if shell:
+                    break
+            want = oracle_path_load(req, state, policy, shell=shell) if shell else None
+            assert map_bn(req, state, policy) == (want, len(shell)), r
+
 
 # Non-square meshes with RA tiles: a swap of width and height in the XY fold
 # would pass on the square meshes the golden cells and oracles use.
@@ -787,6 +808,44 @@ class TestXYWalk:
         tile meets the floor."""
         simulate(golden_scenario("mmc/16x16-ra/10"))
         assert len(routes) == 2 * 101
+
+
+class TestCandidateWalk:
+    """mmc, mac and bn order the free candidates by their distance from the
+    requester instead of walking every tile of every Manhattan shell."""
+
+    @pytest.mark.parametrize("name", FOLD_ARCHES)
+    def test_distance_order_is_shell_order(self, name):
+        """The candidates, in raster order, stably sorted by distance, come
+        in the order the shells around the requester list them, its own
+        tile first, for requesters on free and occupied tiles."""
+        arch = FOLD_ARCHES[name]
+        rng = random.Random(name)
+        for seed in range(100):
+            state, drawn, _ = random_partial_state(arch, seed)
+            for r in (drawn.requester_tile, rng.choice(list(arch.coords()))):
+                shells = [manhattan_shell(r, n, arch) for n in range(1, shell_limit(r, arch) + 1)]
+                for kind in TaskKind:
+                    cands = heuristics._candidates(state, kind)
+                    dist = heuristics._distances(r, cands)
+                    got = [cands[j] for j in sorted(range(len(cands)), key=dist.__getitem__)]
+                    want = [t for t in chain([r], *shells) if t in cands]
+                    assert got == want, (seed, r, kind)
+
+    @pytest.mark.parametrize("policy", RoutePolicy, ids=lambda p: p.value)
+    @pytest.mark.parametrize("kind", ["mmc", "mac", "bn"])
+    def test_places_without_building_shells(self, monkeypatch, kind, policy):
+        """The 10-app 16x16-ra golden workload runs to the same report with
+        ``manhattan_shell`` raising as without: mmc, mac and bn never build
+        a shell, and place every task on the same tile."""
+        scenario = replace(golden_scenario(f"{kind}/16x16-ra/10"), route_policy=policy)
+        want = simulate(scenario)
+
+        def no_shell(*args):
+            raise AssertionError("manhattan_shell called")
+
+        monkeypatch.setattr(heuristics, "manhattan_shell", no_shell)
+        assert simulate(scenario) == want
 
 
 class TestMinLoadTreeScoring:
