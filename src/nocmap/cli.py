@@ -116,12 +116,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.apps is not None and args.apps < 1:
         raise _UsageError("--apps must be >= 1")
     arch = _build_arch(args)
+    given = None if args.workload is None else parse_workload_file(args.workload)
     reports: list[SimReport] = []
     for seed in range(1, args.seeds + 1):
-        if args.workload is not None:
-            apps = parse_workload_file(args.workload)
-        else:
-            apps = generate_workload(GenConfig(app_count=args.apps, seed=seed))
+        apps = given or generate_workload(GenConfig(app_count=args.apps, seed=seed))
         reports += run_comparison(
             [Scenario(apps=apps, heuristic=h, route_policy=args.route, seed=seed, arch=arch)
              for h in heuristics]

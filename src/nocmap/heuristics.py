@@ -19,14 +19,10 @@ Every heuristic, and ``place_initial``, is a pure function of (request,
 state) that writes nothing; ``ff`` additionally threads its cursor.  Each
 returns the chosen tile (or ``None`` when no free compatible tile exists)
 plus the number of candidate tiles it examined, which callers aggregate as
-a mapping-effort proxy.  For mmc, mac and pl that is the number of free
-compatible candidates, not the number of tiles scored: mmc and mac stop
-scoring once no candidate left can win, under either route policy, and
-under XY skip a candidate whose routes already lose on the links they must
-cross along the requester's row and column; pl under XY stops at a
-zero-cost tile of the nearest shell, and otherwise scores every candidate
-in bulk.  Only nn walks the mesh shell by shell; mmc, mac and bn order
-the free compatible candidates by their distance from the requester.
+a mapping-effort proxy.  ff, nn, spiral and ``place_initial`` take the
+first free compatible tile of a fixed tile order (``_first_free``) and
+count the tiles they look at.  mmc, mac and pl count the free compatible
+candidates, not the tiles they score; bn counts its nearest shell.
 """
 from __future__ import annotations
 
@@ -34,9 +30,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import ceil
-from itertools import count
+from itertools import chain, count
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .model import (
     ArchGraph,
@@ -230,8 +226,24 @@ def _greedy_spread(clusters: list[Cluster], arch: ArchGraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _free_compatible(state: MappingState, c: Coord, kind: TaskKind) -> bool:
-    return state.arch.accepts(c, kind) and c not in state.tile_owner
+def _rings(center: Coord, arch: ArchGraph) -> Iterator[Coord]:
+    """Every ``spiral_ring`` around ``center``, nearest ring first."""
+    for hop in range(1, ring_limit(center, arch) + 1):
+        yield from spiral_ring(center, hop, arch)
+
+
+def _first_free(
+    tiles: Iterable[Coord], state: MappingState, kind: TaskKind
+) -> tuple[Coord | None, int]:
+    """First free tile of ``tiles`` (read lazily) accepting ``kind``, and the
+    number of tiles examined: all of them when none qualifies."""
+    arch, owner = state.arch, state.tile_owner
+    examined = 0
+    for tile in tiles:
+        examined += 1
+        if arch.accepts(tile, kind) and tile not in owner:
+            return tile, examined
+    return None, examined
 
 
 def place_initial(
@@ -241,69 +253,51 @@ def place_initial(
 
     Returns (cluster index, tile, tiles examined), or None when every cluster
     is held or no free compatible tile exists; the caller queues the
-    application in that case.  The ring search may spill over the cluster
-    border: cluster frontiers are virtual.
+    application in that case.  Only the first cluster not held is tried.
+    The ring search may spill over the cluster border: cluster frontiers
+    are virtual.
     """
-    arch = state.arch
-    for ci in grid.admission_order:
-        if ci in held:
-            continue
-        center = grid.clusters[ci].center
-        examined = 1
-        if _free_compatible(state, center, TaskKind.INITIAL):
-            return ci, center, examined
-        for hop in range(1, ring_limit(center, arch) + 1):
-            for tile in spiral_ring(center, hop, arch):
-                examined += 1
-                if _free_compatible(state, tile, TaskKind.INITIAL):
-                    return ci, tile, examined
+    ci = next((ci for ci in grid.admission_order if ci not in held), None)
+    if ci is None:
         return None
-    return None
+    center = grid.clusters[ci].center
+    order = chain((center,), _rings(center, state.arch))
+    tile, examined = _first_free(order, state, TaskKind.INITIAL)
+    return None if tile is None else (ci, tile, examined)
 
 
 def map_spiral(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]:
     """First free compatible tile scanning rings outward from the requester."""
     if req.requester_tile is None:
         raise StateError("spiral placement requires a requester tile")
-    arch = state.arch
-    examined = 0
-    for hop in range(1, ring_limit(req.requester_tile, arch) + 1):
-        for tile in spiral_ring(req.requester_tile, hop, arch):
-            examined += 1
-            if _free_compatible(state, tile, req.task.kind):
-                return tile, examined
-    return None, examined
+    return _first_free(_rings(req.requester_tile, state.arch), state, req.task.kind)
 
 
 def map_ff(req: MapRequest, state: MappingState, cursor: int) -> tuple[Coord | None, int, int]:
     """Next free compatible tile after a persistent wrapping linear cursor.
 
-    Returns (tile, advanced cursor, tiles examined).  The cursor moves past
-    the chosen tile so every compatible tile is used once per sweep before
-    any tile is considered again.
+    Returns (tile, advanced cursor, tiles examined); the scan starts at
+    ``cursor`` modulo the tile count.  The cursor moves past the chosen tile
+    so every compatible tile is used once per sweep before any tile is
+    considered again.
     """
     arch = state.arch
     n = arch.width * arch.height
-    for i in range(n):
-        idx = (cursor + i) % n
-        tile = arch.coord_at(idx)
-        if _free_compatible(state, tile, req.task.kind):
-            return tile, (idx + 1) % n, i + 1
-    return None, cursor, n
+    start = cursor % n
+    order = map(arch.coord_at, chain(range(start, n), range(start)))
+    tile, examined = _first_free(order, state, req.task.kind)
+    if tile is None:
+        return None, cursor, examined
+    return tile, (arch.linear_index(tile) + 1) % n, examined
 
 
 def map_nn(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]:
     """Nearest free compatible tile; shells scanned in raster order."""
     if req.requester_tile is None:
         raise StateError("nearest-neighbour placement requires a requester tile")
-    arch = state.arch
-    examined = 0
-    for n in range(1, shell_limit(req.requester_tile, arch) + 1):
-        for tile in manhattan_shell(req.requester_tile, n, arch):
-            examined += 1
-            if _free_compatible(state, tile, req.task.kind):
-                return tile, examined
-    return None, examined
+    r, arch = req.requester_tile, state.arch
+    shells = (manhattan_shell(r, d, arch) for d in range(1, shell_limit(r, arch) + 1))
+    return _first_free(chain.from_iterable(shells), state, req.task.kind)
 
 
 def _candidates(state: MappingState, kind: TaskKind) -> list[Coord]:

@@ -20,9 +20,9 @@ import csv
 import heapq
 from bisect import insort
 from collections import deque
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .heuristics import (
     ClusterGrid,
@@ -295,14 +295,28 @@ _RANK_COMM_READY = 2
 _RANK_ARRIVAL = 3
 
 
+def _check_types(s: Scenario) -> None:
+    """Raise ``ValidationError`` naming the first ``Scenario`` field of the wrong type."""
+    apps_ok = isinstance(s.apps, Sequence) and all(isinstance(g, TaskGraph) for g in s.apps)
+    for name, ok, want in (
+        ("apps", apps_ok, "a sequence of TaskGraph"),
+        ("arrivals", s.arrivals is None or isinstance(s.arrivals, Sequence), "None or a sequence"),
+        ("params", isinstance(s.params, PlatformParams), "a PlatformParams"),
+        ("arch", s.arch is None or isinstance(s.arch, ArchGraph), "None or an ArchGraph"),
+        ("admission_guard", isinstance(s.admission_guard, bool), "a bool"),
+        ("seed", is_int(s.seed), "an integer"),
+    ):
+        if not ok:
+            raise ValidationError(f"{name} must be {want}, got {getattr(s, name)!r}")
+
+
 class _Engine:
     def __init__(self, scenario: Scenario):
+        _check_types(scenario)
         self.scenario = scenario
         self.arch = scenario.arch or ArchGraph.default_8x8()
         self.params = scenario.params
         self.params.validate()
-        if not is_int(scenario.seed):
-            raise ValidationError(f"seed must be an integer, got {scenario.seed!r}")
         apps = list(scenario.apps)
         if not apps:
             raise ValidationError("scenario needs at least one application")
@@ -616,6 +630,8 @@ def run_comparison(scenarios: Sequence[Scenario]) -> list[SimReport]:
     """Simulate scenarios that share a workload but differ in heuristic."""
     if not scenarios:
         raise ValidationError("no scenarios to compare")
+    for s in scenarios:
+        _check_types(s)
     first = scenarios[0]
     for other in scenarios[1:]:
         if list(other.apps) != list(first.apps):

@@ -10,7 +10,7 @@ from nocmap.cli import main
 from nocmap.model import TileKind
 from nocmap.oracles import CheckResult, check_routing
 from nocmap.sim import _Engine
-from nocmap.workload import read_report
+from nocmap.workload import parse_workload_file, read_report
 
 
 def run_cli(*args):
@@ -226,6 +226,29 @@ class TestCompare:
         rows = read_report(str(out))
         assert len(rows) == 2
         assert rows[0]["makespan_cycles"] == rows[1]["makespan_cycles"]
+
+    def test_workload_file_parsed_once(self, tmp_path, workload, capsys, monkeypatch):
+        """``--workload`` is read once for all seeds; the CSV and stdout bytes
+        are those of reading it once per seed."""
+        calls = []
+
+        def counting_parse(path):
+            calls.append(path)
+            return parse_workload_file(path)
+
+        monkeypatch.setattr(cli, "parse_workload_file", counting_parse)
+        out = tmp_path / "cmp.csv"
+        rc = run_cli("compare", "--workload", str(workload), "--heuristics", "spiral,nn,ff",
+                     "--seeds", "3", "--out", str(out))
+        assert rc == 0
+        assert calls == [str(workload)]
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert sha256(out.read_bytes()).hexdigest() == (
+            "db7d9ef00e157ba005f777f1f85c2ee1f60995f9911e4212bac8d4d9db7e6e31"
+        )
+        assert sha256(stdout).hexdigest() == (
+            "63016a85ee6cf231d196f806a2939e6dbb5734dc0179a687e3793b82b10d7da8"
+        )
 
     def test_apps_and_workload_together_is_usage_error(self, tmp_path, workload):
         rc = run_cli("compare", "--apps", "2", "--workload", str(workload),

@@ -242,8 +242,9 @@ class TestMapSpiral:
         place_master(state, (1, 0))
         state.place("x", Task("a", TaskKind.SOFTWARE, 1), (0, 1))
         state.place("y", Task("b", TaskKind.SOFTWARE, 1), (1, 1))
-        tile, _ = map_spiral(MapRequest("app0", sw_task(), (1, 0), 1, 1), state)
+        tile, examined = map_spiral(MapRequest("app0", sw_task(), (1, 0), 1, 1), state)
         assert tile is None
+        assert examined == 3
 
 
 class TestMapFF:
@@ -289,6 +290,18 @@ class TestMapFF:
         assert cur == 0
         assert examined == 4
 
+    @pytest.mark.parametrize("cursor", [0, 5, 63])
+    def test_cursor_taken_modulo_tile_count(self, arch8, cursor):
+        """A cursor of ``n + c`` or ``c - n`` scans as the cursor ``c``."""
+        state = MappingState(arch8)
+        for c in ((1, 0), (6, 0), (7, 7), (0, 1)):
+            state.place("x", sw_task(f"b{c}"), c)
+        req = MapRequest("a", sw_task(), None, 0, 0)
+        want = map_ff(req, state, cursor)
+        assert want[0] is not None
+        for other in (cursor + 64, cursor - 64):
+            assert map_ff(req, state, other) == want
+
 
 class TestMapNN:
     def test_raster_first_at_distance_one(self, arch8):
@@ -313,8 +326,9 @@ class TestMapNN:
         place_master(state, (1, 0))
         state.place("x", Task("a", TaskKind.SOFTWARE, 1), (0, 1))
         state.place("y", Task("b", TaskKind.SOFTWARE, 1), (1, 1))
-        tile, _ = map_nn(MapRequest("app0", sw_task(), (1, 0), 1, 1), state)
+        tile, examined = map_nn(MapRequest("app0", sw_task(), (1, 0), 1, 1), state)
         assert tile is None
+        assert examined == 3
 
 
 class TestMapMMC:

@@ -342,6 +342,26 @@ class TestSimulateBasics:
         with pytest.raises(ValidationError, match="seed must be an integer"):
             simulate(Scenario(apps=[single_task_app()], heuristic="nn", seed=seed))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("apps", None),
+            ("apps", [single_task_app(), "app1"]),
+            ("arrivals", 5),
+            ("params", None),
+            ("arch", "8x8"),
+            ("admission_guard", "no"),
+        ],
+    )
+    def test_wrong_field_type_rejected(self, field, value):
+        """``simulate`` and ``run_comparison`` name a field of the wrong type
+        before reading it."""
+        scenario = Scenario(apps=[single_task_app()], heuristic="nn")
+        setattr(scenario, field, value)
+        for run in (simulate, lambda s: run_comparison([s, s])):
+            with pytest.raises(ValidationError, match=f"^{field} must be"):
+                run(scenario)
+
 
 @pytest.mark.parametrize("heuristic", ["ff", "mmc", "mac", "nn", "pl", "bn", "spiral"])
 @pytest.mark.parametrize("case", ["8x8/10", "4x4-ra/10", "4x4-ra/5/dag"])
