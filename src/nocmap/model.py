@@ -401,7 +401,10 @@ class ArchGraph:
 
     def require_in_mesh(self, c: Coord) -> None:
         if not self.in_mesh(c):
-            raise ValidationError(f"coordinate {c} outside the {self.width}x{self.height} mesh")
+            raise self._outside(c)
+
+    def _outside(self, c: Coord) -> ValidationError:
+        return ValidationError(f"coordinate {c} outside the {self.width}x{self.height} mesh")
 
     def linear_index(self, c: Coord) -> int:
         return c[1] * self.width + c[0]
@@ -410,8 +413,15 @@ class ArchGraph:
         return (index % self.width, index // self.width)
 
     def kind(self, c: Coord) -> TileKind:
-        self.require_in_mesh(c)
-        return self._kinds[c]
+        # ``in_mesh`` in one lookup: the engine asks this of every tile it
+        # computes on.
+        try:
+            k = self._kinds.get(c)
+            if k is not None and _int_parts(c):
+                return k
+        except TypeError:  # unhashable
+            pass
+        raise self._outside(c)
 
     def tiles_for(self, kind: TaskKind) -> tuple[Coord, ...]:
         """Tiles a task of ``kind`` may run on (see ``compatible``), raster order."""
@@ -462,6 +472,11 @@ class ChannelLoadLedger:
     Every path method resolves the whole path first and raises
     ``ValidationError`` on a step that is not a mesh link, so a failed update
     changes nothing.
+
+    Every path update goes through ``_shift``, which works on link ids:
+    ``add_path`` and ``remove_path`` resolve a path and pass its ids on.
+    ``MappingState`` resolves a route once, when it pins it, and keeps the
+    ids to release the route by.
     """
 
     def __init__(self, arch: ArchGraph):
@@ -497,19 +512,19 @@ class ChannelLoadLedger:
         """Add ``volume`` to every link of ``path``; return the links' ids in
         path order (empty for a single tile)."""
         _check_amount("volume", volume)
-        return self._shift(path, volume)
+        ids = self._on_path(path)
+        self._shift(ids, volume)
+        return ids
 
     def remove_path(self, path: Sequence[Coord], volume: int) -> None:
         _check_amount("volume", volume)
-        self._shift(path, -volume)
+        self._shift(self._on_path(path), -volume)
 
-    def _shift(self, path: Sequence[Coord], delta: int) -> list[int]:
-        """Add ``delta`` to the load of every link of ``path`` and return the
-        links' ids.  The whole path is resolved before any load is written,
-        and a removal that takes a load below zero is undone before it
-        raises."""
+    def _shift(self, ids: Sequence[int], delta: int) -> None:
+        """Add ``delta`` to the load of every link in ``ids``, once per
+        listing.  The ids must be ones the ledger resolved.  A removal that
+        takes a load below zero is undone before it raises ``StateError``."""
         load = self._load
-        ids = self._on_path(path)
         for i in ids:
             load[i] += delta
         if delta < 0 and min(map(load.__getitem__, ids), default=0) < 0:
@@ -521,7 +536,6 @@ class ChannelLoadLedger:
                 f"{self.arch.links()[bad]} would go negative"
             )
         self._total += delta * len(ids)
-        return ids
 
     def path_loads(self, path: Sequence[Coord]) -> list[int]:
         """Load of each link of ``path``, in path order; empty for a single tile."""
@@ -570,7 +584,14 @@ PinnedRoute = tuple[tuple[Coord, ...], int, tuple[int, ...]]
 
 
 class MappingState:
-    """Mutable placement/route/ledger state for one platform."""
+    """Mutable placement/route/ledger state for one platform.
+
+    ``apply_route`` checks a route, resolves its path to link ids once and
+    stores them with it (``PinnedRoute``).  ``remove_route`` and
+    ``release_app`` release a route's load by those ids, without resolving
+    its path again.  A release that would take a load below zero raises
+    ``StateError`` and changes nothing.
+    """
 
     def __init__(self, arch: ArchGraph):
         self.arch = arch
@@ -610,15 +631,16 @@ class MappingState:
     ) -> None:
         """Pin a route for one communication direction and load its links.
 
-        The route is stored with the link ids ``add_path`` resolved, so its
-        readers need not resolve the path again."""
+        The route is stored with the link ids of its path, resolved here
+        once, so its readers and its release need not resolve it again."""
         if direction not in DIRECTIONS:
             raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         key: RouteKey = (app, mtid, stid, direction)
         if key in self.routes:
             raise StateError(f"route already stored for {key}")
-        m_tile = self.task_tile(app, mtid)
-        s_tile = self.task_tile(app, stid)
+        placement = self.placement
+        m_tile = placement.get((app, mtid))
+        s_tile = placement.get((app, stid))
         if m_tile is None or s_tile is None:
             raise StateError(f"route {key} has an unmapped endpoint")
         src, dst = (m_tile, s_tile) if direction == DIR_MS else (s_tile, m_tile)
@@ -630,28 +652,42 @@ class MappingState:
             revisits = False
         if revisits:
             raise ValidationError(f"route {key}: path {list(path)} revisits a tile")
-        # The ledger rejects an off-mesh or unhashable tile or a non-adjacent
-        # step as an unknown link, before it writes any load.
-        links = self.ledger.add_path(path, volume)
-        self.routes[key] = (tuple(path), volume, tuple(links))
+        _check_amount("volume", volume)
+        # An off-mesh or unhashable tile or a non-adjacent step is an unknown
+        # link, rejected before any load is written.
+        ids = self.ledger._on_path(path)
+        self.ledger._shift(ids, volume)
+        self.routes[key] = (tuple(path), volume, tuple(ids))
 
     def remove_route(self, key: RouteKey) -> None:
-        if key not in self.routes:
+        pinned = self.routes.get(key)
+        if pinned is None:
             raise StateError(f"no route stored for {key}")
-        path, volume, _ = self.routes.pop(key)
-        self.ledger.remove_path(path, volume)
+        self.ledger._shift(pinned[2], -pinned[1])
+        del self.routes[key]
 
     def release_app(self, app: str) -> None:
         """Free every tile and route held by the application."""
         placed = [k for k in self.placement if k[0] == app]
         if not placed:
             raise ValidationError(f"unknown application {app!r}")
+        held = [k for k in self.routes if k[0] == app]
+        shift = self.ledger._shift
+        released: list[tuple[tuple[int, ...], int]] = []
+        try:
+            for rkey in held:
+                _, volume, ids = self.routes[rkey]
+                shift(ids, -volume)
+                released.append((ids, volume))
+        except StateError:
+            for ids, volume in released:  # cannot fail: it restores loads
+                shift(ids, volume)
+            raise
+        for rkey in held:
+            del self.routes[rkey]
         for key in placed:
             c = self.placement.pop(key)
             del self.tile_owner[c]
-        for rkey in [k for k in self.routes if k[0] == app]:
-            path, volume, _ = self.routes.pop(rkey)
-            self.ledger.remove_path(path, volume)
 
     def rebuild_ledger(self) -> ChannelLoadLedger:
         """Fresh ledger recomputed from the stored routes' paths, not their

@@ -296,7 +296,10 @@ _RANK_ARRIVAL = 3
 
 
 def _check_types(s: Scenario) -> None:
-    """Raise ``ValidationError`` naming the first ``Scenario`` field of the wrong type."""
+    """Raise ``ValidationError`` if ``s`` is not a ``Scenario``, or naming
+    its first field of the wrong type."""
+    if not isinstance(s, Scenario):
+        raise ValidationError(f"a scenario must be a Scenario, got {s!r}")
     apps_ok = isinstance(s.apps, Sequence) and all(isinstance(g, TaskGraph) for g in s.apps)
     for name, ok, want in (
         ("apps", apps_ok, "a sequence of TaskGraph"),
@@ -622,12 +625,20 @@ def simulate(scenario: Scenario, check: bool = False) -> SimReport:
     With ``check``, ``nocmap.oracles.check_engine`` runs after every batch of
     same-cycle events and raises ``InvariantError`` on the first broken
     invariant; the report and event log are the same as without it.
+    ``check`` must be a ``bool``.
     """
+    if not isinstance(check, bool):
+        raise ValidationError(f"check must be a bool, got {check!r}")
     return _Engine(scenario).run(check)
 
 
 def run_comparison(scenarios: Sequence[Scenario]) -> list[SimReport]:
-    """Simulate scenarios that share a workload but differ in heuristic."""
+    """Simulate scenarios that share a workload but differ in heuristic.
+
+    ``scenarios`` is a sequence of ``Scenario``; an iterator is rejected,
+    since it would be consumed by the checks."""
+    if not isinstance(scenarios, Sequence):
+        raise ValidationError(f"scenarios must be a sequence of Scenario, got {scenarios!r}")
     if not scenarios:
         raise ValidationError("no scenarios to compare")
     for s in scenarios:

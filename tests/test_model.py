@@ -511,20 +511,47 @@ class TestMappingState:
         with pytest.raises(ValidationError):
             state.release_app("ghost")
 
-    def test_remove_and_release_match_rebuild(self):
+    def test_remove_and_release_match_rebuild(self, monkeypatch):
+        """A route's path is resolved to link ids once, when it is pinned;
+        ``remove_route`` and ``release_app`` release it by the stored ids.
+        After every step of a mixed pin/release sequence the ledger equals a
+        rebuild from the surviving routes' paths."""
+        resolved = []
+        real_on_path = ChannelLoadLedger._on_path
+
+        def counting_on_path(ledger, path):
+            resolved.append(tuple(path))
+            return real_on_path(ledger, path)
+
+        monkeypatch.setattr(ChannelLoadLedger, "_on_path", counting_on_path)
         arch = small_arch(4, 4)
         state = MappingState(arch)
         _place_chain(state, "a", [(1, 0), (3, 1)])
         _place_chain(state, "b", [(0, 2), (2, 2)])
-        state.apply_route("a", "t0", "t1", "ms", ((1, 0), (2, 0), (3, 0), (3, 1)), 60)
-        state.apply_route("a", "t0", "t1", "sm", ((3, 1), (2, 1), (1, 1), (1, 0)), 25)
-        state.apply_route("b", "t0", "t1", "ms", ((0, 2), (1, 2), (2, 2)), 9)
-        state.apply_route("b", "t0", "t1", "sm", ((2, 2), (2, 1), (1, 1), (0, 1), (0, 2)), 4)
-        state.remove_route(("a", "t0", "t1", "sm"))
-        assert state.ledger == state.rebuild_ledger()
-        assert state.ledger.total_load() == state.rebuild_ledger().total_load() == 180 + 18 + 16
-        state.release_app("b")
-        assert state.ledger == state.rebuild_ledger()
+        _place_chain(state, "c", [(3, 3), (1, 3)])
+
+        def step(call, *args):
+            before = len(resolved)
+            call(*args)
+            assert len(resolved) - before == (call == state.apply_route)
+            rebuilt = state.rebuild_ledger()
+            assert state.ledger == rebuilt
+            assert state.ledger.total_load() == rebuilt.total_load()
+
+        step(state.apply_route, "a", "t0", "t1", "ms", ((1, 0), (2, 0), (3, 0), (3, 1)), 60)
+        step(state.apply_route, "a", "t0", "t1", "sm", ((3, 1), (2, 1), (1, 1), (1, 0)), 25)
+        step(state.apply_route, "b", "t0", "t1", "ms", ((0, 2), (1, 2), (2, 2)), 9)
+        step(state.apply_route, "b", "t0", "t1", "sm", ((2, 2), (2, 1), (1, 1), (0, 1), (0, 2)), 4)
+        step(state.remove_route, ("a", "t0", "t1", "sm"))
+        assert state.ledger.total_load() == 180 + 18 + 16
+        c_there = ((3, 3), (2, 3), (2, 2), (2, 1), (1, 1), (1, 2), (1, 3))
+        step(state.apply_route, "c", "t0", "t1", "ms", c_there, 3)
+        step(state.release_app, "b")
+        assert state.ledger.total_load() == 180 + 18
+        step(state.apply_route, "c", "t0", "t1", "sm", c_there[::-1], 2)
+        step(state.remove_route, ("c", "t0", "t1", "ms"))
+        assert list(state.routes) == [("a", "t0", "t1", "ms"), ("c", "t0", "t1", "sm")]
+        step(state.release_app, "c")
         assert state.ledger.total_load() == 180
         assert list(state.routes) == [("a", "t0", "t1", "ms")]
 
@@ -720,11 +747,51 @@ class TestLedgerReconstruction:
         assert ledger.total_load() == 28
 
     def test_over_release_rejected(self):
+        """A release that would take a load below zero raises ``StateError``
+        and changes nothing, whether it comes through the ledger or through
+        ``remove_route`` and ``release_app``, which release by the link ids
+        stored at the pin.  ``release_app`` undoes the routes it released
+        before the one that fails, and frees no tile."""
         arch = small_arch(3, 3)
         ledger = ChannelLoadLedger(arch)
         ledger.add_path(((0, 1), (1, 1)), 50)
         with pytest.raises(StateError):
             ledger.remove_path(((0, 1), (1, 1)), 60)
+        assert (ledger.load(((0, 1), (1, 1))), ledger.total_load()) == (50, 50)
+
+        state = MappingState(small_arch(4, 4))
+        _place_chain(state, "a", [(1, 0), (3, 0), (3, 2)])
+        _place_chain(state, "b", [(0, 1), (0, 3)])
+        state.apply_route("a", "t0", "t1", "ms", ((1, 0), (2, 0), (3, 0)), 10)
+        state.apply_route("a", "t0", "t2", "ms", ((1, 0), (2, 0), (3, 0), (3, 1), (3, 2)), 5)
+        state.apply_route("b", "t0", "t1", "ms", ((0, 1), (0, 2), (0, 3)), 7)
+
+        def rejected(call, *args):
+            snapshot = (
+                state.ledger.loads(), state.ledger.total_load(), dict(state.routes),
+                dict(state.placement), dict(state.tile_owner),
+            )
+            with pytest.raises(StateError, match="would go negative"):
+                call(*args)
+            assert snapshot == (
+                state.ledger.loads(), state.ledger.total_load(), state.routes,
+                state.placement, state.tile_owner,
+            )
+
+        # Each of a's routes alone fits on the shared link; both do not.
+        state.ledger.set_load(((2, 0), (3, 0)), 12)
+        rejected(state.release_app, "a")
+        # A link of a's second route only.
+        state.ledger.set_load(((3, 1), (3, 2)), 4)
+        rejected(state.remove_route, ("a", "t0", "t2", "ms"))
+        rejected(state.release_app, "a")
+        state.ledger.set_load(((2, 0), (3, 0)), 15)
+        state.ledger.set_load(((3, 1), (3, 2)), 5)
+        assert state.ledger == state.rebuild_ledger()
+        state.release_app("a")
+        assert state.ledger == state.rebuild_ledger()
+        assert state.ledger.total_load() == 14
+        assert list(state.routes) == [("b", "t0", "t1", "ms")]
 
 
 @settings(max_examples=200, deadline=None)

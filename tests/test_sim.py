@@ -3,6 +3,7 @@ from typing import Iterable
 
 import pytest
 
+from nocmap import sim as sim_module
 from nocmap.model import (
     ArchGraph,
     DirectedLink,
@@ -362,6 +363,22 @@ class TestSimulateBasics:
             with pytest.raises(ValidationError, match=f"^{field} must be"):
                 run(scenario)
 
+    @pytest.mark.parametrize(
+        "scenario", ["x", None, [Scenario(apps=[single_task_app()], heuristic="nn")]],
+        ids=["str", "none", "list"],
+    )
+    def test_non_scenario_rejected(self, scenario):
+        with pytest.raises(ValidationError, match="^a scenario must be a Scenario"):
+            simulate(scenario)
+
+    @pytest.mark.parametrize("check", ["no", "", 0, 1, None])
+    def test_check_must_be_a_bool(self, monkeypatch, check):
+        """A non-``bool`` ``check`` is rejected before anything runs, and the
+        invariant checker never runs."""
+        monkeypatch.setattr(sim_module, "check_engine", lambda engine: pytest.fail("checker ran"))
+        with pytest.raises(ValidationError, match="^check must be a bool"):
+            simulate(Scenario(apps=[single_task_app()], heuristic="nn"), check=check)
+
 
 @pytest.mark.parametrize("heuristic", ["ff", "mmc", "mac", "nn", "pl", "bn", "spiral"])
 @pytest.mark.parametrize("case", ["8x8/10", "4x4-ra/10", "4x4-ra/5/dag"])
@@ -595,6 +612,24 @@ class TestRunComparison:
             ]
         )
         assert [r.heuristic for r in reports] == ["nn", "spiral"]
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda s: iter([s, s]), "^scenarios must be a sequence of Scenario"),
+            (lambda s: (x for x in [s]), "^scenarios must be a sequence of Scenario"),
+            (lambda s: s, "^scenarios must be a sequence of Scenario"),
+            (lambda s: [s, "x"], "^a scenario must be a Scenario"),
+            (lambda s: ["x", s], "^a scenario must be a Scenario"),
+            (lambda s: [s, None], "^a scenario must be a Scenario"),
+            (lambda s: "x", "^a scenario must be a Scenario"),
+        ],
+        ids=["iterator", "generator", "scenario", "str-after", "str-before", "none", "str"],
+    )
+    def test_bad_scenarios_argument_rejected(self, make, match):
+        scenario = Scenario(apps=[single_task_app()], heuristic="nn")
+        with pytest.raises(ValidationError, match=match):
+            run_comparison(make(scenario))
 
     @pytest.mark.parametrize("arrivals", [[0], None])
     def test_mismatched_arrivals_rejected(self, arrivals):
