@@ -115,7 +115,8 @@ def spiral_ring(center: Coord, hop: int, arch: ArchGraph) -> list[Coord]:
     ring += [(cx + hop, y) for y in range(cy - hop + 1, cy + hop + 1)]
     ring += [(x, cy + hop) for x in range(cx + hop - 1, cx - hop - 1, -1)]
     ring += [(cx - hop, y) for y in range(cy + hop - 1, cy, -1)]
-    return [c for c in ring if arch.in_mesh(c)]
+    # The centre is a mesh tile, so each position is a pair of ints.
+    return [c for c in ring if 0 <= c[0] < arch.width and 0 <= c[1] < arch.height]
 
 
 def ring_limit(center: Coord, arch: ArchGraph) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -282,10 +281,18 @@ def _check_amount(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-def _int_parts(c: Coord) -> bool:
-    """True iff both parts of ``c`` are of type ``int``: ``(1.0, 0)`` and
-    ``(True, 0)`` equal a tile but are not one."""
-    return type(c[0]) is int and type(c[1]) is int
+def _tile_kind(kinds: Mapping[Coord, TileKind], c: Coord) -> TileKind | None:
+    """The kind of tile ``c`` in ``kinds``, or None when ``c`` is not one of
+    its tiles: not a key, unhashable (such as a list), or with a part not of
+    type ``int`` (``(1.0, 0)`` and ``(True, 0)`` equal a tile but are not
+    one).  Every query that takes a tile asks this."""
+    try:
+        k = kinds.get(c)
+    except TypeError:  # unhashable
+        return None
+    if k is not None and type(c[0]) is int and type(c[1]) is int:
+        return k
+    return None
 
 
 class ArchGraph:
@@ -295,66 +302,56 @@ class ArchGraph:
         _check_mesh_size(width, height)
         self.width = width
         self.height = height
-        self._kinds = dict(kinds)
+        self._kinds = kinds = dict(kinds)
         expected = {(x, y) for x in range(width) for y in range(height)}
-        if set(self._kinds) != expected or not all(map(_int_parts, self._kinds)):
+        if set(self._kinds) != expected or any(_tile_kind(kinds, c) is None for c in kinds):
             raise ValidationError("tile kind map must cover the mesh exactly, with int coordinates")
         managers = [c for c, k in self._kinds.items() if k is TileKind.MANAGER]
         if len(managers) != 1:
             raise ValidationError(f"exactly one manager tile required, got {len(managers)}")
         self.manager: Coord = managers[0]
-        # Integer link ids: a link's position in ``links()``.  The ledger
-        # keeps its loads in a list indexed by them, and the routers walk
-        # these tables instead of hashing coordinate pairs.  ``adjacent[i]``
-        # lists the neighbours of tile index ``i`` by index, in linear-index
-        # order; the links to them have consecutive ids from
-        # ``first_link[i]``.  ``opposite[k]`` is the id of link ``k`` run the
-        # other way.
+        # Integer link ids: a link's position in ``links()``.  This loop is
+        # the only code that numbers links.  ``out_links[i]`` lists the
+        # ``(neighbour index, link id)`` pair of every link out of tile index
+        # ``i``, in linear-index order of the neighbours.  The ledger keeps
+        # its loads in a list indexed by link id, and the routers walk these
+        # tables instead of hashing coordinate pairs.
         self._cells = cells = tuple(self.coords())
         links: list[DirectedLink] = []
-        ids: dict[DirectedLink, int] = {}
-        adjacent: list[tuple[int, ...]] = []
-        first_link: list[int] = []
+        out_links: list[tuple[tuple[int, int], ...]] = []
         for i, c in enumerate(cells):
             x, y = c
-            adj = (
+            out: list[tuple[int, int]] = []
+            for ok, j in (
                 (y > 0, i - width),
                 (x > 0, i - 1),
                 (x < width - 1, i + 1),
                 (y < height - 1, i + width),
-            )
-            adjacent.append(tuple(j for ok, j in adj if ok))
-            first_link.append(len(links))
-            for j in adjacent[-1]:
-                ids[c, cells[j]] = len(links)
-                links.append((c, cells[j]))
+            ):
+                if ok:
+                    out.append((j, len(links)))
+                    links.append((c, cells[j]))
+            out_links.append(tuple(out))
         self._links = tuple(links)
+        ids = {link: k for k, link in enumerate(links)}
         self.link_ids: Mapping[DirectedLink, int] = ids
-        self.adjacent = tuple(adjacent)
-        self.first_link = tuple(first_link)
+        self.out_links = tuple(out_links)
         # Links between adjacent columns and rows, as link ids:
         # east[x][y] is (x, y) -> (x+1, y), west[x][y] is (x+1, y) -> (x, y),
         # south[y][x] is (x, y) -> (x, y+1), north[y][x] is (x, y+1) -> (x, y).
-        # A tile's links run up, left, right, down (those in the mesh), so
-        # each id is its tile's first link id plus the links listed before it.
-        f, w, rows, cols = self.first_link, width, range(height), range(width)
-        self.east = tuple(tuple(f[y * w + x] + (y > 0) + (x > 0) for y in rows) for x in cols[:-1])
-        self.west = tuple(tuple(f[y * w + x + 1] + (y > 0) for y in rows) for x in cols[:-1])
-        self.south = tuple(tuple(f[y * w + x + 1] - 1 for x in cols) for y in rows[:-1])
-        self.north = tuple(tuple(f[(y + 1) * w + x] for x in cols) for y in rows[:-1])
-        opposite = [0] * len(links)
-        for there, back in zip(chain(*self.east, *self.south), chain(*self.west, *self.north)):
-            opposite[there], opposite[back] = back, there
-        self.opposite = tuple(opposite)
+        # ``opposite[k]`` is the id of link ``k`` run the other way.
+        rows, cols = range(height), range(width)
+        self.east = tuple(tuple(ids[(x, y), (x + 1, y)] for y in rows) for x in cols[:-1])
+        self.west = tuple(tuple(ids[(x + 1, y), (x, y)] for y in rows) for x in cols[:-1])
+        self.south = tuple(tuple(ids[(x, y), (x, y + 1)] for x in cols) for y in rows[:-1])
+        self.north = tuple(tuple(ids[(x, y + 1), (x, y)] for x in cols) for y in rows[:-1])
+        self.opposite = tuple(ids[b, a] for a, b in links)
         self._kind_count = Counter(self._kinds.values())
-        # Tiles each task kind may use, in raster order and as a set.
-        runs = {tk: [k for k in TaskKind if compatible(k, tk)] for tk in TileKind}
-        usable: dict[TaskKind, list[Coord]] = {k: [] for k in TaskKind}
-        for c in cells:
-            for k in runs[self._kinds[c]]:
-                usable[k].append(c)
-        self._tiles_for = {k: tuple(tiles) for k, tiles in usable.items()}
-        self._tile_set_for = {k: frozenset(tiles) for k, tiles in usable.items()}
+        # The tiles each task kind may use, with their kinds, in raster order.
+        self._usable = {
+            k: {c: self._kinds[c] for c in cells if compatible(k, self._kinds[c])} for k in TaskKind
+        }
+        self._tiles_for = {k: tuple(tiles) for k, tiles in self._usable.items()}
 
     @classmethod
     def default_8x8(cls) -> "ArchGraph":
@@ -373,18 +370,11 @@ class ArchGraph:
         kinds: dict[Coord, TileKind] = {
             (x, y): TileKind.ISP for x in range(width) for y in range(height)
         }
-
-        def is_tile(c: Coord) -> bool:
-            try:
-                return c in kinds and _int_parts(c)
-            except TypeError:  # unhashable, such as a list
-                return False
-
         for c in ra:
-            if not is_tile(c):
+            if _tile_kind(kinds, c) is None:
                 raise ValidationError(f"RA tile {c} outside the {width}x{height} mesh")
             kinds[c] = TileKind.RA
-        if not is_tile(manager):
+        if _tile_kind(kinds, manager) is None:
             raise ValidationError(f"manager tile {manager} outside the mesh")
         if kinds[manager] is TileKind.RA:
             raise ValidationError(f"manager tile {manager} collides with an RA tile")
@@ -392,15 +382,11 @@ class ArchGraph:
         return cls(width, height, kinds)
 
     def in_mesh(self, c: Coord) -> bool:
-        """True iff ``c`` is a tile of the mesh with ``int`` parts (see
-        ``_int_parts``); an unhashable value is not one either."""
-        try:
-            return c in self._kinds and _int_parts(c)
-        except TypeError:
-            return False
+        """True iff ``c`` is a tile of the mesh (see ``_tile_kind``)."""
+        return _tile_kind(self._kinds, c) is not None
 
     def require_in_mesh(self, c: Coord) -> None:
-        if not self.in_mesh(c):
+        if _tile_kind(self._kinds, c) is None:
             raise self._outside(c)
 
     def _outside(self, c: Coord) -> ValidationError:
@@ -413,15 +399,10 @@ class ArchGraph:
         return (index % self.width, index // self.width)
 
     def kind(self, c: Coord) -> TileKind:
-        # ``in_mesh`` in one lookup: the engine asks this of every tile it
-        # computes on.
-        try:
-            k = self._kinds.get(c)
-            if k is not None and _int_parts(c):
-                return k
-        except TypeError:  # unhashable
-            pass
-        raise self._outside(c)
+        k = _tile_kind(self._kinds, c)
+        if k is None:
+            raise self._outside(c)
+        return k
 
     def tiles_for(self, kind: TaskKind) -> tuple[Coord, ...]:
         """Tiles a task of ``kind`` may run on (see ``compatible``), raster order."""
@@ -429,7 +410,7 @@ class ArchGraph:
 
     def accepts(self, c: Coord, kind: TaskKind) -> bool:
         """True iff ``c`` is a mesh tile a task of ``kind`` may run on."""
-        return c in self._tile_set_for[kind]
+        return _tile_kind(self._usable[kind], c) is not None
 
     def coords(self) -> Iterator[Coord]:
         """All coordinates in raster (row-major) order."""
@@ -443,7 +424,7 @@ class ArchGraph:
     def neighbors(self, c: Coord) -> tuple[Coord, ...]:
         """In-mesh 4-neighbours ordered by linear index."""
         self.require_in_mesh(c)
-        return tuple(map(self._cells.__getitem__, self.adjacent[self.linear_index(c)]))
+        return tuple(self._cells[j] for j, _ in self.out_links[self.linear_index(c)])
 
     def count_kind(self, kind: TileKind) -> int:
         return self._kind_count[kind]
@@ -601,21 +582,27 @@ class MappingState:
         self.ledger = ChannelLoadLedger(arch)
 
     def tile_free(self, c: Coord) -> bool:
+        self.arch.require_in_mesh(c)
         return c not in self.tile_owner
 
     def task_tile(self, app: str, tid: str) -> Coord | None:
-        return self.placement.get((app, tid))
+        try:
+            return self.placement.get((app, tid))
+        except TypeError:
+            raise ValidationError(f"task key {(app, tid)!r} is not hashable") from None
 
     def place(self, app: str, task: Task, c: Coord) -> None:
-        self.arch.require_in_mesh(c)
-        if (app, task.id) in self.placement:
-            raise StateError(f"task ({app!r}, {task.id!r}) already placed")
+        tile_kind = self.arch.kind(c)
+        try:
+            if (app, task.id) in self.placement:
+                raise StateError(f"task ({app!r}, {task.id!r}) already placed")
+        except TypeError:
+            raise ValidationError(f"task key {(app, task.id)!r} is not hashable") from None
         if c in self.tile_owner:
             raise StateError(f"tile {c} already occupied by {self.tile_owner[c]}")
-        if not compatible(task.kind, self.arch.kind(c)):
+        if not compatible(task.kind, tile_kind):
             raise StateError(
-                f"task kind {task.kind.value} incompatible with tile {c} "
-                f"({self.arch.kind(c).value})"
+                f"task kind {task.kind.value} incompatible with tile {c} ({tile_kind.value})"
             )
         self.placement[(app, task.id)] = c
         self.tile_owner[c] = (app, task.id)
@@ -636,8 +623,11 @@ class MappingState:
         if direction not in DIRECTIONS:
             raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         key: RouteKey = (app, mtid, stid, direction)
-        if key in self.routes:
-            raise StateError(f"route already stored for {key}")
+        try:
+            if key in self.routes:
+                raise StateError(f"route already stored for {key}")
+        except TypeError:
+            raise ValidationError(f"route key {key!r} is not hashable") from None
         placement = self.placement
         m_tile = placement.get((app, mtid))
         s_tile = placement.get((app, stid))
@@ -660,7 +650,10 @@ class MappingState:
         self.routes[key] = (tuple(path), volume, tuple(ids))
 
     def remove_route(self, key: RouteKey) -> None:
-        pinned = self.routes.get(key)
+        try:
+            pinned = self.routes.get(key)
+        except TypeError:
+            raise ValidationError(f"route key {key!r} is not hashable") from None
         if pinned is None:
             raise StateError(f"no route stored for {key}")
         self.ledger._shift(pinned[2], -pinned[1])

@@ -59,10 +59,12 @@ def enumerate_objectives(
     on_path = {src}
 
     def visit(u: Coord, load: int) -> None:
-        lin = tuple(arch.linear_index(c) for c in path)
-        key = (load, len(path) - 1, lin, tuple(path))
-        if u not in best or key[:3] < best[u][:3]:
-            best[u] = key
+        key = (load, len(path) - 1)
+        held = best.get(u)
+        if held is None or key <= held[:2]:  # else the path cannot win
+            key += (tuple(arch.linear_index(c) for c in path),)
+            if held is None or key < held[:3]:
+                best[u] = (*key, tuple(path))
         for v in arch.neighbors(u):
             if v in on_path:
                 continue

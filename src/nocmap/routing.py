@@ -161,15 +161,16 @@ def _dijkstra(
     """Dijkstra over (load, hops) from tile index ``src`` on ``arch``.
 
     A step from tile index ``u`` to ``v`` costs ``loads`` at the id of the
-    link ``u -> v`` (see ``ArchGraph.adjacent``).  The search stops once
-    ``dst`` is settled; with ``dst = -1`` it settles every tile.  Returns
-    the (load, hops) of every settled tile and its parent, by tile index.
-    Heap entries are ``(load, hops, index)``, so ties break on linear tile
-    index, and neighbours relax in linear-index order, so the first optimal
-    parent found wins.
+    link ``u -> v``: ``ArchGraph.out_links[u]`` pairs each ``v`` with that
+    id.  The search stops once ``dst`` is settled; with ``dst = -1`` it
+    settles every tile.  Returns the (load, hops) of every settled tile and
+    its parent, by tile index.  Heap entries are ``(load, hops, index)``, so
+    ties break on linear tile index, and neighbours relax in linear-index
+    order (the order of ``out_links``), so the first optimal parent found
+    wins.
     """
-    adjacent, first_link = arch.adjacent, arch.first_link
-    n = len(adjacent)
+    out = arch.out_links
+    n = len(out)
     best = [0] * n
     hop = [0] * n
     parent = [-1] * n  # -1: not reached yet (``src`` is settled first)
@@ -184,9 +185,7 @@ def _dijkstra(
         if u == dst:
             break
         hops += 1
-        link = first_link[u] - 1  # the links out of u have consecutive ids
-        for v in adjacent[u]:
-            link += 1
+        for v, link in out[u]:
             if done[v]:
                 continue
             cand = load + loads[link]

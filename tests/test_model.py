@@ -96,16 +96,20 @@ class TestArchGraph:
 
     @pytest.mark.parametrize("width,height", [(1, 1), (1, 4), (4, 1), (3, 5)])
     def test_link_tables_name_links_by_position(self, width, height):
-        """A link id is the link's position in ``links()``, and each table
-        entry is the id of the link between the tiles it stands for."""
+        """A link id is the link's position in ``links()``, each tile's
+        ``out_links`` pairs name its links in neighbour-index order, and each
+        table entry is the id of the link between the tiles it stands for."""
         arch = small_arch(width, height)
         links = arch.links()
         assert [arch.link_ids[link] for link in links] == list(range(len(links)))
         for c in arch.coords():
-            i = arch.linear_index(c)
-            out = range(arch.first_link[i], arch.first_link[i] + len(arch.adjacent[i]))
-            assert [links[k] for k in out] == [(c, arch.coord_at(j)) for j in arch.adjacent[i]]
-            assert list(map(arch.coord_at, arch.adjacent[i])) == list(arch.neighbors(c))
+            pairs = arch.out_links[arch.linear_index(c)]
+            assert [links[k] for _, k in pairs] == [(c, arch.coord_at(j)) for j, _ in pairs]
+            assert [j for j, _ in pairs] == sorted(j for j, _ in pairs)
+            assert [arch.coord_at(j) for j, _ in pairs] == list(arch.neighbors(c))
+            assert {arch.linear_index(n) for n in arch.coords() if manhattan(c, n) == 1} == {
+                j for j, _ in pairs
+            }
         assert [links[k] for k in arch.opposite] == [(b, a) for a, b in links]
         for x, y in arch.coords():
             if x + 1 < width:
@@ -120,15 +124,20 @@ class TestArchGraph:
     )
     def test_only_mesh_tiles_are_in_the_mesh(self, c):
         """A coordinate is in the mesh iff it is one of its tiles, with ``int``
-        parts; every query that takes a tile rejects anything else at once."""
+        parts; no task kind is accepted on anything else, and every query
+        that takes a tile rejects it at once."""
         from nocmap.routing import min_load_route, xy_route
 
         arch = small_arch(4, 4)
+        state = MappingState(arch)
         assert not arch.in_mesh(c)
+        assert not any(arch.accepts(c, kind) for kind in TaskKind)
         for call in (
             lambda: arch.require_in_mesh(c),
             lambda: arch.kind(c),
             lambda: arch.neighbors(c),
+            lambda: state.tile_free(c),
+            lambda: state.place("a", Task("t0", TaskKind.SOFTWARE, 1), c),
             lambda: xy_route(c, (2, 0), arch),
             lambda: xy_route((2, 0), c, arch),
             lambda: min_load_route(c, (2, 0), ChannelLoadLedger(arch), arch),
@@ -401,6 +410,28 @@ class TestMappingState:
         state.place("b", g.tasks[1], (2, 2))
         state.apply_route("b", "t0", "t1", "ms", ((1, 0), (1, 1), (2, 1), (2, 2)), 100)
         assert state.ledger.load(((1, 1), (2, 1))) == 200
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.remove_route(["a", "t0", "t1", "ms"]),
+            lambda s: s.apply_route(["a"], "t0", "t1", "ms", ((1, 0), (1, 1)), 1),
+            lambda s: s.task_tile(["a"], "t0"),
+            lambda s: s.tile_free([1, 0]),
+            lambda s: s.place(["a"], Task("t2", TaskKind.SOFTWARE, 1), (2, 0)),
+        ],
+        ids=["remove_route", "apply_route", "task_tile", "tile_free", "place"],
+    )
+    def test_list_key_or_tile_rejected(self, call):
+        """A list where a key or a tile belongs is invalid input, not a raw
+        ``TypeError``, and changes nothing."""
+        state = MappingState(small_arch(4, 4))
+        _place_chain(state, "a", [(1, 0), (1, 1)])
+        state.apply_route("a", "t0", "t1", "ms", ((1, 0), (1, 1)), 10)
+        before = (dict(state.placement), dict(state.routes), state.ledger.copy())
+        with pytest.raises(ValidationError):
+            call(state)
+        assert (state.placement, state.routes, state.ledger) == before
 
     def test_duplicate_comm_key_rejected(self):
         arch = small_arch(4, 4)
