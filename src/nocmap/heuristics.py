@@ -42,6 +42,7 @@ from .model import (
     Task,
     TaskKind,
     ValidationError,
+    is_int,
     manhattan,
 )
 from .routing import (
@@ -106,8 +107,8 @@ def spiral_ring(center: Coord, hop: int, arch: ArchGraph) -> list[Coord]:
     the survivors is preserved.
     """
     arch.require_in_mesh(center)
-    if hop < 1:
-        raise ValidationError(f"ring radius must be >= 1, got {hop}")
+    if not is_int(hop) or hop < 1:
+        raise ValidationError(f"ring radius must be an int >= 1, got {hop!r}")
     cx, cy = center
     ring: list[Coord] = []
     ring += [(cx - hop, y) for y in range(cy, cy - hop - 1, -1)]
@@ -127,8 +128,8 @@ def ring_limit(center: Coord, arch: ArchGraph) -> int:
 
 def manhattan_shell(center: Coord, n: int, arch: ArchGraph) -> list[Coord]:
     """In-mesh tiles at Manhattan distance exactly ``n``, raster order."""
-    if n < 1:
-        raise ValidationError(f"shell distance must be >= 1, got {n}")
+    if not is_int(n) or n < 1:
+        raise ValidationError(f"shell distance must be an int >= 1, got {n!r}")
     cx, cy = center
     shell: list[Coord] = []
     for y in range(max(0, cy - n), min(arch.height, cy + n + 1)):

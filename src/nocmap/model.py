@@ -295,6 +295,10 @@ def _tile_kind(kinds: Mapping[Coord, TileKind], c: Coord) -> TileKind | None:
     return None
 
 
+def _not_task_kind(kind: object) -> ValidationError:
+    return ValidationError(f"task kind must be a TaskKind, got {kind!r}")
+
+
 class ArchGraph:
     """W x H mesh of typed tiles with directed links between 4-neighbours."""
 
@@ -406,11 +410,18 @@ class ArchGraph:
 
     def tiles_for(self, kind: TaskKind) -> tuple[Coord, ...]:
         """Tiles a task of ``kind`` may run on (see ``compatible``), raster order."""
-        return self._tiles_for[kind]
+        try:
+            return self._tiles_for[kind]
+        except (KeyError, TypeError):  # TypeError: an unhashable kind
+            raise _not_task_kind(kind) from None
 
     def accepts(self, c: Coord, kind: TaskKind) -> bool:
         """True iff ``c`` is a mesh tile a task of ``kind`` may run on."""
-        return _tile_kind(self._usable[kind], c) is not None
+        try:
+            usable = self._usable[kind]
+        except (KeyError, TypeError):
+            raise _not_task_kind(kind) from None
+        return _tile_kind(usable, c) is not None
 
     def coords(self) -> Iterator[Coord]:
         """All coordinates in raster (row-major) order."""

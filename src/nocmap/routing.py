@@ -2,15 +2,18 @@
 
 Two routers are provided: deterministic dimension-ordered XY routing and a
 load-aware Dijkstra search that minimises the accumulated load along the
-path (ties broken by hop count).  ``xy_fold`` sums the link loads of every
-XY route from one tile, and back to it, in one pass over the mesh;
-``xy_leg_peaks`` gives the highest load on each XY route between a tile and
-the tiles of its own row and column, reading that row and column from the
-mesh's link tables as the fold does; ``min_load_tree`` gives the load and
-hops of every load-aware route from one tile, or into it, from one search.
-The folds and the search run on linear tile indices and the integer link
-ids of ``ArchGraph``, reading the ledger's per-link list; only a returned
-path is built from coordinates.
+path (ties broken by hop count).  Among equal-cost paths the search keeps
+the XY route when the destination is on or below the source's row and the
+YX route when it is above; when that route carries no load it is optimal,
+and ``min_load_route`` returns it without a search.  ``xy_fold`` sums the
+link loads of every XY route from one tile, and back to it, in one pass
+over the mesh; ``xy_leg_peaks`` gives the highest load on each XY route
+between a tile and the tiles of its own row and column, reading that row
+and column from the mesh's link tables as the fold does; ``min_load_tree``
+gives the load and hops of every load-aware route from one tile, or into
+it, from one search.  The folds and the search run on linear tile indices
+and the integer link ids of ``ArchGraph``, reading the ledger's per-link
+list; only a returned path is built from coordinates.
 """
 from __future__ import annotations
 
@@ -205,13 +208,60 @@ def min_load_route(src: Coord, dst: Coord, ledger: ChannelLoadLedger, arch: Arch
     extension and every move costs a hop, so optimal paths are simple.
     Determinism: heap ties break on linear tile index and neighbours relax in
     linear-index order, so the first optimal predecessor found wins.
+
+    Among shortest paths that tie rule picks the XY route (the row first,
+    then the column) when ``dst`` is on or below ``src``'s row
+    (``dst[1] >= src[1]``), and otherwise the YX route (the column first).
+    That route is walked first, on the link tables; if every link on it
+    carries zero load it is returned without a search, otherwise
+    ``_dijkstra`` runs.  The shortcut is exact:
+
+    - (0, Manhattan distance) is the least (load, hops) any route can have,
+      so a zero-load shortest path is optimal and every optimal path is a
+      zero-load shortest path.
+    - A neighbour of ``v`` can give ``v`` that optimum only if it is one hop
+      closer to ``src``, since tiles next to each other differ by one in
+      Manhattan distance.
+    - Heap keys are ``(load, hops, index)`` and a parent is replaced only by
+      a strictly better value, so ``_dijkstra``'s parent for ``v`` is the
+      closer neighbour with the lowest index among those that reach ``v``
+      at the optimum.
+    - Below ``src``'s row that is the neighbour a row up (index - width,
+      lower than index +- 1 whenever the mesh is at least 2 wide); above
+      ``src``'s row it is the one along the row (index +- 1, lower than
+      index + width).  On a zero-load tie route each of its tiles reaches
+      the next at the optimum, so it is that parent at every step.
+    - Following those parents back from ``dst`` traces exactly the XY or
+      YX route.
     """
     arch.require_in_mesh(src)
     arch.require_in_mesh(dst)
     if src == dst:
         return (src,)
+    loads = ledger.by_link_id()
+    (x, y), (tx, ty) = src, dst
+    path = [src]
+    # Walk to each corner of the tie route in turn; each corner shares a
+    # row or a column with the tile before it, so one loop below moves.
+    for cx, cy in ((tx, y), dst) if ty >= y else ((x, ty), dst):
+        while x < cx and not loads[arch.east[x][y]]:
+            x += 1
+            path.append((x, y))
+        while x > cx and not loads[arch.west[x - 1][y]]:
+            x -= 1
+            path.append((x, y))
+        while y < cy and not loads[arch.south[y][x]]:
+            y += 1
+            path.append((x, y))
+        while y > cy and not loads[arch.north[y - 1][x]]:
+            y -= 1
+            path.append((x, y))
+        if x != cx or y != cy:  # stopped at a loaded link
+            break
+    else:
+        return tuple(path)
     s, d = arch.linear_index(src), arch.linear_index(dst)
-    _, _, parent = _dijkstra(s, d, ledger.by_link_id(), arch)
+    _, _, parent = _dijkstra(s, d, loads, arch)
     path = [d]
     while path[-1] != s:
         path.append(parent[path[-1]])

@@ -245,25 +245,3 @@ def write_report(reports: Sequence[SimReport], path: str) -> None:
         writer.writerow(REPORT_HEADER)
         for r in ordered:
             writer.writerow(report_row(r))
-
-
-def read_report(path: str) -> list[dict]:
-    """Parse a report CSV back into typed dictionaries."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != REPORT_HEADER:
-            raise ValidationError(f"unexpected report header in {path}")
-        for raw in reader:
-            row: dict = dict(raw)
-            for field in REPORT_HEADER[1:]:
-                parse = float if field == "avg_link_load" else int
-                try:
-                    row[field] = parse(row[field])
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"{path} line {reader.line_num}: column {field}: "
-                        f"{row[field]!r} is not a number"
-                    ) from None
-            rows.append(row)
-    return rows

@@ -10,7 +10,9 @@ from nocmap.cli import main
 from nocmap.model import TileKind
 from nocmap.oracles import CheckResult, check_routing
 from nocmap.sim import _Engine
-from nocmap.workload import parse_workload_file, read_report
+from nocmap.workload import parse_workload_file
+
+from conftest import read_report
 
 
 def run_cli(*args):

@@ -89,6 +89,11 @@ class TestSpiralRing:
         with pytest.raises(ValidationError):
             spiral_ring((4, 4), 0, arch8)
 
+    @pytest.mark.parametrize("hop", [1.5, 2.0, "a", None, True], ids=repr)
+    def test_non_int_radius_rejected(self, arch8, hop):
+        with pytest.raises(ValidationError, match="ring radius must be an int >= 1"):
+            spiral_ring((3, 3), hop, arch8)
+
 
 class TestManhattanShell:
     @pytest.mark.parametrize("center", [(0, 0), (4, 4), (7, 3)])
@@ -102,6 +107,11 @@ class TestManhattanShell:
     def test_raster_order(self, arch8):
         shell = manhattan_shell((4, 4), 1, arch8)
         assert shell == [(4, 3), (3, 4), (5, 4), (4, 5)]
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, "a", None, True], ids=repr)
+    def test_non_int_distance_rejected(self, arch8, n):
+        with pytest.raises(ValidationError, match="shell distance must be an int >= 1"):
+            manhattan_shell((3, 3), n, arch8)
 
 
 def greedy_spread_reference(clusters, arch):

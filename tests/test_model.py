@@ -183,6 +183,16 @@ class TestArchGraph:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build()
 
+    @pytest.mark.parametrize("kind", ["software", None, TileKind.ISP, ["software"]], ids=repr)
+    def test_non_task_kind_rejected(self, arch8, kind):
+        """``accepts`` and ``tiles_for`` take a ``TaskKind``; anything else,
+        its value string or an unhashable list included, is refused."""
+        message = _exactly(f"task kind must be a TaskKind, got {kind!r}")
+        with pytest.raises(ValidationError, match=message):
+            arch8.accepts((1, 1), kind)
+        with pytest.raises(ValidationError, match=message):
+            arch8.tiles_for(kind)
+
 
 def _exactly(message: str) -> str:
     return f"^{re.escape(message)}$"

@@ -7,6 +7,7 @@ from nocmap.model import ArchGraph, ChannelLoadLedger, ValidationError, manhatta
 from nocmap.oracles import enumerate_objectives, random_ledger, route_oracle
 from nocmap.routing import (
     RoutePolicy,
+    _dijkstra,
     min_load_route,
     min_load_tree,
     path_cost,
@@ -219,6 +220,67 @@ class TestRouterTieDigests:
                 path = min_load_route(src, dst, ledger, arch)
                 digest.update(",".join(str(arch.linear_index(c)) for c in path).encode() + b";")
         assert digest.hexdigest() == ROUTER_TIE_DIGESTS[case]
+
+
+def sparse_ledger(arch, seed, share=0.15):
+    """Seeded ledger with most links at 0 and about ``share`` of them at 1..3."""
+    rng = random.Random(seed)
+    ledger = ChannelLoadLedger(arch)
+    for link in arch.links():
+        if rng.random() < share:
+            ledger.set_load(link, rng.randint(1, 3))
+    return ledger
+
+
+def search_routes(src, ledger, arch):
+    """The route ``_dijkstra``'s parents give from ``src`` to every tile, by
+    linear index: one full search, backtracked from each tile.  The search
+    that stops at ``dst`` is a prefix of this one and a settled tile's parent
+    never changes, so it backtracks to the same route."""
+    s = arch.linear_index(src)
+    _, _, parent = _dijkstra(s, -1, ledger.by_link_id(), arch)
+    routes = []
+    for d in range(len(parent)):
+        path = [d]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        routes.append(tuple(map(arch.coord_at, reversed(path))))
+    return routes
+
+
+class TestSearchTieRule:
+    """``min_load_route`` returns the search's own route, whether or not it
+    searches: on the all-zero ledger every pair takes the load-free tie route,
+    and on sparse ledgers many tie routes cross a loaded link and the search
+    detours round it."""
+
+    MESHES = {
+        "1x6": lambda: small_arch(1, 6),
+        "6x1": lambda: small_arch(6, 1),
+        "2x2": lambda: small_arch(2, 2),
+        "8x8": ArchGraph.default_8x8,
+        "16x16-ra": arch_16x16_ra,
+    }
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    def test_matches_search_backtrack(self, mesh):
+        arch = self.MESHES[mesh]()
+        coords = list(arch.coords())
+        rng = random.Random(mesh)
+        cases = [(ChannelLoadLedger(arch), coords)]
+        cases += [(sparse_ledger(arch, seed), rng.sample(coords, min(len(coords), 8)))
+                  for seed in range(1, 5)]
+        detours = 0
+        for ledger, sources in cases:
+            for src in sources:
+                for dst, expected in zip(coords, search_routes(src, ledger, arch)):
+                    got = min_load_route(src, dst, ledger, arch)
+                    assert got == expected, (src, dst)
+                    tie = xy_route(src, dst, arch)
+                    if dst[1] < src[1]:
+                        tie = tuple(reversed(xy_route(dst, src, arch)))
+                    detours += got != tie
+        assert (detours > 0) == (arch.width > 1 and arch.height > 1)
 
 
 class TestRouteOracle:

@@ -13,11 +13,12 @@ from nocmap.workload import (
     generate_workload,
     parse_workload,
     parse_workload_file,
-    read_report,
     serialize_workload,
     write_report,
     write_workload,
 )
+
+from conftest import read_report
 
 SAMPLE = """\
 <workload version="1">
