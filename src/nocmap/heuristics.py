@@ -120,14 +120,9 @@ def spiral_ring(center: Coord, hop: int, arch: ArchGraph) -> list[Coord]:
     return [c for c in ring if 0 <= c[0] < arch.width and 0 <= c[1] < arch.height]
 
 
-def ring_limit(center: Coord, arch: ArchGraph) -> int:
-    """Largest Chebyshev radius with mesh tiles around ``center``."""
-    cx, cy = center
-    return max(cx, arch.width - 1 - cx, cy, arch.height - 1 - cy)
-
-
 def manhattan_shell(center: Coord, n: int, arch: ArchGraph) -> list[Coord]:
     """In-mesh tiles at Manhattan distance exactly ``n``, raster order."""
+    arch.require_in_mesh(center)
     if not is_int(n) or n < 1:
         raise ValidationError(f"shell distance must be an int >= 1, got {n!r}")
     cx, cy = center
@@ -139,24 +134,20 @@ def manhattan_shell(center: Coord, n: int, arch: ArchGraph) -> list[Coord]:
     return shell
 
 
-def shell_limit(center: Coord, arch: ArchGraph) -> int:
-    """Largest Manhattan distance with mesh tiles around ``center``."""
-    cx, cy = center
-    return max(cx, arch.width - 1 - cx) + max(cy, arch.height - 1 - cy)
+def _outward(center: Coord, ring: Callable, arch: ArchGraph) -> Iterator[Coord]:
+    """The tiles of ``ring(center, 1, arch)``, ``ring(center, 2, arch)``, ...
+    up to the first empty ring, so every mesh tile but ``center`` once.
 
-
-@dataclass(frozen=True)
-class Cluster:
-    """Inclusive rectangular mesh region with its centre tile."""
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-    center: Coord
-
-    def contains(self, c: Coord) -> bool:
-        return self.x0 <= c[0] <= self.x1 and self.y0 <= c[1] <= self.y1
+    ``ring`` is ``spiral_ring`` or ``manhattan_shell``: the mesh tiles at
+    one Chebyshev or Manhattan distance.  No ring is empty before the
+    farthest tile, since a staircase path to it stays on the mesh and each
+    unit step changes either distance by at most 1; every later ring is.
+    """
+    for d in count(1):
+        tiles = ring(center, d, arch)
+        if not tiles:
+            return
+        yield from tiles
 
 
 def _bands(n: int) -> list[tuple[int, int]]:
@@ -175,31 +166,25 @@ _ADMISSION_8X8 = (0, 8, 6, 2, 4, 3, 5, 1, 7)
 
 
 class ClusterGrid:
-    """Partition of the mesh into rectangular clusters for initial placement."""
+    """Cluster centres for initial placement, in the clusters' raster order,
+    and the order in which clusters admit applications.  ``for_mesh`` gives
+    one cluster to each pair of a row and a column band (``_bands``)."""
 
-    def __init__(self, clusters: Iterable[Cluster], admission_order: Iterable[int]):
-        self.clusters = tuple(clusters)
+    def __init__(self, centers: Iterable[Coord], admission_order: Iterable[int]):
+        self.centers = tuple(centers)
         self.admission_order = tuple(admission_order)
-        if sorted(self.admission_order) != list(range(len(self.clusters))):
+        if sorted(self.admission_order) != list(range(len(self.centers))):
             raise ValidationError("admission order must permute the cluster indices")
-        for cl in self.clusters:
-            if not cl.contains(cl.center):
-                raise ValidationError(f"cluster centre {cl.center} outside its rectangle")
 
     @classmethod
     def for_mesh(cls, arch: ArchGraph) -> "ClusterGrid":
-        clusters = []
-        for y0, y1 in _bands(arch.height):
-            for x0, x1 in _bands(arch.width):
-                clusters.append(Cluster(x0, y0, x1, y1, ((x0 + x1) // 2, (y0 + y1) // 2)))
-        if (arch.width, arch.height) == (8, 8):
-            order = _ADMISSION_8X8
-        else:
-            order = _greedy_spread(clusters, arch)
-        return cls(clusters, order)
+        rows, cols = _bands(arch.height), _bands(arch.width)
+        centers = [((x0 + x1) // 2, (y0 + y1) // 2) for y0, y1 in rows for x0, x1 in cols]
+        eight = (arch.width, arch.height) == (8, 8)
+        return cls(centers, _ADMISSION_8X8 if eight else _greedy_spread(centers, arch))
 
 
-def _greedy_spread(clusters: list[Cluster], arch: ArchGraph) -> tuple[int, ...]:
+def _greedy_spread(centers: list[Coord], arch: ArchGraph) -> tuple[int, ...]:
     """Max-min-distance greedy ordering of cluster centres for small meshes.
 
     Starting from the centre with the smallest linear index, each step takes
@@ -208,8 +193,7 @@ def _greedy_spread(clusters: list[Cluster], arch: ArchGraph) -> tuple[int, ...]:
     cluster keeps its running min and sum, updated once per chosen centre,
     so the ordering costs O(k^2) distances for k clusters.
     """
-    centers = [cl.center for cl in clusters]
-    start = min(range(len(clusters)), key=lambda i: arch.linear_index(centers[i]))
+    start = min(range(len(centers)), key=lambda i: arch.linear_index(centers[i]))
     order = [start]
     # remaining cluster -> [min distance, sum of distances, -linear index]
     score: dict[int, list[int]] = {}
@@ -226,12 +210,6 @@ def _greedy_spread(clusters: list[Cluster], arch: ArchGraph) -> tuple[int, ...]:
             s[0] = min(s[0], d)
             s[1] += d
     return tuple(order)
-
-
-def _rings(center: Coord, arch: ArchGraph) -> Iterator[Coord]:
-    """Every ``spiral_ring`` around ``center``, nearest ring first."""
-    for hop in range(1, ring_limit(center, arch) + 1):
-        yield from spiral_ring(center, hop, arch)
 
 
 def _first_free(
@@ -255,15 +233,15 @@ def place_initial(
 
     Returns (cluster index, tile, tiles examined), or None when every cluster
     is held or no free compatible tile exists; the caller queues the
-    application in that case.  Only the first cluster not held is tried.
-    The ring search may spill over the cluster border: cluster frontiers
-    are virtual.
+    application in that case.  Only the first cluster not held is tried:
+    its centre, then the rings around it, which may reach past other
+    centres, since a cluster is only its centre.
     """
     ci = next((ci for ci in grid.admission_order if ci not in held), None)
     if ci is None:
         return None
-    center = grid.clusters[ci].center
-    order = chain((center,), _rings(center, state.arch))
+    center = grid.centers[ci]
+    order = chain((center,), _outward(center, spiral_ring, state.arch))
     tile, examined = _first_free(order, state, TaskKind.INITIAL)
     return None if tile is None else (ci, tile, examined)
 
@@ -272,7 +250,8 @@ def map_spiral(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]
     """First free compatible tile scanning rings outward from the requester."""
     if req.requester_tile is None:
         raise StateError("spiral placement requires a requester tile")
-    return _first_free(_rings(req.requester_tile, state.arch), state, req.task.kind)
+    tiles = _outward(req.requester_tile, spiral_ring, state.arch)
+    return _first_free(tiles, state, req.task.kind)
 
 
 def map_ff(req: MapRequest, state: MappingState, cursor: int) -> tuple[Coord | None, int, int]:
@@ -294,12 +273,13 @@ def map_ff(req: MapRequest, state: MappingState, cursor: int) -> tuple[Coord | N
 
 
 def map_nn(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]:
-    """Nearest free compatible tile; shells scanned in raster order."""
+    """Nearest free compatible tile: the first of the Manhattan shells around
+    the requester, nearest shell first, each in raster order, up to the
+    first empty shell.  The requester's own tile is not looked at."""
     if req.requester_tile is None:
         raise StateError("nearest-neighbour placement requires a requester tile")
-    r, arch = req.requester_tile, state.arch
-    shells = (manhattan_shell(r, d, arch) for d in range(1, shell_limit(r, arch) + 1))
-    return _first_free(chain.from_iterable(shells), state, req.task.kind)
+    tiles = _outward(req.requester_tile, manhattan_shell, state.arch)
+    return _first_free(tiles, state, req.task.kind)
 
 
 def _candidates(state: MappingState, kind: TaskKind) -> list[Coord]:

@@ -91,6 +91,8 @@ class Task:
             raise ValidationError(
                 f"task {self.id!r}: instructions must be >= 1, got {self.instructions}"
             )
+        if not isinstance(self.kind, TaskKind):
+            raise ValidationError(f"task {self.id!r}: kind must be a TaskKind, got {self.kind!r}")
         _require_str("task id", self.id)
 
 
@@ -141,8 +143,8 @@ class TaskGraph:
 
     def __init__(self, app_id: str, tasks: Sequence[Task], edges: Sequence[Edge]):
         self.app_id = app_id
-        self.tasks = tuple(tasks)
-        self.edges = tuple(edges)
+        self.tasks = self._items("tasks", tasks, Task)
+        self.edges = self._items("edges", edges, Edge)
         self._by_id = {t.id: t for t in self.tasks}
         self.initial = self._root()
         out, inc = self._file_edges()
@@ -159,6 +161,15 @@ class TaskGraph:
 
     def _fail(self, what: str) -> ValidationError:
         return ValidationError(f"application {self.app_id!r}: {what}")
+
+    def _items(self, what: str, items: object, cls: type) -> tuple:
+        """``items`` as a tuple, checked to hold only ``cls`` objects; a
+        non-iterable ``items`` is reported as the one wrong item."""
+        items = tuple(items) if isinstance(items, Iterable) else (items,)
+        for item in items:
+            if not isinstance(item, cls):
+                raise self._fail(f"{what} must be {cls.__name__} objects, got {item!r}")
+        return items
 
     def _root(self) -> Task:
         if not self.tasks:

@@ -196,6 +196,8 @@ def comm_latency(volume: int, hops: int) -> int:
     packets stream behind it, so the latency is hops + volume - 1.  A wait
     for the links is not part of it: it delays the transfer's start cycle.
     """
+    if not (is_int(volume) and is_int(hops)):
+        raise ValidationError(f"volume and hops must be integers, got {volume!r} and {hops!r}")
     if volume < 1:
         raise ValidationError(f"volume must be >= 1, got {volume}")
     if hops < 1:

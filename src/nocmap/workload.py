@@ -20,6 +20,7 @@ import random
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 from xml.sax.saxutils import quoteattr
 
@@ -75,8 +76,9 @@ class GenConfig:
             raise ValidationError(
                 f"task count range is empty: {self.tasks_min}..{self.tasks_max}"
             )
-        if not 0.0 <= self.hw_task_probability <= 1.0:
-            raise ValidationError("hw_task_probability must be within [0, 1]")
+        p = self.hw_task_probability
+        if not isinstance(p, Real) or not 0.0 <= p <= 1.0:
+            raise ValidationError(f"hw_task_probability must be a number within [0, 1], got {p!r}")
         if self.vms < 0 or self.vsm < 0 or self.vms + self.vsm < 1:
             raise ValidationError("edge volumes must be non-negative and carry traffic")
         if self.instructions < 1:
@@ -176,6 +178,8 @@ def parse_workload(data: str | bytes) -> list[TaskGraph]:
     except ET.ParseError as exc:
         line, col = exc.position
         raise ValidationError(f"malformed XML at line {line}, column {col}: {exc.msg}") from None
+    except TypeError:  # not a string or bytes-like object
+        raise ValidationError(f"workload must be str or bytes, got {type(data).__name__}") from None
     if root.tag != "workload":
         raise ValidationError(f"root element must be <workload>, got <{root.tag}>")
     version = root.get("version")

@@ -7,7 +7,6 @@ import pytest
 
 from nocmap import heuristics
 from nocmap.heuristics import (
-    Cluster,
     ClusterGrid,
     HeuristicEngine,
     HeuristicKind,
@@ -20,8 +19,6 @@ from nocmap.heuristics import (
     map_spiral,
     manhattan_shell,
     place_initial,
-    ring_limit,
-    shell_limit,
     spiral_ring,
 )
 from nocmap.model import (
@@ -44,7 +41,7 @@ from nocmap.oracles import (
 from nocmap.routing import RoutePolicy, min_load_tree, route, xy_fold
 from nocmap.sim import simulate
 
-from conftest import small_arch
+from conftest import arch_16x16_ra, small_arch
 from test_golden import golden_scenario
 
 # mmc, mac, pl and bn, each called as (request, state, policy)
@@ -62,6 +59,15 @@ def sw_task(tid="s"):
 
 def hw_task(tid="h"):
     return Task(tid, TaskKind.HARDWARE, 100)
+
+
+def chebyshev(a, b):
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
+def farthest(center, arch, dist):
+    """Largest distance ``dist`` from ``center`` to a tile of ``arch``."""
+    return max(dist(center, c) for c in arch.coords())
 
 
 def place_master(state, tile, kind=None):
@@ -98,7 +104,7 @@ class TestSpiralRing:
 class TestManhattanShell:
     @pytest.mark.parametrize("center", [(0, 0), (4, 4), (7, 3)])
     def test_matches_filter_scan(self, arch8, center):
-        for n in range(1, shell_limit(center, arch8) + 1):
+        for n in range(1, farthest(center, arch8, manhattan) + 1):
             expected = [
                 c for c in arch8.coords() if manhattan(center, c) == n
             ]
@@ -113,18 +119,53 @@ class TestManhattanShell:
         with pytest.raises(ValidationError, match="shell distance must be an int >= 1"):
             manhattan_shell((3, 3), n, arch8)
 
+    @pytest.mark.parametrize(
+        "center, n", [((-1, 0), 1), ((8, 8), 2), ("ab", 1), (None, 1)], ids=repr
+    )
+    def test_centre_off_the_mesh_rejected(self, arch8, center, n):
+        with pytest.raises(ValidationError, match="outside the 8x8 mesh"):
+            manhattan_shell(center, n, arch8)
 
-def greedy_spread_reference(clusters, arch):
+
+OUTWARD_ARCHES = {
+    "1x1": small_arch(1, 1),
+    "1x6": small_arch(1, 6),
+    "6x1": small_arch(6, 1),
+    "2x2": small_arch(2, 2),
+    "5x3": small_arch(5, 3),
+    "8x8": ArchGraph.default_8x8(),
+    "16x16-ra": arch_16x16_ra(),
+}
+
+
+class TestOutwardWalk:
+    @pytest.mark.parametrize(
+        "ring, dist", [(spiral_ring, chebyshev), (manhattan_shell, manhattan)],
+        ids=["spiral_ring", "manhattan_shell"],
+    )
+    @pytest.mark.parametrize("name", OUTWARD_ARCHES)
+    def test_equals_rings_up_to_the_farthest_tile(self, name, ring, dist):
+        """From every centre, the walk lists the rings out to the farthest
+        tile's distance, and so every other tile once."""
+        arch = OUTWARD_ARCHES[name]
+        for center in arch.coords():
+            far = farthest(center, arch, dist)
+            want = [c for d in range(1, far + 1) for c in ring(center, d, arch)]
+            assert list(heuristics._outward(center, ring, arch)) == want, center
+            assert sorted(want) == sorted(c for c in arch.coords() if c != center)
+
+
+def greedy_spread_reference(centers, arch):
     """The O(k^3) max-min-distance ordering: each step rescores every
     remaining cluster against all chosen centres."""
-    remaining = list(range(len(clusters)))
-    start = min(remaining, key=lambda i: arch.linear_index(clusters[i].center))
+    remaining = list(range(len(centers)))
+    start = min(remaining, key=lambda i: arch.linear_index(centers[i]))
     order = [start]
     remaining.remove(start)
     while remaining:
         def score(i):
-            ds = [manhattan(clusters[i].center, clusters[j].center) for j in order]
-            return (min(ds), sum(ds), -arch.linear_index(clusters[i].center))
+            ds = [manhattan(centers[i], centers[j]) for j in order]
+            return (min(ds), sum(ds), -arch.linear_index(centers[i]))
 
         nxt = max(remaining, key=score)
         order.append(nxt)
@@ -135,49 +176,51 @@ def greedy_spread_reference(clusters, arch):
 class TestClusterGrid:
     def test_default_8x8_geometry(self, arch8):
         grid = ClusterGrid.for_mesh(arch8)
-        assert len(grid.clusters) == 9
-        centers = [cl.center for cl in grid.clusters]
-        assert centers == [
+        assert grid.centers == (
             (1, 1), (4, 1), (6, 1),
             (1, 4), (4, 4), (6, 4),
             (1, 6), (4, 6), (6, 6),
-        ]
-        order_centers = [grid.clusters[i].center for i in grid.admission_order]
+        )
+        order_centers = [grid.centers[i] for i in grid.admission_order]
         assert order_centers == [
             (1, 1), (6, 6), (1, 6), (6, 1), (4, 4), (1, 4), (6, 4), (4, 1), (4, 6),
         ]
 
-    def test_clusters_tile_the_mesh_exactly(self, arch8):
-        grid = ClusterGrid.for_mesh(arch8)
-        covered = []
-        for cl in grid.clusters:
-            for x in range(cl.x0, cl.x1 + 1):
-                for y in range(cl.y0, cl.y1 + 1):
-                    covered.append((x, y))
-        assert sorted(covered) == sorted(arch8.coords())
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_bands_cover_the_axis_larger_first(self, n):
+        """Up to three contiguous bands cover 0..n-1, none smaller than a
+        later one."""
+        bands = heuristics._bands(n)
+        assert len(bands) == min(n, 3)
+        assert bands[0][0] == 0 and bands[-1][1] == n - 1
+        assert all(a[1] + 1 == b[0] for a, b in zip(bands, bands[1:]))
+        sizes = [hi - lo + 1 for lo, hi in bands]
+        assert min(sizes) >= 1 and sizes == sorted(sizes, reverse=True)
 
     def test_generic_mesh_grid(self):
         arch = small_arch(6, 5)
         grid = ClusterGrid.for_mesh(arch)
-        assert len(grid.clusters) == 9
-        for cl in grid.clusters:
-            assert cl.contains(cl.center)
+        assert len(grid.centers) == 9
+        assert all(arch.in_mesh(c) for c in grid.centers)
         assert sorted(grid.admission_order) == list(range(9))
+
+    def test_admission_order_must_permute_the_clusters(self):
+        with pytest.raises(ValidationError, match="admission order must permute"):
+            ClusterGrid([(0, 0), (1, 1)], [0, 0])
 
     def test_greedy_spread_matches_reference_on_every_mesh(self):
         for width in range(1, 21):
             for height in range(1, 21):
                 arch = small_arch(width, height)
-                clusters = list(ClusterGrid.for_mesh(arch).clusters)
-                assert heuristics._greedy_spread(clusters, arch) == greedy_spread_reference(
-                    clusters, arch
+                centers = list(ClusterGrid.for_mesh(arch).centers)
+                assert heuristics._greedy_spread(centers, arch) == greedy_spread_reference(
+                    centers, arch
                 ), (width, height)
 
     def test_greedy_spread_matches_reference_on_many_clusters(self):
         arch = small_arch(20, 20)
         centers = random.Random(0).sample(list(arch.coords()), 150)
-        clusters = [Cluster(x, y, x, y, (x, y)) for x, y in centers]
-        assert heuristics._greedy_spread(clusters, arch) == greedy_spread_reference(clusters, arch)
+        assert heuristics._greedy_spread(centers, arch) == greedy_spread_reference(centers, arch)
 
 
 class TestPlaceInitial:
@@ -204,7 +247,7 @@ class TestPlaceInitial:
             state.place(f"app{i}", Task("t0", TaskKind.INITIAL, 100), tile)
             tiles.append((cluster, tile))
             # on an empty mesh the fallback stays within one ring of the centre
-            center = grid.clusters[cluster].center
+            center = grid.centers[cluster]
             assert max(abs(tile[0] - center[0]), abs(tile[1] - center[1])) <= 1
             assert arch8.kind(tile) is TileKind.ISP
         assert len({c for c, _ in tiles}) == 9
@@ -238,7 +281,7 @@ class TestMapSpiral:
         tile, _ = map_spiral(MapRequest("app0", hw_task(), (4, 4), 100, 100), state)
         # independent recomputation: nearest ring, first RA position within it
         expected = None
-        for hop in range(1, ring_limit((4, 4), arch8) + 1):
+        for hop in range(1, farthest((4, 4), arch8, chebyshev) + 1):
             ras = [c for c in spiral_ring((4, 4), hop, arch8)
                    if state.tile_free(c) and arch8.kind(c) is TileKind.RA]
             if ras:
@@ -535,7 +578,7 @@ class TestMapBN:
         arch = state.arch
         got, _ = map_bn(req, state, policy)
         expected = None
-        for n in range(1, shell_limit(req.requester_tile, arch) + 1):
+        for n in range(1, farthest(req.requester_tile, arch, manhattan) + 1):
             shell = manhattan_shell(req.requester_tile, n, arch)
             if any(state.tile_free(c) and compatible(req.task.kind, arch.kind(c)) for c in shell):
                 expected = oracle_path_load(req, state, policy, shell=shell)
@@ -555,7 +598,7 @@ class TestMapBN:
         for r in (drawn.requester_tile, free[seed % len(free)]):
             req = replace(drawn, requester_tile=r)
             shell = []
-            for n in range(1, shell_limit(r, arch) + 1):
+            for n in range(1, farthest(r, arch, manhattan) + 1):
                 shell = [c for c in manhattan_shell(r, n, arch) if c in free]
                 if shell:
                     break
@@ -848,7 +891,8 @@ class TestCandidateWalk:
         for seed in range(100):
             state, drawn, _ = random_partial_state(arch, seed)
             for r in (drawn.requester_tile, rng.choice(list(arch.coords()))):
-                shells = [manhattan_shell(r, n, arch) for n in range(1, shell_limit(r, arch) + 1)]
+                far = farthest(r, arch, manhattan)
+                shells = [manhattan_shell(r, n, arch) for n in range(1, far + 1)]
                 for kind in TaskKind:
                     cands = heuristics._candidates(state, kind)
                     dist = heuristics._distances(r, cands)

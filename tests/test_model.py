@@ -21,6 +21,8 @@ from nocmap.model import (
     manhattan,
 )
 from nocmap.oracles import random_ledger
+from nocmap.sim import comm_latency
+from nocmap.workload import GenConfig, generate_workload, parse_workload
 
 from conftest import chain_app, small_arch
 
@@ -208,6 +210,11 @@ class TestTaskGraphValidation:
         with pytest.raises(ValidationError):
             Task("t0", TaskKind.INITIAL, 0)
 
+    @pytest.mark.parametrize("kind", ["hardware", None, 1, TileKind.RA], ids=repr)
+    def test_kind_not_a_task_kind_rejected(self, kind):
+        with pytest.raises(ValidationError, match="kind must be a TaskKind"):
+            Task("s", kind, 1)
+
     def test_edge_without_traffic_rejected(self):
         with pytest.raises(ValidationError):
             Edge("t0", "t1", 0, 0)
@@ -380,6 +387,34 @@ def _place_chain(state, app, tiles):
     for task, tile in zip(g.tasks, tiles):
         state.place(app, task, tile)
     return g
+
+
+_T0 = Task("t0", TaskKind.INITIAL, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_workload(None),
+        lambda: parse_workload(5),
+        lambda: TaskGraph("a", None, []),
+        lambda: TaskGraph("a", [None], []),
+        lambda: TaskGraph("a", [_T0], [None]),
+        lambda: generate_workload(GenConfig(app_count=1, hw_task_probability="x")),
+        lambda: generate_workload(GenConfig(app_count=1, hw_task_probability=None)),
+        lambda: comm_latency(1.5, 2),
+        lambda: comm_latency("a", 1),
+    ],
+    ids=[
+        "parse-None", "parse-int", "graph-tasks-None", "graph-task-None", "graph-edge-None",
+        "gen-probability-str", "gen-probability-None", "latency-float", "latency-str",
+    ],
+)
+def test_entry_point_rejects_wrong_type(call):
+    """Library entry points turn an input of the wrong type into a
+    ValidationError where it enters, not a raw error further in."""
+    with pytest.raises(ValidationError):
+        call()
 
 
 class TestMappingState:
