@@ -26,7 +26,6 @@ from .sim import (
     comm_latency,
     compute_energy,
     compute_time,
-    run_comparison,
     simulate,
 )
 from .workload import GenConfig, generate_workload, parse_workload, serialize_workload
@@ -66,7 +65,6 @@ __all__ = [
     "path_cost",
     "route",
     "route_oracle",
-    "run_comparison",
     "serialize_workload",
     "simulate",
     "spiral_ring",

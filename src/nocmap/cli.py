@@ -22,7 +22,7 @@ from .heuristics import HEURISTIC_NAMES
 from .model import ArchGraph, ValidationError
 from .oracles import InvariantError, check_placement, check_routing, check_spiral
 from .routing import RoutePolicy
-from .sim import DeadlockError, Scenario, SimReport, run_comparison, simulate, write_event_log
+from .sim import DeadlockError, Scenario, SimReport, simulate, write_event_log
 from .workload import GenConfig, generate_workload, parse_workload_file, write_report, write_workload
 
 EXIT_OK = 0
@@ -120,10 +120,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     reports: list[SimReport] = []
     for seed in range(1, args.seeds + 1):
         apps = given or generate_workload(GenConfig(app_count=args.apps, seed=seed))
-        reports += run_comparison(
-            [Scenario(apps=apps, heuristic=h, route_policy=args.route, seed=seed, arch=arch)
-             for h in heuristics]
-        )
+        for h in heuristics:
+            reports.append(simulate(Scenario(apps, h, args.route, seed=seed, arch=arch)))
     write_report(reports, args.out)
     for line in summarize(reports):
         print(line)

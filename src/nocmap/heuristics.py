@@ -88,7 +88,8 @@ class MapRequest:
     ``requester_tile`` is the master's tile, or the manager tile for an
     initial task; initial tasks under cluster placement build no request.
     ``vms``/``vsm`` are the packet volumes of the triggering edge (0/0 for
-    initial tasks, which have no inbound edge).
+    initial tasks, which have no inbound edge).  A request is checked when
+    it is made, except whether the mesh has its requester tile.
     """
 
     app: str
@@ -96,6 +97,20 @@ class MapRequest:
     requester_tile: Coord | None
     vms: int
     vsm: int
+
+    def __post_init__(self) -> None:
+        vms, vsm, r = self.vms, self.vsm, self.requester_tile
+        if not isinstance(self.task, Task):
+            raise ValidationError(f"map request: task must be a Task, got {self.task!r}")
+        if type(vms) is not int or type(vsm) is not int or vms < 0 or vsm < 0:
+            raise ValidationError(f"map request: volumes must be ints >= 0, got {vms!r}, {vsm!r}")
+        if r is not None and not _is_pair(r):
+            raise ValidationError(f"map request: requester must be None or an int pair, got {r!r}")
+
+
+def _is_pair(c: object) -> bool:
+    """True for a tuple of two exact ``int``s: a tile, if the mesh has it."""
+    return type(c) is tuple and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
 
 
 def spiral_ring(center: Coord, hop: int, arch: ArchGraph) -> list[Coord]:
@@ -171,9 +186,14 @@ class ClusterGrid:
     one cluster to each pair of a row and a column band (``_bands``)."""
 
     def __init__(self, centers: Iterable[Coord], admission_order: Iterable[int]):
-        self.centers = tuple(centers)
-        self.admission_order = tuple(admission_order)
-        if sorted(self.admission_order) != list(range(len(self.centers))):
+        try:
+            self.centers = tuple(centers)
+            self.admission_order = order = tuple(admission_order)
+        except TypeError:
+            raise ValidationError("centres and admission order must be iterables") from None
+        if not all(map(_is_pair, self.centers)):
+            raise ValidationError(f"cluster centres must be pairs of ints, got {self.centers}")
+        if not all(map(is_int, order)) or sorted(order) != list(range(len(self.centers))):
             raise ValidationError("admission order must permute the cluster indices")
 
     @classmethod
@@ -533,6 +553,8 @@ class HeuristicEngine:
         return tile, examined
 
     def place(self, req: MapRequest, state: MappingState) -> Coord | None:
+        if not isinstance(req, MapRequest):
+            raise ValidationError(f"a request must be a MapRequest, got {req!r}")
         tile, examined = self._map(req, state)
         self.evaluations += examined
         return tile

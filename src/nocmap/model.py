@@ -451,15 +451,6 @@ class ArchGraph:
     def count_kind(self, kind: TileKind) -> int:
         return self._kind_count[kind]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArchGraph):
-            return NotImplemented
-        return (self.width, self.height, self._kinds) == (
-            other.width,
-            other.height,
-            other._kinds,
-        )
-
     def __repr__(self) -> str:
         return f"ArchGraph({self.width}x{self.height})"
 
@@ -503,6 +494,8 @@ class ChannelLoadLedger:
         try:
             return [ids[link] for link in zip(path, path[1:])]
         except (KeyError, TypeError):
+            if not isinstance(path, Sequence):
+                raise ValidationError(f"a path must be a sequence of tiles, got {path!r}") from None
             return [self._id(link) for link in zip(path, path[1:])]  # raises on the bad link
 
     def set_load(self, link: DirectedLink, value: int) -> None:
@@ -618,14 +611,16 @@ class MappingState:
         try:
             if (app, task.id) in self.placement:
                 raise StateError(f"task ({app!r}, {task.id!r}) already placed")
+            if c in self.tile_owner:
+                raise StateError(f"tile {c} already occupied by {self.tile_owner[c]}")
+            if not compatible(task.kind, tile_kind):
+                raise StateError(
+                    f"task kind {task.kind.value} incompatible with tile {c} ({tile_kind.value})"
+                )
         except TypeError:
             raise ValidationError(f"task key {(app, task.id)!r} is not hashable") from None
-        if c in self.tile_owner:
-            raise StateError(f"tile {c} already occupied by {self.tile_owner[c]}")
-        if not compatible(task.kind, tile_kind):
-            raise StateError(
-                f"task kind {task.kind.value} incompatible with tile {c} ({tile_kind.value})"
-            )
+        except AttributeError:
+            raise ValidationError(f"task must be a Task, got {task!r}") from None
         self.placement[(app, task.id)] = c
         self.tile_owner[c] = (app, task.id)
 

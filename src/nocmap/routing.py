@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import add
 from typing import Callable, Sequence
 
-from .model import ArchGraph, ChannelLoadLedger, Coord
+from .model import ArchGraph, ChannelLoadLedger, Coord, ValidationError
 
 Path = tuple[Coord, ...]
 
@@ -298,4 +298,7 @@ def route(
 ) -> Path:
     if policy is RoutePolicy.XY:
         return xy_route(src, dst, arch)
-    return min_load_route(src, dst, ledger, arch)
+    if policy is RoutePolicy.MIN_LOAD:
+        return min_load_route(src, dst, ledger, arch)
+    valid = " or ".join(map(str, RoutePolicy))
+    raise ValidationError(f"route policy must be {valid}, got {policy!r}")

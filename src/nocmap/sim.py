@@ -111,10 +111,6 @@ class Scenario:
     arch: ArchGraph | None = None  # None: the default 8x8 platform
     admission_guard: bool = True
 
-    def arrival_cycles(self) -> list[int]:
-        """Arrival cycle of each application; ``arrivals=None`` is all 0."""
-        return [0] * len(self.apps) if self.arrivals is None else list(self.arrivals)
-
 
 class EventRecord(NamedTuple):
     """One event-log row; the fields are the CSV columns, in order."""
@@ -177,16 +173,28 @@ class SimReport:
 
 def compute_time(task: Task, tile_kind: TileKind, params: PlatformParams) -> int:
     """Cycles to run the task on a tile of the given kind."""
-    if not compatible(task.kind, tile_kind):
-        raise StateError(f"task kind {task.kind.value} cannot run on {tile_kind.value}")
-    return task.instructions * params.cycles_per_instruction[tile_kind]
+    return _per_instruction(task, tile_kind, params, "cycles_per_instruction")
 
 
 def compute_energy(task: Task, tile_kind: TileKind, params: PlatformParams) -> int:
     """Energy units consumed by running the task on the given tile kind."""
-    if not compatible(task.kind, tile_kind):
-        raise StateError(f"task kind {task.kind.value} cannot run on {tile_kind.value}")
-    return task.instructions * params.energy_per_instruction[tile_kind]
+    return _per_instruction(task, tile_kind, params, "energy_per_instruction")
+
+
+def _per_instruction(task: Task, tile_kind: TileKind, params: PlatformParams, table: str) -> int:
+    """``task.instructions`` times ``tile_kind``'s entry in the ``params``
+    table named ``table``.  Raises ``ValidationError`` for a wrong-typed
+    argument or a bad table, else ``StateError``: the tile cannot run it."""
+    try:
+        if compatible(task.kind, tile_kind):
+            return task.instructions * getattr(params, table)[tile_kind]
+    except (AttributeError, KeyError, TypeError):
+        pass
+    for value, cls in zip((task, tile_kind, params), (Task, TileKind, PlatformParams)):
+        if not isinstance(value, cls):
+            raise ValidationError(f"expected a {cls.__name__}, got {value!r}")
+    params.validate()
+    raise StateError(f"task kind {task.kind.value} cannot run on {tile_kind.value}")
 
 
 def comm_latency(volume: int, hops: int) -> int:
@@ -327,7 +335,7 @@ class _Engine:
             raise ValidationError("scenario needs at least one application")
         if len({g.app_id for g in apps}) != len(apps):
             raise ValidationError("application ids must be unique within a scenario")
-        arrivals = scenario.arrival_cycles()
+        arrivals = [0] * len(apps) if scenario.arrivals is None else list(scenario.arrivals)
         if len(arrivals) != len(apps):
             raise ValidationError("arrivals must match the application count")
         if not all(is_int(a) and a >= 0 for a in arrivals):
@@ -632,32 +640,6 @@ def simulate(scenario: Scenario, check: bool = False) -> SimReport:
     if not isinstance(check, bool):
         raise ValidationError(f"check must be a bool, got {check!r}")
     return _Engine(scenario).run(check)
-
-
-def run_comparison(scenarios: Sequence[Scenario]) -> list[SimReport]:
-    """Simulate scenarios that share a workload but differ in heuristic.
-
-    ``scenarios`` is a sequence of ``Scenario``; an iterator is rejected,
-    since it would be consumed by the checks."""
-    if not isinstance(scenarios, Sequence):
-        raise ValidationError(f"scenarios must be a sequence of Scenario, got {scenarios!r}")
-    if not scenarios:
-        raise ValidationError("no scenarios to compare")
-    for s in scenarios:
-        _check_types(s)
-    first = scenarios[0]
-    for other in scenarios[1:]:
-        if list(other.apps) != list(first.apps):
-            raise ValidationError("comparison scenarios must share the same workload")
-        if other.params != first.params or other.seed != first.seed:
-            raise ValidationError("comparison scenarios must share params and seed")
-        if other.arrival_cycles() != first.arrival_cycles():
-            raise ValidationError("comparison scenarios must share arrival times")
-        if other.admission_guard != first.admission_guard:
-            raise ValidationError("comparison scenarios must share the admission policy")
-        if (other.arch or ArchGraph.default_8x8()) != (first.arch or ArchGraph.default_8x8()):
-            raise ValidationError("comparison scenarios must share the platform")
-    return [simulate(s) for s in scenarios]
 
 
 def write_event_log(events: Iterable[EventRecord], path: str) -> None:

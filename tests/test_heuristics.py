@@ -208,6 +208,27 @@ class TestClusterGrid:
         with pytest.raises(ValidationError, match="admission order must permute"):
             ClusterGrid([(0, 0), (1, 1)], [0, 0])
 
+    @pytest.mark.parametrize(
+        "centers, order, match",
+        [
+            ([(1, 1)], [0.0], "^admission order must permute"),
+            ([(1, 1)], [False], "^admission order must permute"),
+            (None, [], "^centres and admission order must be iterables"),
+            ([(1, 1)], None, "^centres and admission order must be iterables"),
+            ([(1.0, 1)], [0], "^cluster centres must be pairs of ints"),
+            ([[1, 1]], [0], "^cluster centres must be pairs of ints"),
+            ([(1, 1, 0)], [0], "^cluster centres must be pairs of ints"),
+            ([None], [0], "^cluster centres must be pairs of ints"),
+        ],
+        ids=["float-index", "bool-index", "no-centres", "no-order", "float-centre",
+             "list-centre", "triple-centre", "none-centre"],
+    )
+    def test_unusable_grid_rejected(self, centers, order, match):
+        """A grid that ``place_initial`` could not use is rejected when it
+        is built."""
+        with pytest.raises(ValidationError, match=match):
+            ClusterGrid(centers, order)
+
     def test_greedy_spread_matches_reference_on_every_mesh(self):
         for width in range(1, 21):
             for height in range(1, 21):
@@ -1008,6 +1029,30 @@ class TestHeuristicEngine:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValidationError, match="valid: ff, mmc, mac, nn, pl, bn, spiral"):
             HeuristicEngine("bogus")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("vms", -5, "volumes must be ints >= 0"),
+            ("vms", 1.5, "volumes must be ints >= 0"),
+            ("vsm", True, "volumes must be ints >= 0"),
+            ("requester_tile", "ab", "requester must be None or an int pair"),
+            ("requester_tile", (1.0, 2), "requester must be None or an int pair"),
+            ("task", "s", "task must be a Task"),
+        ],
+        ids=["negative", "float", "bool", "str-tile", "float-tile", "str-task"],
+    )
+    def test_bad_request_rejected(self, field, value, match):
+        """A request is checked when it is made, before any heuristic reads
+        it."""
+        fields = {"app": "app0", "task": sw_task(), "requester_tile": (1, 2), "vms": 1, "vsm": 1}
+        with pytest.raises(ValidationError, match=f"^map request: {match}"):
+            MapRequest(**{**fields, field: value})
+
+    @pytest.mark.parametrize("kind", ["ff", "mmc", "bn"])
+    def test_non_request_rejected(self, arch8, kind):
+        with pytest.raises(ValidationError, match="^a request must be a MapRequest, got None"):
+            HeuristicEngine(kind).place(None, MappingState(arch8))
 
     def test_evaluations_accumulate(self):
         state = MappingState(arch_4x4())

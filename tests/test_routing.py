@@ -323,3 +323,10 @@ class TestRouteDispatch:
         assert route(RoutePolicy.MIN_LOAD, (0, 0), (2, 2), ledger, arch8) == min_load_route(
             (0, 0), (2, 2), ledger, arch8
         )
+
+    @pytest.mark.parametrize("policy", ["xy", None, 42], ids=["value", "none", "int"])
+    def test_non_member_policy_rejected(self, arch8, policy):
+        """Only a ``RoutePolicy`` member routes: its value, or anything
+        else, is rejected rather than routed with the load-aware search."""
+        with pytest.raises(ValidationError, match="^route policy must be RoutePolicy.XY or"):
+            route(policy, (5, 5), (1, 1), random_ledger(arch8, 3), arch8)

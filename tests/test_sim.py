@@ -27,7 +27,6 @@ from nocmap.sim import (
     comm_latency,
     compute_energy,
     compute_time,
-    run_comparison,
     simulate,
     write_event_log,
 )
@@ -355,13 +354,11 @@ class TestSimulateBasics:
         ],
     )
     def test_wrong_field_type_rejected(self, field, value):
-        """``simulate`` and ``run_comparison`` name a field of the wrong type
-        before reading it."""
+        """``simulate`` names a field of the wrong type before reading it."""
         scenario = Scenario(apps=[single_task_app()], heuristic="nn")
         setattr(scenario, field, value)
-        for run in (simulate, lambda s: run_comparison([s, s])):
-            with pytest.raises(ValidationError, match=f"^{field} must be"):
-                run(scenario)
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            simulate(scenario)
 
     @pytest.mark.parametrize(
         "scenario", ["x", None, [Scenario(apps=[single_task_app()], heuristic="nn")]],
@@ -574,73 +571,6 @@ class TestAdmission:
         )
         assert retried_map.cycle >= app0_release
         assert r.per_app_finish["app1"] > r.per_app_finish["app0"]
-
-
-class TestRunComparison:
-    def test_shared_workload_reports(self):
-        apps = generate_workload(GenConfig(app_count=3, seed=2))
-        scenarios = [Scenario(apps=apps, heuristic=h, seed=2) for h in ("spiral", "nn", "bn")]
-        reports = run_comparison(scenarios)
-        assert [r.heuristic for r in reports] == ["spiral", "nn", "bn"]
-        assert len({r.app_count for r in reports}) == 1
-        assert all(r.energy_compute == reports[0].energy_compute for r in reports)
-
-    def test_mismatched_workloads_rejected(self):
-        a = generate_workload(GenConfig(app_count=2, seed=1))
-        b = generate_workload(GenConfig(app_count=2, seed=2))
-        with pytest.raises(ValidationError):
-            run_comparison(
-                [Scenario(apps=a, heuristic="nn"), Scenario(apps=b, heuristic="spiral")]
-            )
-
-    def test_mismatched_seed_rejected(self):
-        apps = generate_workload(GenConfig(app_count=2, seed=1))
-        with pytest.raises(ValidationError):
-            run_comparison(
-                [
-                    Scenario(apps=apps, heuristic="nn", seed=1),
-                    Scenario(apps=apps, heuristic="spiral", seed=2),
-                ]
-            )
-
-    def test_default_arrivals_equal_explicit_zeros(self):
-        apps = [single_task_app()]
-        reports = run_comparison(
-            [
-                Scenario(apps=apps, heuristic="nn"),
-                Scenario(apps=apps, heuristic="spiral", arrivals=[0]),
-            ]
-        )
-        assert [r.heuristic for r in reports] == ["nn", "spiral"]
-
-    @pytest.mark.parametrize(
-        "make, match",
-        [
-            (lambda s: iter([s, s]), "^scenarios must be a sequence of Scenario"),
-            (lambda s: (x for x in [s]), "^scenarios must be a sequence of Scenario"),
-            (lambda s: s, "^scenarios must be a sequence of Scenario"),
-            (lambda s: [s, "x"], "^a scenario must be a Scenario"),
-            (lambda s: ["x", s], "^a scenario must be a Scenario"),
-            (lambda s: [s, None], "^a scenario must be a Scenario"),
-            (lambda s: "x", "^a scenario must be a Scenario"),
-        ],
-        ids=["iterator", "generator", "scenario", "str-after", "str-before", "none", "str"],
-    )
-    def test_bad_scenarios_argument_rejected(self, make, match):
-        scenario = Scenario(apps=[single_task_app()], heuristic="nn")
-        with pytest.raises(ValidationError, match=match):
-            run_comparison(make(scenario))
-
-    @pytest.mark.parametrize("arrivals", [[0], None])
-    def test_mismatched_arrivals_rejected(self, arrivals):
-        apps = [single_task_app()]
-        with pytest.raises(ValidationError, match="arrival times"):
-            run_comparison(
-                [
-                    Scenario(apps=apps, heuristic="nn", arrivals=arrivals),
-                    Scenario(apps=apps, heuristic="spiral", arrivals=[5]),
-                ]
-            )
 
 
 class TestEventLogFile:
