@@ -19,10 +19,17 @@ Every heuristic, and ``place_initial``, is a pure function of (request,
 state) that writes nothing; ``ff`` additionally threads its cursor.  Each
 returns the chosen tile (or ``None`` when no free compatible tile exists)
 plus the number of candidate tiles it examined, which callers aggregate as
-a mapping-effort proxy.  ff, nn, spiral and ``place_initial`` take the
-first free compatible tile of a fixed tile order (``_first_free``) and
-count the tiles they look at.  mmc, mac and pl count the free compatible
-candidates, not the tiles they score; bn counts its nearest shell.
+a mapping-effort proxy.
+
+``MappingState.free_tiles`` keeps the free tiles each task kind may run on
+as a set, updated as tasks are placed and released, so no heuristic scans
+the mesh to find them.  ff, nn, spiral and ``place_initial`` take the first
+tile of a fixed tile order that is in that set (``_first_free``) and count
+the tiles they look at.  mmc, mac, pl's nearest shell and bn walk the set
+nearest the requester first (``_nearest_free``) and stop once no tile
+farther out can win; only pl's bulk scoring reads the whole set.  mmc, mac
+and pl count the free compatible candidates, the size of the set, not the
+tiles they score; bn counts its nearest shell.
 """
 from __future__ import annotations
 
@@ -30,9 +37,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import ceil
-from itertools import chain, count
+from itertools import chain, count, takewhile
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from .model import (
     ArchGraph,
@@ -47,6 +54,7 @@ from .model import (
 )
 from .routing import (
     RoutePolicy,
+    _xy_cost,
     min_load_tree,
     path_cost,
     path_hops,
@@ -232,18 +240,51 @@ def _greedy_spread(centers: list[Coord], arch: ArchGraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _first_free(
-    tiles: Iterable[Coord], state: MappingState, kind: TaskKind
-) -> tuple[Coord | None, int]:
-    """First free tile of ``tiles`` (read lazily) accepting ``kind``, and the
-    number of tiles examined: all of them when none qualifies."""
-    arch, owner = state.arch, state.tile_owner
+def _first_free(tiles: Iterable[Coord], free: AbstractSet[Coord]) -> tuple[Coord | None, int]:
+    """First tile of ``tiles`` (read lazily) in ``free``, the free tiles a
+    task may run on, and the number of tiles examined: all of them when
+    none is free."""
     examined = 0
     for tile in tiles:
         examined += 1
-        if arch.accepts(tile, kind) and tile not in owner:
+        if tile in free:
             return tile, examined
     return None, examined
+
+
+def _nearest_free(r: Coord, free: AbstractSet[Coord], arch: ArchGraph) -> Iterator[Coord]:
+    """The tiles of ``free`` in (Manhattan distance from ``r``, linear
+    index) order, ``r`` itself first if it is free.
+
+    Walks the Manhattan rings around ``r``, nearest first, each in raster
+    order and clipped to the mesh, out to the farthest mesh tile, testing
+    each position against ``free``.  Nothing is listed or sorted, so a
+    caller that stops early pays only for the rings it reached.
+    """
+    arch.require_in_mesh(r)
+    rx, ry = r
+    w, h = arch.width, arch.height
+    if r in free:
+        yield r
+    for d in range(1, max(rx, w - 1 - rx) + max(ry, h - 1 - ry) + 1):
+        for y in range(max(0, ry - d), min(h, ry + d + 1)):
+            dx = d - abs(y - ry)
+            x = rx - dx
+            if x >= 0 and (x, y) in free:
+                yield (x, y)
+            x = rx + dx
+            if dx and x < w and (x, y) in free:
+                yield (x, y)
+
+
+def _nearest_ring(r: Coord, tiles: Iterator[Coord]) -> Iterator[Coord]:
+    """The first of ``tiles``, which come nearest ``r`` first, and the
+    tiles after it at the same Manhattan distance from ``r``."""
+    first = next(tiles, None)
+    if first is not None:
+        yield first
+        d = manhattan(r, first)
+        yield from takewhile(lambda t: manhattan(r, t) == d, tiles)
 
 
 def place_initial(
@@ -262,7 +303,7 @@ def place_initial(
         return None
     center = grid.centers[ci]
     order = chain((center,), _outward(center, spiral_ring, state.arch))
-    tile, examined = _first_free(order, state, TaskKind.INITIAL)
+    tile, examined = _first_free(order, state.free_tiles(TaskKind.INITIAL))
     return None if tile is None else (ci, tile, examined)
 
 
@@ -271,7 +312,7 @@ def map_spiral(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]
     if req.requester_tile is None:
         raise StateError("spiral placement requires a requester tile")
     tiles = _outward(req.requester_tile, spiral_ring, state.arch)
-    return _first_free(tiles, state, req.task.kind)
+    return _first_free(tiles, state.free_tiles(req.task.kind))
 
 
 def map_ff(req: MapRequest, state: MappingState, cursor: int) -> tuple[Coord | None, int, int]:
@@ -286,7 +327,7 @@ def map_ff(req: MapRequest, state: MappingState, cursor: int) -> tuple[Coord | N
     n = arch.width * arch.height
     start = cursor % n
     order = map(arch.coord_at, chain(range(start, n), range(start)))
-    tile, examined = _first_free(order, state, req.task.kind)
+    tile, examined = _first_free(order, state.free_tiles(req.task.kind))
     if tile is None:
         return None, cursor, examined
     return tile, (arch.linear_index(tile) + 1) % n, examined
@@ -299,18 +340,7 @@ def map_nn(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]:
     if req.requester_tile is None:
         raise StateError("nearest-neighbour placement requires a requester tile")
     tiles = _outward(req.requester_tile, manhattan_shell, state.arch)
-    return _first_free(tiles, state, req.task.kind)
-
-
-def _candidates(state: MappingState, kind: TaskKind) -> list[Coord]:
-    """Free tiles a task of ``kind`` may run on, in raster order."""
-    return [c for c in state.arch.tiles_for(kind) if c not in state.tile_owner]
-
-
-def _distances(r: Coord, cands: list[Coord]) -> list[int]:
-    """Manhattan distance of each candidate from ``r``."""
-    rx, ry = r
-    return [abs(x - rx) + abs(y - ry) for x, y in cands]
+    return _first_free(tiles, state.free_tiles(req.task.kind))
 
 
 def _channel_load_key(
@@ -376,9 +406,11 @@ def map_channel_load(
     is at least the floor ``max(base peak, vms, vsm)``; the requester's own
     tile keeps the base peak and total.  So a tile's shell bound is its key
     with the peak lowered to the floor and the total to that sum, and bound
-    order is (hops, linear index): the candidates, listed in raster order,
-    stably sorted by their distance from the requester, its own tile first.
-    With no volume every bound is its key, and the walk is raster order.
+    order is (hops, linear index): the order in which ``_nearest_free``
+    yields the free candidates, the requester's own tile first.  The walk
+    reads the tiles it reaches, not every candidate.  With no volume every
+    key is the base loads and the tile's index, so the free candidate with
+    the lowest index wins unscored, and the ledger is not read.
 
     Under XY a tile's own bound is tighter.  Its route there starts along
     the requester's row (all on its column if the tile shares that column),
@@ -396,21 +428,23 @@ def map_channel_load(
     """
     if req.requester_tile is None:
         raise StateError("channel-load placement requires a requester tile")
-    cands = _candidates(state, req.task.kind)
-    if not cands:
+    free = state.free_tiles(req.task.kind)
+    if not free:
         return None, 0
     arch, r = state.arch, req.requester_tile
+    vms, vsm = req.vms, req.vsm
+    volume = vms + vsm
+    if not volume:
+        # Every key is the base loads and the tile's index.
+        return arch.coord_at(min(map(arch.linear_index, free))), len(free)
     key = _channel_load_key(req, state, policy, average_first)
     # The requester's own tile routes nothing: its key holds the base loads.
     if average_first:
         base_total, base_peak, _ = key(r)
     else:
         base_peak, base_total, _ = key(r)
-    vms, vsm = req.vms, req.vsm
-    volume = vms + vsm
     floor = max(base_peak, vms, vsm)
-    dist = _distances(r, cands)
-    walk = sorted(range(len(cands)), key=dist.__getitem__) if volume else range(len(cands))
+    xy = policy is RoutePolicy.XY
     rx, ry = r
     legs = None  # xy_leg_peaks(r), read once a scored key misses its bound
 
@@ -418,19 +452,19 @@ def map_channel_load(
         return (total, peak, i) if average_first else (peak, total, i)
 
     best = best_key = None
-    for j in walk:
-        tile, hops = cands[j], dist[j]
+    for tile in _nearest_free(r, free, arch):
+        tx, ty = tile
+        hops = abs(tx - rx) + abs(ty - ry)
         peak = floor if hops else base_peak
         total = base_total + hops * volume
         i = arch.linear_index(tile)
         if best_key is not None:
             if order(peak, total, i) > best_key:
                 break
-            if policy is RoutePolicy.XY:
+            if xy:
                 if legs is None:
                     legs = xy_leg_peaks(r, state.ledger, arch)
                 row_out, row_in, col_out, col_in = legs
-                tx, ty = tile
                 if vms:
                     peak = max(peak, (col_out[ty] if tx == rx else row_out[tx]) + vms)
                 if vsm:
@@ -440,7 +474,7 @@ def map_channel_load(
         k = key(tile)
         if best_key is None or k < best_key:
             best, best_key = tile, k
-    return best, len(cands)
+    return best, len(free)
 
 
 def _pl_key(
@@ -463,59 +497,60 @@ def map_pl(
     choose; ties break on combined hop count, then linear index.
 
     Under XY a tile's hops are twice its Manhattan distance, and no cost is
-    below 0.  So the nearest free candidates are scored first, each with
-    ``_pl_key``: if the best of them costs 0, every other candidate is
-    farther, costs more or has a higher index, and it wins.  Otherwise, and
-    always under the load-aware router, every candidate is scored in bulk
-    from one pass per call: one ``xy_fold`` from the requester under XY
-    (O(tiles)), two ``min_load_tree`` searches under the load-aware router
-    (O(links log tiles)), whose hops may exceed twice the distance.
+    below 0.  So the nearest free candidates (see ``_nearest_free``) are
+    scored first, in linear-index order, each by summing its two XY routes
+    from the link tables (``routing._xy_cost``): the first that costs 0
+    wins, since every other candidate is farther, costs more or has a
+    higher index.  Otherwise, and always under the load-aware router, every
+    candidate is scored in bulk from one pass per call: one ``xy_fold`` from
+    the requester under XY (O(tiles)), two ``min_load_tree`` searches under
+    the load-aware router (O(links log tiles)), whose hops may exceed twice
+    the distance.  The key (cost, hops, linear index) is unique per tile, so
+    the order the free set is read in does not matter.
     """
     if req.requester_tile is None:
         raise StateError("path-load placement requires a requester tile")
-    cands = _candidates(state, req.task.kind)
-    if not cands:
+    free = state.free_tiles(req.task.kind)
+    if not free:
         return None, 0
     arch, ledger, r = state.arch, state.ledger, req.requester_tile
     if policy is RoutePolicy.XY:
-        hops: Iterable[int] = _distances(r, cands)  # half of each XY hop count
-        h0 = min(hops)
-        cost, _, i = min(_pl_key(req, state, t, policy) for t, h in zip(cands, hops) if h == h0)
-        if cost == 0:
-            return arch.coord_at(i), len(cands)
+        for t in _nearest_ring(r, _nearest_free(r, free, arch)):
+            if not _xy_cost(r, t, ledger, arch) and not _xy_cost(t, r, ledger, arch):
+                return t, len(free)
         there, back = xy_fold(r, ledger, arch)
-        idx = list(map(arch.linear_index, cands))
+        idx = list(map(arch.linear_index, free))
+        # Half of each XY hop count.
+        hops: Iterable[int] = [manhattan(r, arch.coord_at(i)) for i in idx]
     else:
         there, there_hops = min_load_tree(r, ledger, arch)
         back, back_hops = min_load_tree(r, ledger, arch, into=True)
-        idx = list(map(arch.linear_index, cands))
+        idx = list(map(arch.linear_index, free))
         hops = map(add, map(there_hops.__getitem__, idx), map(back_hops.__getitem__, idx))
     costs = map(add, map(there.__getitem__, idx), map(back.__getitem__, idx))
-    # Candidates are in raster order, so their position breaks ties as the
-    # linear index does.
-    _, _, pos = min(zip(costs, hops, count()))
-    return cands[pos], len(cands)
+    _, _, i = min(zip(costs, hops, idx))
+    return arch.coord_at(i), len(free)
 
 
 def map_bn(
     req: MapRequest, state: MappingState, policy: RoutePolicy
 ) -> tuple[Coord | None, int]:
     """Path-load choice restricted to the nearest non-empty Manhattan shell:
-    the free candidates at the least distance of at least 1.
+    the free candidates at the least distance of at least 1, which
+    ``_nearest_free`` yields first after the requester's own tile.
 
     Each shell tile costs two routes (see ``_pl_key``).  The shell is often
     a few tiles, and a route to a near tile stops early, so this costs less
     than the two whole-mesh searches ``map_pl`` makes under the load-aware
     router.
     """
-    if req.requester_tile is None:
+    r = req.requester_tile
+    if r is None:
         raise StateError("best-neighbour placement requires a requester tile")
-    cands = _candidates(state, req.task.kind)
-    dist = _distances(req.requester_tile, cands)
-    h0 = min((h for h in dist if h), default=None)
-    if h0 is None:
+    walk = _nearest_free(r, state.free_tiles(req.task.kind), state.arch)
+    shell = list(_nearest_ring(r, (t for t in walk if t != r)))
+    if not shell:
         return None, 0
-    shell = [t for t, h in zip(cands, dist) if h == h0]
     return min(shell, key=lambda t: _pl_key(req, state, t, policy)), len(shell)
 
 

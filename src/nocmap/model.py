@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 Coord = tuple[int, int]
 DirectedLink = tuple[Coord, Coord]
@@ -231,19 +231,27 @@ class TaskGraph:
             if t.id not in reach:
                 raise self._fail(f"unreachable task {t.id!r}")
 
+    # An unknown or unhashable task id raises KeyError or TypeError; each
+    # lookup turns both into ValidationError off its normal path.
     def task(self, tid: str) -> Task:
         try:
             return self._by_id[tid]
-        except KeyError:
+        except (KeyError, TypeError):
             raise self._fail(f"unknown task {tid!r}") from None
 
     def outgoing(self, tid: str) -> tuple[Edge, ...]:
         """Edges mastered by ``tid``, ordered by slave id."""
-        return self._out[tid]
+        try:
+            return self._out[tid]
+        except (KeyError, TypeError):
+            raise self._fail(f"unknown task {tid!r}") from None
 
     def incoming(self, tid: str) -> tuple[Edge, ...]:
         """Edges targeting ``tid``, ordered by master id."""
-        return self._in[tid]
+        try:
+            return self._in[tid]
+        except (KeyError, TypeError):
+            raise self._fail(f"unknown task {tid!r}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaskGraph):
@@ -362,11 +370,10 @@ class ArchGraph:
         self.north = tuple(tuple(ids[(x, y + 1), (x, y)] for x in cols) for y in rows[:-1])
         self.opposite = tuple(ids[b, a] for a, b in links)
         self._kind_count = Counter(self._kinds.values())
-        # The tiles each task kind may use, with their kinds, in raster order.
-        self._usable = {
-            k: {c: self._kinds[c] for c in cells if compatible(k, self._kinds[c])} for k in TaskKind
+        # The tiles each task kind may use, in raster order.
+        self._tiles_for = {
+            k: tuple(c for c in cells if compatible(k, self._kinds[c])) for k in TaskKind
         }
-        self._tiles_for = {k: tuple(tiles) for k, tiles in self._usable.items()}
 
     @classmethod
     def default_8x8(cls) -> "ArchGraph":
@@ -426,14 +433,6 @@ class ArchGraph:
         except (KeyError, TypeError):  # TypeError: an unhashable kind
             raise _not_task_kind(kind) from None
 
-    def accepts(self, c: Coord, kind: TaskKind) -> bool:
-        """True iff ``c`` is a mesh tile a task of ``kind`` may run on."""
-        try:
-            usable = self._usable[kind]
-        except (KeyError, TypeError):
-            raise _not_task_kind(kind) from None
-        return _tile_kind(usable, c) is not None
-
     def coords(self) -> Iterator[Coord]:
         """All coordinates in raster (row-major) order."""
         for y in range(self.height):
@@ -461,8 +460,8 @@ class ChannelLoadLedger:
     Loads live in one list indexed by link id (``ArchGraph.link_ids``).  The
     ledger keeps the sum of all link loads as it changes, so ``total_load``
     and ``avg_load`` are O(1) and ``add_path``/``remove_path`` cost O(path):
-    one id lookup and one list update per link.  ``peak_load`` scans every
-    link; ``path_loads`` and ``path_peak`` read only the links of one path.
+    one id lookup and one list update per link.  ``path_loads`` and
+    ``path_peak`` read only the links of one path.
     Every path method resolves the whole path first and raises
     ``ValidationError`` on a step that is not a mesh link, so a failed update
     changes nothing.
@@ -471,6 +470,15 @@ class ChannelLoadLedger:
     ``add_path`` and ``remove_path`` resolve a path and pass its ids on.
     ``MappingState`` resolves a route once, when it pins it, and keeps the
     ids to release the route by.
+
+    ``peak_load`` scans every link once and keeps the peak it found
+    (``_peak``, None while unknown).  ``_shift`` keeps it exact: a positive
+    shift raises it to the highest shifted link, a negative one forgets it
+    when a link at the peak is lowered, since another link may not hold the
+    same load.  ``set_load`` forgets it, and ``copy`` carries it.  So a
+    caller that reads the peak between pinned routes scans again only after
+    a release of a link at the peak, and one that never reads it pays one
+    ``is None`` test per shift.
     """
 
     def __init__(self, arch: ArchGraph):
@@ -478,6 +486,7 @@ class ChannelLoadLedger:
         self._ids = arch.link_ids
         self._load: list[int] = [0] * len(arch.links())
         self._total = 0
+        self._peak: int | None = None
 
     def _id(self, link: DirectedLink) -> int:
         try:
@@ -503,6 +512,7 @@ class ChannelLoadLedger:
         _check_amount("load", value)
         self._total += value - self._load[i]
         self._load[i] = value
+        self._peak = None
 
     def add_path(self, path: Sequence[Coord], volume: int) -> list[int]:
         """Add ``volume`` to every link of ``path``; return the links' ids in
@@ -519,18 +529,32 @@ class ChannelLoadLedger:
     def _shift(self, ids: Sequence[int], delta: int) -> None:
         """Add ``delta`` to the load of every link in ``ids``, once per
         listing.  The ids must be ones the ledger resolved.  A removal that
-        takes a load below zero is undone before it raises ``StateError``."""
+        takes a load below zero is undone before it raises ``StateError``.
+        A link listed twice moves by twice ``delta``, so a removal reads the
+        loads before it moves them, to tell whether it lowers a link at the
+        kept peak, and an addition reads them after, for the new peak."""
         load = self._load
-        for i in ids:
-            load[i] += delta
-        if delta < 0 and min(map(load.__getitem__, ids), default=0) < 0:
-            bad = next(i for i in ids if load[i] < 0)
+        peak = self._peak
+        if delta >= 0:
             for i in ids:
-                load[i] -= delta
-            raise StateError(
-                f"removing {-delta * ids.count(bad)} from link "
-                f"{self.arch.links()[bad]} would go negative"
-            )
+                load[i] += delta
+            if peak is not None and delta:
+                top = max(map(load.__getitem__, ids), default=0)
+                if top > peak:
+                    self._peak = top
+        else:
+            if peak is not None and peak in map(load.__getitem__, ids):
+                self._peak = None
+            for i in ids:
+                load[i] += delta
+            if min(map(load.__getitem__, ids), default=0) < 0:
+                bad = next(i for i in ids if load[i] < 0)
+                for i in ids:
+                    load[i] -= delta
+                raise StateError(
+                    f"removing {-delta * ids.count(bad)} from link "
+                    f"{self.arch.links()[bad]} would go negative"
+                )
         self._total += delta * len(ids)
 
     def path_loads(self, path: Sequence[Coord]) -> list[int]:
@@ -547,7 +571,12 @@ class ChannelLoadLedger:
         return self._load
 
     def peak_load(self) -> int:
-        return max(self._load)
+        """Highest link load: the kept peak, or a scan of every link that
+        keeps what it finds."""
+        peak = self._peak
+        if peak is None:
+            self._peak = peak = max(self._load)
+        return peak
 
     def total_load(self) -> int:
         return self._total
@@ -561,6 +590,7 @@ class ChannelLoadLedger:
         dup._ids = self._ids
         dup._load = self._load.copy()
         dup._total = self._total
+        dup._peak = self._peak
         return dup
 
     def loads(self) -> Mapping[DirectedLink, int]:
@@ -579,6 +609,11 @@ RouteKey = tuple[str, str, str, str]  # (app, mtid, stid, direction)
 PinnedRoute = tuple[tuple[Coord, ...], int, tuple[int, ...]]
 
 
+# Task kinds as module names: ``free_tiles`` tests a kind by identity, which
+# costs less than hashing the enum member or reading it through its class.
+_INITIAL, _SOFTWARE, _HARDWARE = TaskKind.INITIAL, TaskKind.SOFTWARE, TaskKind.HARDWARE
+
+
 class MappingState:
     """Mutable placement/route/ledger state for one platform.
 
@@ -587,6 +622,11 @@ class MappingState:
     ``release_app`` release a route's load by those ids, without resolving
     its path again.  A release that would take a load below zero raises
     ``StateError`` and changes nothing.
+
+    The free tiles of each tile kind that runs tasks, ISP and RA, are kept
+    as two sets, which ``place`` and ``release_app`` update; ``free_tiles``
+    gives the set a task kind may use.  The sets are built with the state,
+    so they live as long as one ``simulate`` call.
     """
 
     def __init__(self, arch: ArchGraph):
@@ -595,6 +635,19 @@ class MappingState:
         self.tile_owner: dict[Coord, tuple[str, str]] = {}
         self.routes: dict[RouteKey, PinnedRoute] = {}
         self.ledger = ChannelLoadLedger(arch)
+        self._free_isp = isp = set(arch.tiles_for(_SOFTWARE))
+        self._free_ra = ra = set(arch.tiles_for(_HARDWARE))
+        # The free set each tile that runs tasks belongs in.
+        self._pool = dict.fromkeys(isp, isp) | dict.fromkeys(ra, ra)
+
+    def free_tiles(self, kind: TaskKind) -> AbstractSet[Coord]:
+        """Free tiles a task of ``kind`` may run on: the state's own set,
+        which callers read but must not change."""
+        if kind is _HARDWARE:
+            return self._free_ra
+        if kind is _SOFTWARE or kind is _INITIAL:
+            return self._free_isp
+        raise _not_task_kind(kind)
 
     def tile_free(self, c: Coord) -> bool:
         self.arch.require_in_mesh(c)
@@ -623,6 +676,7 @@ class MappingState:
             raise ValidationError(f"task must be a Task, got {task!r}") from None
         self.placement[(app, task.id)] = c
         self.tile_owner[c] = (app, task.id)
+        self._pool[c].remove(c)
 
     def apply_route(
         self,
@@ -651,8 +705,13 @@ class MappingState:
         if m_tile is None or s_tile is None:
             raise StateError(f"route {key} has an unmapped endpoint")
         src, dst = (m_tile, s_tile) if direction == DIR_MS else (s_tile, m_tile)
-        if not path or path[0] != src or path[-1] != dst:
-            raise ValidationError(f"route {key}: path {list(path)} does not run {src}->{dst}")
+        try:
+            if not path or path[0] != src or path[-1] != dst:
+                raise ValidationError(f"route {key}: path {list(path)} does not run {src}->{dst}")
+        except TypeError:  # no truth value, indexing or iteration: not a sequence
+            raise ValidationError(
+                f"route {key}: a path must be a sequence of tiles, got {path!r}"
+            ) from None
         try:
             revisits = len(set(path)) != len(path)
         except TypeError:
@@ -695,9 +754,11 @@ class MappingState:
             raise
         for rkey in held:
             del self.routes[rkey]
+        pool = self._pool
         for key in placed:
             c = self.placement.pop(key)
             del self.tile_owner[c]
+            pool[c].add(c)
 
     def rebuild_ledger(self) -> ChannelLoadLedger:
         """Fresh ledger recomputed from the stored routes' paths, not their

@@ -317,6 +317,7 @@ def check_engine(engine) -> None:
 
     * ``routes``: the link ids stored with each pinned route are
       ``arch.link_ids`` of its path's steps;
+    * ``peak``: a peak the ledger keeps equals the highest link load;
     * ``ledger``: every link load, and the running total, equal what
       ``MappingState.rebuild_ledger`` recomputes from the pinned routes'
       paths;
@@ -324,7 +325,9 @@ def check_engine(engine) -> None:
       overlap;
     * ``placement``: ``placement`` and ``tile_owner`` are inverse maps;
     * ``free``: each kind's free tile count equals the platform's tiles of
-      that kind minus the demand of the admitted, unfinished applications.
+      that kind minus the demand of the admitted, unfinished applications;
+    * ``free-tiles``: each task kind's free set (``free_tiles``) holds the
+      tiles it may run on that ``tile_owner`` does not hold.
     """
     state = engine.state
     link_ids, links = engine.arch.link_ids, engine.arch.links()
@@ -334,6 +337,9 @@ def check_engine(engine) -> None:
             raise InvariantError(
                 f"routes: route {key} stores link ids {stored}, its path gives {resolved}"
             )
+    kept, loads = state.ledger._peak, state.ledger.by_link_id()
+    if kept is not None and kept != max(loads):
+        raise InvariantError(f"peak: the ledger keeps {kept}, its highest load is {max(loads)}")
     got, want = state.ledger.loads(), state.rebuild_ledger().loads()
     for link, load in want.items():
         if got[link] != load:
@@ -367,4 +373,12 @@ def check_engine(engine) -> None:
             raise InvariantError(
                 f"free: {free} free {kind.value} tiles, "
                 f"the platform and the running apps give {want_free}"
+            )
+    for kind in TaskKind:
+        got_tiles = state.free_tiles(kind)
+        want_tiles = {c for c in engine.arch.tiles_for(kind) if c not in state.tile_owner}
+        if got_tiles != want_tiles:
+            raise InvariantError(
+                f"free-tiles: {kind.value} tasks may use free tiles {sorted(got_tiles)}, "
+                f"tile_owner leaves {sorted(want_tiles)}"
             )

@@ -7,7 +7,8 @@ the XY route when the destination is on or below the source's row and the
 YX route when it is above; when that route carries no load it is optimal,
 and ``min_load_route`` returns it without a search.  ``xy_fold`` sums the
 link loads of every XY route from one tile, and back to it, in one pass
-over the mesh; ``xy_leg_peaks`` gives the highest load on each XY route
+over the mesh, and ``_xy_cost`` sums those of one XY route from the link
+tables; ``xy_leg_peaks`` gives the highest load on each XY route
 between a tile and the tiles of its own row and column, reading that row
 and column from the mesh's link tables as the fold does; ``min_load_tree``
 gives the load and hops of every load-aware route from one tile, or into
@@ -31,6 +32,11 @@ Path = tuple[Coord, ...]
 class RoutePolicy(Enum):
     XY = "xy"
     MIN_LOAD = "mdijkstra"
+
+
+# ``route`` compares its policy with these names, which costs less than
+# reading an enum member through its class.
+_XY, _MIN_LOAD = RoutePolicy.XY, RoutePolicy.MIN_LOAD
 
 
 def path_hops(path: Sequence[Coord]) -> int:
@@ -128,6 +134,17 @@ def xy_fold(src: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> tuple[lis
     for x in range(sx - 1, -1, -1):
         back[x::w] = acc = step(acc, east[x])
     return there, back
+
+
+def _xy_cost(src: Coord, dst: Coord, ledger: ChannelLoadLedger, arch: ArchGraph) -> int:
+    """``path_cost(xy_route(src, dst, arch), ledger)`` for two mesh tiles,
+    summed from the link tables: the leg along ``src``'s row to ``dst``'s
+    column, then the leg along that column.  O(hops), with no path built."""
+    loads = ledger.by_link_id()
+    (x, y), (tx, ty) = src, dst
+    row = arch.east[x:tx] if tx > x else arch.west[tx:x]
+    col = arch.south[y:ty] if ty > y else arch.north[ty:y]
+    return sum([loads[ids[y]] for ids in row]) + sum([loads[ids[tx]] for ids in col])
 
 
 def xy_leg_peaks(
@@ -296,9 +313,9 @@ def route(
     ledger: ChannelLoadLedger,
     arch: ArchGraph,
 ) -> Path:
-    if policy is RoutePolicy.XY:
+    if policy is _XY:
         return xy_route(src, dst, arch)
-    if policy is RoutePolicy.MIN_LOAD:
+    if policy is _MIN_LOAD:
         return min_load_route(src, dst, ledger, arch)
     valid = " or ".join(map(str, RoutePolicy))
     raise ValidationError(f"route policy must be {valid}, got {policy!r}")

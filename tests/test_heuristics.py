@@ -635,6 +635,15 @@ FOLD_ARCHES = {
 }
 
 
+WALK_ARCHES = {
+    **FOLD_ARCHES,
+    "1x6": small_arch(1, 6),
+    "6x1": small_arch(6, 1),
+    "8x8": ArchGraph.default_8x8(),
+    "16x16-ra": arch_16x16_ra(),
+}
+
+
 class TestXYFoldScoring:
     """mmc and mac against the oracle under both route policies, and the XY
     fold's sums and pl against the per-candidate pl scorer."""
@@ -899,14 +908,14 @@ class TestXYWalk:
 
 
 class TestCandidateWalk:
-    """mmc, mac and bn order the free candidates by their distance from the
-    requester instead of walking every tile of every Manhattan shell."""
+    """mmc, mac, pl and bn walk the free tiles nearest the requester first
+    (``_nearest_free``) instead of listing and sorting every candidate."""
 
     @pytest.mark.parametrize("name", FOLD_ARCHES)
     def test_distance_order_is_shell_order(self, name):
-        """The candidates, in raster order, stably sorted by distance, come
-        in the order the shells around the requester list them, its own
-        tile first, for requesters on free and occupied tiles."""
+        """The walk yields the free tiles in the order the shells around
+        the requester list them, its own tile first, for requesters on free
+        and occupied tiles."""
         arch = FOLD_ARCHES[name]
         rng = random.Random(name)
         for seed in range(100):
@@ -915,11 +924,39 @@ class TestCandidateWalk:
                 far = farthest(r, arch, manhattan)
                 shells = [manhattan_shell(r, n, arch) for n in range(1, far + 1)]
                 for kind in TaskKind:
-                    cands = heuristics._candidates(state, kind)
-                    dist = heuristics._distances(r, cands)
-                    got = [cands[j] for j in sorted(range(len(cands)), key=dist.__getitem__)]
-                    want = [t for t in chain([r], *shells) if t in cands]
+                    free = state.free_tiles(kind)
+                    got = list(heuristics._nearest_free(r, free, arch))
+                    want = [t for t in chain([r], *shells) if t in free]
                     assert got == want, (seed, r, kind)
+
+    @pytest.mark.parametrize("name", WALK_ARCHES)
+    def test_walk_equals_sorted_candidates(self, name):
+        """On random occupancies, for every task kind and for requesters on
+        a free and on an occupied tile, the walk yields the free candidates
+        listed in raster order and stably sorted by their distance from the
+        requester."""
+        arch = WALK_ARCHES[name]
+        rng = random.Random(name)
+        requesters = set()
+        for _ in range(40):
+            state = MappingState(arch)
+            share = rng.random()
+            for c in arch.coords():
+                if c != arch.manager and rng.random() < share:
+                    kind = TaskKind.HARDWARE if arch.kind(c) is TileKind.RA else TaskKind.SOFTWARE
+                    state.place("app0", Task(f"t{c}", kind, 1), c)
+            occupied = list(state.tile_owner)
+            for kind in TaskKind:
+                cands = [c for c in arch.tiles_for(kind) if c not in state.tile_owner]
+                for on, tiles in (("free", cands), ("occupied", occupied)):
+                    if not tiles:
+                        continue
+                    r = rng.choice(tiles)
+                    requesters.add(on)
+                    want = sorted(cands, key=lambda c: manhattan(r, c))
+                    got = list(heuristics._nearest_free(r, state.free_tiles(kind), arch))
+                    assert got == want, (r, kind)
+        assert requesters == {"free", "occupied"}
 
     @pytest.mark.parametrize("policy", RoutePolicy, ids=lambda p: p.value)
     @pytest.mark.parametrize("kind", ["mmc", "mac", "bn"])

@@ -126,14 +126,13 @@ class TestArchGraph:
     )
     def test_only_mesh_tiles_are_in_the_mesh(self, c):
         """A coordinate is in the mesh iff it is one of its tiles, with ``int``
-        parts; no task kind is accepted on anything else, and every query
-        that takes a tile rejects it at once."""
+        parts, and every query that takes a tile rejects anything else at
+        once."""
         from nocmap.routing import min_load_route, xy_route
 
         arch = small_arch(4, 4)
         state = MappingState(arch)
         assert not arch.in_mesh(c)
-        assert not any(arch.accepts(c, kind) for kind in TaskKind)
         for call in (
             lambda: arch.require_in_mesh(c),
             lambda: arch.kind(c),
@@ -187,11 +186,9 @@ class TestArchGraph:
 
     @pytest.mark.parametrize("kind", ["software", None, TileKind.ISP, ["software"]], ids=repr)
     def test_non_task_kind_rejected(self, arch8, kind):
-        """``accepts`` and ``tiles_for`` take a ``TaskKind``; anything else,
-        its value string or an unhashable list included, is refused."""
+        """``tiles_for`` takes a ``TaskKind``; anything else, its value
+        string or an unhashable list included, is refused."""
         message = _exactly(f"task kind must be a TaskKind, got {kind!r}")
-        with pytest.raises(ValidationError, match=message):
-            arch8.accepts((1, 1), kind)
         with pytest.raises(ValidationError, match=message):
             arch8.tiles_for(kind)
 
@@ -631,6 +628,56 @@ class TestMappingState:
         assert state.ledger.total_load() == 180
         assert list(state.routes) == [("a", "t0", "t1", "ms")]
 
+    def test_free_tiles_follow_place_and_release(self):
+        """``free_tiles`` gives, for each task kind, the free tiles it may
+        run on, after ``place`` and ``release_app`` and after each of them
+        fails; it refuses a kind that is not a ``TaskKind``."""
+        arch = small_arch(4, 4, ra=((1, 1), (2, 2)))
+        state = MappingState(arch)
+
+        def consistent():
+            for kind in TaskKind:
+                want = {c for c in arch.tiles_for(kind) if c not in state.tile_owner}
+                assert state.free_tiles(kind) == want, kind
+
+        consistent()
+        _place_chain(state, "a", [(1, 0), (3, 0)])
+        state.place("a", Task("h", TaskKind.HARDWARE, 1), (1, 1))
+        consistent()
+        assert len(state.free_tiles(TaskKind.SOFTWARE)) == 13 - 2
+        assert state.free_tiles(TaskKind.HARDWARE) == {(2, 2)}
+        hw = Task("h2", TaskKind.HARDWARE, 1)
+        for tile, task, error in [
+            ((1, 0), Task("t9", TaskKind.SOFTWARE, 1), StateError),  # occupied
+            ((2, 0), hw, StateError),  # incompatible
+            ((0, 0), Task("t9", TaskKind.SOFTWARE, 1), StateError),  # manager
+            ((2, 2), Task("h", TaskKind.HARDWARE, 1), StateError),  # task placed
+            ((4, 0), hw, ValidationError),  # off the mesh
+            ((2, 2), None, ValidationError),  # not a task
+        ]:
+            with pytest.raises(error):
+                state.place("a", task, tile)
+            consistent()
+        _place_chain(state, "b", [(0, 1), (0, 3)])
+        state.apply_route("b", "t0", "t1", "ms", ((0, 1), (0, 2), (0, 3)), 7)
+        state.ledger.set_load(((0, 2), (0, 3)), 3)
+        with pytest.raises(StateError, match="would go negative"):
+            state.release_app("b")
+        consistent()
+        with pytest.raises(ValidationError):
+            state.release_app("ghost")
+        consistent()
+        state.release_app("a")
+        consistent()
+        assert state.free_tiles(TaskKind.HARDWARE) == {(1, 1), (2, 2)}
+        state.ledger.set_load(((0, 2), (0, 3)), 7)
+        state.release_app("b")
+        consistent()
+        assert len(state.free_tiles(TaskKind.INITIAL)) == 13
+        for kind in ("software", None, TileKind.ISP, ["software"]):
+            with pytest.raises(ValidationError, match="task kind must be a TaskKind"):
+                state.free_tiles(kind)
+
     def test_remove_route_roundtrip(self):
         arch = small_arch(4, 4)
         state = MappingState(arch)
@@ -680,6 +727,52 @@ class TestLedgerReconstruction:
             rebuilt = state.rebuild_ledger()
             assert state.ledger == rebuilt
             assert state.ledger.peak_load() >= 0
+
+    def test_kept_peak_matches_loads(self):
+        """A peak the ledger keeps equals ``max`` of its loads through random
+        ``add_path``, ``remove_path`` and ``set_load`` calls, zero volumes,
+        ``copy`` and removals that fail; a random walk lists some links
+        twice.  ``peak_load`` is called at random, so shifts meet both a
+        kept and a forgotten peak."""
+        seen = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            arch = small_arch(4, 3)
+            ledgers = [ChannelLoadLedger(arch)]
+            links = arch.links()
+            for _ in range(80):
+                ledger = rng.choice(ledgers)
+                if rng.random() < 0.5:
+                    assert ledger.peak_load() == max(ledger.by_link_id())
+                path = [rng.choice(list(arch.coords()))]
+                for _ in range(rng.randint(0, 6)):
+                    path.append(rng.choice(arch.neighbors(path[-1])))
+                steps = list(zip(path, path[1:]))
+                volume = rng.choice((0, rng.randint(1, 50)))
+                kept = ledger._peak
+                op = rng.randrange(4)
+                try:
+                    if op == 0:
+                        ledger.add_path(path, volume)
+                    elif op == 1:
+                        ledger.remove_path(path, volume)
+                    elif op == 2:
+                        ledger.set_load(rng.choice(links), rng.randint(0, 80))
+                    elif len(ledgers) < 4:
+                        ledgers.append(ledger.copy())
+                        assert ledgers[-1]._peak == kept
+                except StateError:
+                    seen.add("failed removal")
+                if kept is not None and op < 2 and volume:
+                    seen.add(("raised" if ledger._peak > kept else "kept") if ledger._peak
+                              is not None else "forgotten")
+                    if len(set(steps)) < len(steps):
+                        seen.add("link listed twice")
+                for each in ledgers:
+                    assert each._peak in (None, max(each.by_link_id()))
+            for each in ledgers:
+                assert each.peak_load() == max(each.by_link_id())
+        assert seen == {"failed removal", "raised", "kept", "forgotten", "link listed twice"}
 
     @pytest.mark.parametrize("seed", range(30))
     def test_running_total_matches_loads(self, seed):

@@ -3,7 +3,7 @@ import pytest
 
 from nocmap import oracles
 from nocmap.heuristics import _pl_key, spiral_ring
-from nocmap.model import TileKind, compatible
+from nocmap.model import TaskKind, TileKind, compatible
 from nocmap.routing import min_load_route
 from nocmap.sim import _Engine, simulate
 
@@ -88,12 +88,30 @@ def _corrupt_free(engine):
     return True
 
 
+def _corrupt_free_tiles(engine):
+    """Drop one tile from a free set; ``tile_owner`` and the counts stay."""
+    free = engine.state.free_tiles(TaskKind.SOFTWARE)
+    if free:
+        free.remove(min(free))
+        return True
+    return False
+
+
+def _corrupt_kept_peak(engine):
+    """Keep the peak, then raise a load in the ledger's list behind it."""
+    ledger = engine.state.ledger
+    ledger.by_link_id()[0] = ledger.peak_load() + 1
+    return True
+
+
 @pytest.mark.parametrize("corrupt,invariant", [
     (_corrupt_ledger, "ledger"),
     (_corrupt_route_link_ids, "routes"),
     (_corrupt_link_schedule, "link-schedule"),
     (_corrupt_tile_owner, "placement"),
     (_corrupt_free, "free"),
+    (_corrupt_free_tiles, "free-tiles"),
+    (_corrupt_kept_peak, "peak"),
 ])
 def test_engine_check_catches_corruption(monkeypatch, corrupt, invariant):
     """Corrupting the engine state once, mid-run, fails the next check."""

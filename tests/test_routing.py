@@ -8,6 +8,7 @@ from nocmap.oracles import enumerate_objectives, random_ledger, route_oracle
 from nocmap.routing import (
     RoutePolicy,
     _dijkstra,
+    _xy_cost,
     min_load_route,
     min_load_tree,
     path_cost,
@@ -19,6 +20,7 @@ from nocmap.routing import (
 )
 
 from conftest import arch_16x16_ra, small_arch
+from test_heuristics import WALK_ARCHES
 
 
 class TestXYRoute:
@@ -90,6 +92,21 @@ class TestXYFold:
     def test_out_of_mesh_rejected(self, arch8):
         with pytest.raises(ValidationError):
             xy_fold((8, 0), ChannelLoadLedger(arch8), arch8)
+
+
+class TestXYCost:
+    @pytest.mark.parametrize("name", ["5x3", "3x7", "1x6", "6x1", "8x8"])
+    def test_matches_path_cost(self, name):
+        """Every (src, dst) pair under random loads: the link-table sum
+        equals the summed loads of the XY route."""
+        arch = WALK_ARCHES[name]
+        for seed in range(6):
+            ledger = random_ledger(arch, seed)
+            for src in arch.coords():
+                for dst in arch.coords():
+                    assert _xy_cost(src, dst, ledger, arch) == path_cost(
+                        xy_route(src, dst, arch), ledger
+                    ), (seed, src, dst)
 
 
 class TestXYLegPeaks:
