@@ -25,11 +25,13 @@ a mapping-effort proxy.
 as a set, updated as tasks are placed and released, so no heuristic scans
 the mesh to find them.  ff, nn, spiral and ``place_initial`` take the first
 tile of a fixed tile order that is in that set (``_first_free``) and count
-the tiles they look at.  mmc, mac, pl's nearest shell and bn walk the set
-nearest the requester first (``_nearest_free``) and stop once no tile
-farther out can win; only pl's bulk scoring reads the whole set.  mmc, mac
-and pl count the free compatible candidates, the size of the set, not the
-tiles they score; bn counts its nearest shell.
+the tiles they look at.  One walk, ``_manhattan_order``, gives the tiles
+around the requester by (Manhattan distance, linear index): nn takes its
+first free tile, and mmc, mac, pl's nearest shell and bn read its free
+tiles nearest first and stop once no tile farther out can win; only pl's
+bulk scoring reads the whole set.  mmc, mac and pl count the free
+compatible candidates, the size of the set, not the tiles they score; bn
+counts its nearest shell.
 """
 from __future__ import annotations
 
@@ -143,34 +145,41 @@ def spiral_ring(center: Coord, hop: int, arch: ArchGraph) -> list[Coord]:
     return [c for c in ring if 0 <= c[0] < arch.width and 0 <= c[1] < arch.height]
 
 
-def manhattan_shell(center: Coord, n: int, arch: ArchGraph) -> list[Coord]:
-    """In-mesh tiles at Manhattan distance exactly ``n``, raster order."""
-    arch.require_in_mesh(center)
-    if not is_int(n) or n < 1:
-        raise ValidationError(f"shell distance must be an int >= 1, got {n!r}")
-    cx, cy = center
-    shell: list[Coord] = []
-    for y in range(max(0, cy - n), min(arch.height, cy + n + 1)):
-        dx = n - abs(y - cy)
-        xs = (cx - dx, cx + dx) if dx > 0 else (cx,)
-        shell += [(x, y) for x in xs if 0 <= x < arch.width]
-    return shell
+def _outward(center: Coord, arch: ArchGraph) -> Iterator[Coord]:
+    """The tiles of ``spiral_ring(center, 1, arch)``, ``spiral_ring(center,
+    2, arch)``, ... up to the first empty ring, so every mesh tile but
+    ``center`` once.
 
-
-def _outward(center: Coord, ring: Callable, arch: ArchGraph) -> Iterator[Coord]:
-    """The tiles of ``ring(center, 1, arch)``, ``ring(center, 2, arch)``, ...
-    up to the first empty ring, so every mesh tile but ``center`` once.
-
-    ``ring`` is ``spiral_ring`` or ``manhattan_shell``: the mesh tiles at
-    one Chebyshev or Manhattan distance.  No ring is empty before the
-    farthest tile, since a staircase path to it stays on the mesh and each
-    unit step changes either distance by at most 1; every later ring is.
+    No ring is empty before the farthest tile, since a staircase path to it
+    stays on the mesh and each unit step changes the Chebyshev distance by
+    at most 1; every later ring is.
     """
     for d in count(1):
-        tiles = ring(center, d, arch)
+        tiles = spiral_ring(center, d, arch)
         if not tiles:
             return
         yield from tiles
+
+
+def _manhattan_order(r: Coord, arch: ArchGraph) -> Iterator[Coord]:
+    """Every mesh tile but ``r`` in (Manhattan distance from ``r``, linear
+    index) order.
+
+    Walks the Manhattan rings around ``r``, nearest first, each in raster
+    order and clipped to the mesh, out to the farthest mesh tile.  Nothing
+    is listed or sorted, so a caller that stops early pays only for the
+    rings it reached.
+    """
+    arch.require_in_mesh(r)
+    rx, ry = r
+    w, h = arch.width, arch.height
+    for d in range(1, max(rx, w - 1 - rx) + max(ry, h - 1 - ry) + 1):
+        for y in range(max(0, ry - d), min(h, ry + d + 1)):
+            dx = d - abs(y - ry)
+            if rx >= dx:
+                yield (rx - dx, y)
+            if dx and rx + dx < w:
+                yield (rx + dx, y)
 
 
 def _bands(n: int) -> list[tuple[int, int]]:
@@ -254,27 +263,10 @@ def _first_free(tiles: Iterable[Coord], free: AbstractSet[Coord]) -> tuple[Coord
 
 def _nearest_free(r: Coord, free: AbstractSet[Coord], arch: ArchGraph) -> Iterator[Coord]:
     """The tiles of ``free`` in (Manhattan distance from ``r``, linear
-    index) order, ``r`` itself first if it is free.
-
-    Walks the Manhattan rings around ``r``, nearest first, each in raster
-    order and clipped to the mesh, out to the farthest mesh tile, testing
-    each position against ``free``.  Nothing is listed or sorted, so a
-    caller that stops early pays only for the rings it reached.
-    """
-    arch.require_in_mesh(r)
-    rx, ry = r
-    w, h = arch.width, arch.height
-    if r in free:
-        yield r
-    for d in range(1, max(rx, w - 1 - rx) + max(ry, h - 1 - ry) + 1):
-        for y in range(max(0, ry - d), min(h, ry + d + 1)):
-            dx = d - abs(y - ry)
-            x = rx - dx
-            if x >= 0 and (x, y) in free:
-                yield (x, y)
-            x = rx + dx
-            if dx and x < w and (x, y) in free:
-                yield (x, y)
+    index) order: ``r`` itself first if it is free, then the free tiles of
+    ``_manhattan_order``."""
+    tiles = filter(free.__contains__, _manhattan_order(r, arch))
+    return chain((r,), tiles) if r in free else tiles
 
 
 def _nearest_ring(r: Coord, tiles: Iterator[Coord]) -> Iterator[Coord]:
@@ -302,7 +294,7 @@ def place_initial(
     if ci is None:
         return None
     center = grid.centers[ci]
-    order = chain((center,), _outward(center, spiral_ring, state.arch))
+    order = chain((center,), _outward(center, state.arch))
     tile, examined = _first_free(order, state.free_tiles(TaskKind.INITIAL))
     return None if tile is None else (ci, tile, examined)
 
@@ -311,7 +303,7 @@ def map_spiral(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]
     """First free compatible tile scanning rings outward from the requester."""
     if req.requester_tile is None:
         raise StateError("spiral placement requires a requester tile")
-    tiles = _outward(req.requester_tile, spiral_ring, state.arch)
+    tiles = _outward(req.requester_tile, state.arch)
     return _first_free(tiles, state.free_tiles(req.task.kind))
 
 
@@ -334,12 +326,12 @@ def map_ff(req: MapRequest, state: MappingState, cursor: int) -> tuple[Coord | N
 
 
 def map_nn(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]:
-    """Nearest free compatible tile: the first of the Manhattan shells around
-    the requester, nearest shell first, each in raster order, up to the
-    first empty shell.  The requester's own tile is not looked at."""
+    """Nearest free compatible tile: the first free tile of
+    ``_manhattan_order`` around the requester, nearest first, ties in
+    raster order.  The requester's own tile is not looked at."""
     if req.requester_tile is None:
         raise StateError("nearest-neighbour placement requires a requester tile")
-    tiles = _outward(req.requester_tile, manhattan_shell, state.arch)
+    tiles = _manhattan_order(req.requester_tile, state.arch)
     return _first_free(tiles, state.free_tiles(req.task.kind))
 
 
@@ -438,11 +430,7 @@ def map_channel_load(
         # Every key is the base loads and the tile's index.
         return arch.coord_at(min(map(arch.linear_index, free))), len(free)
     key = _channel_load_key(req, state, policy, average_first)
-    # The requester's own tile routes nothing: its key holds the base loads.
-    if average_first:
-        base_total, base_peak, _ = key(r)
-    else:
-        base_peak, base_total, _ = key(r)
+    base_peak, base_total = state.ledger.peak_load(), state.ledger.total_load()
     floor = max(base_peak, vms, vsm)
     xy = policy is RoutePolicy.XY
     rx, ry = r
@@ -536,8 +524,9 @@ def map_bn(
     req: MapRequest, state: MappingState, policy: RoutePolicy
 ) -> tuple[Coord | None, int]:
     """Path-load choice restricted to the nearest non-empty Manhattan shell:
-    the free candidates at the least distance of at least 1, which
-    ``_nearest_free`` yields first after the requester's own tile.
+    the free candidates at the least distance of at least 1, the first
+    ring of free tiles in ``_manhattan_order`` (which leaves out the
+    requester's own tile).
 
     Each shell tile costs two routes (see ``_pl_key``).  The shell is often
     a few tiles, and a route to a near tile stops early, so this costs less
@@ -547,8 +536,9 @@ def map_bn(
     r = req.requester_tile
     if r is None:
         raise StateError("best-neighbour placement requires a requester tile")
-    walk = _nearest_free(r, state.free_tiles(req.task.kind), state.arch)
-    shell = list(_nearest_ring(r, (t for t in walk if t != r)))
+    free = state.free_tiles(req.task.kind)
+    walk = filter(free.__contains__, _manhattan_order(r, state.arch))
+    shell = list(_nearest_ring(r, walk))
     if not shell:
         return None, 0
     return min(shell, key=lambda t: _pl_key(req, state, t, policy)), len(shell)

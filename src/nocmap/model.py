@@ -275,7 +275,8 @@ DEFAULT_RA_TILES: tuple[Coord, ...] = (
 DEFAULT_MANAGER: Coord = (0, 0)
 
 # Largest accepted mesh edge.  Per-tile tables grow with its square; the
-# largest mesh any test or benchmark uses is 16x16.
+# largest mesh any benchmark uses is 16x16, and tests build meshes up to
+# 20x20.
 MAX_MESH_EDGE = 64
 
 
@@ -389,6 +390,8 @@ class ArchGraph:
     ) -> "ArchGraph":
         """Mesh with the given manager and RA tiles; ISP everywhere else."""
         _check_mesh_size(width, height)
+        if not isinstance(ra, Iterable):
+            raise ValidationError(f"RA tiles must be an iterable of tiles, got {ra!r}")
         kinds: dict[Coord, TileKind] = {
             (x, y): TileKind.ISP for x in range(width) for y in range(height)
         }
@@ -448,6 +451,8 @@ class ArchGraph:
         return tuple(self._cells[j] for j, _ in self.out_links[self.linear_index(c)])
 
     def count_kind(self, kind: TileKind) -> int:
+        if not isinstance(kind, TileKind):
+            raise ValidationError(f"tile kind must be a TileKind, got {kind!r}")
         return self._kind_count[kind]
 
     def __repr__(self) -> str:
@@ -572,17 +577,18 @@ class ChannelLoadLedger:
 
     def peak_load(self) -> int:
         """Highest link load: the kept peak, or a scan of every link that
-        keeps what it finds."""
+        keeps what it finds; 0 on a mesh with no links."""
         peak = self._peak
         if peak is None:
-            self._peak = peak = max(self._load)
+            self._peak = peak = max(self._load, default=0)
         return peak
 
     def total_load(self) -> int:
         return self._total
 
     def avg_load(self) -> float:
-        return self.total_load() / len(self._load)
+        """Mean link load; 0.0 on a mesh with no links."""
+        return self._total / len(self._load) if self._load else 0.0
 
     def copy(self) -> "ChannelLoadLedger":
         dup = ChannelLoadLedger.__new__(ChannelLoadLedger)

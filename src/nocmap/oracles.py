@@ -337,9 +337,9 @@ def check_engine(engine) -> None:
             raise InvariantError(
                 f"routes: route {key} stores link ids {stored}, its path gives {resolved}"
             )
-    kept, loads = state.ledger._peak, state.ledger.by_link_id()
-    if kept is not None and kept != max(loads):
-        raise InvariantError(f"peak: the ledger keeps {kept}, its highest load is {max(loads)}")
+    kept, high = state.ledger._peak, max(state.ledger.by_link_id(), default=0)
+    if kept is not None and kept != high:
+        raise InvariantError(f"peak: the ledger keeps {kept}, its highest load is {high}")
     got, want = state.ledger.loads(), state.rebuild_ledger().loads()
     for link, load in want.items():
         if got[link] != load:

@@ -87,6 +87,8 @@ class GenConfig:
 
 def generate_workload(cfg: GenConfig) -> list[TaskGraph]:
     """Seed-deterministic random applications matching the configuration."""
+    if not isinstance(cfg, GenConfig):
+        raise ValidationError(f"expected a GenConfig, got {cfg!r}")
     cfg.validate()
     rng = random.Random(cfg.seed)
     apps = []
@@ -126,6 +128,8 @@ def _quote_id(app_id: str, value: str) -> str:
 def serialize_workload(apps: Sequence[TaskGraph]) -> str:
     """The workload document.  Only ids can hold characters that need
     escaping (see ``_quote_id``); kinds and integers are written as they are."""
+    if not isinstance(apps, Sequence) or not all(isinstance(g, TaskGraph) for g in apps):
+        raise ValidationError(f"apps must be a sequence of TaskGraph, got {apps!r}")
     lines = [f'<workload version="{WORKLOAD_VERSION}">']
     for g in apps:
         app_id = g.app_id

@@ -16,6 +16,7 @@ from nocmap.model import (
     ValidationError,
 )
 from nocmap.sim import PlatformParams, compute_energy, compute_time
+from nocmap.workload import generate_workload, serialize_workload
 
 TASK = Task("t", TaskKind.SOFTWARE, 5)
 PARAMS = PlatformParams()
@@ -60,6 +61,12 @@ CASES = [
     (lambda: GRAPH.outgoing("x"), "unknown task 'x'$"),
     (lambda: GRAPH.incoming("x"), "unknown task 'x'$"),
     (lambda: GRAPH.task([1, 0]), r"unknown task \[1, 0\]$"),
+    (lambda: ArchGraph.uniform(4, 4, ra=5), "^RA tiles must be an iterable of tiles"),
+    (lambda: ArchGraph.default_8x8().count_kind([1, 0]), "^tile kind must be a TileKind"),
+    (lambda: ArchGraph.default_8x8().count_kind("isp"), "^tile kind must be a TileKind"),
+    (lambda: generate_workload(None), "^expected a GenConfig"),
+    (lambda: serialize_workload(None), "^apps must be a sequence of TaskGraph"),
+    (lambda: serialize_workload([1]), "^apps must be a sequence of TaskGraph"),
 ]
 IDS = [
     "compute_time-task", "compute_time-str-kind", "compute_time-task-kind",
@@ -67,7 +74,8 @@ IDS = [
     "compute_energy-params", "compute_time-empty-table", "place-none-task", "place-str-task", "add_path-int",
     "remove_path-int", "path_peak-int", "path_peak-none", "path_cost-int",
     "apply_route-none-path", "apply_route-float-path", "outgoing-unknown", "incoming-unknown",
-    "task-list-id",
+    "task-list-id", "uniform-int-ra", "count_kind-list", "count_kind-str",
+    "generate_workload-none", "serialize_workload-none", "serialize_workload-int-app",
 ]
 
 

@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 
@@ -17,7 +17,6 @@ from nocmap.heuristics import (
     map_nn,
     map_pl,
     map_spiral,
-    manhattan_shell,
     place_initial,
     spiral_ring,
 )
@@ -65,6 +64,11 @@ def chebyshev(a, b):
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
+def manhattan_shell(center, n, arch):
+    """Reference: the mesh tiles at Manhattan distance ``n``, raster order."""
+    return [c for c in arch.coords() if manhattan(center, c) == n]
+
+
 def farthest(center, arch, dist):
     """Largest distance ``dist`` from ``center`` to a tile of ``arch``."""
     return max(dist(center, c) for c in arch.coords())
@@ -102,29 +106,17 @@ class TestSpiralRing:
 
 
 class TestManhattanShell:
+    """``_manhattan_order``: the one walk of the Manhattan shells."""
+
     @pytest.mark.parametrize("center", [(0, 0), (4, 4), (7, 3)])
     def test_matches_filter_scan(self, arch8, center):
-        for n in range(1, farthest(center, arch8, manhattan) + 1):
-            expected = [
-                c for c in arch8.coords() if manhattan(center, c) == n
-            ]
-            assert manhattan_shell(center, n, arch8) == expected
+        others = [c for c in arch8.coords() if c != center]
+        want = sorted(others, key=lambda c: manhattan(center, c))
+        assert list(heuristics._manhattan_order(center, arch8)) == want
 
     def test_raster_order(self, arch8):
-        shell = manhattan_shell((4, 4), 1, arch8)
-        assert shell == [(4, 3), (3, 4), (5, 4), (4, 5)]
-
-    @pytest.mark.parametrize("n", [1.5, 2.0, "a", None, True], ids=repr)
-    def test_non_int_distance_rejected(self, arch8, n):
-        with pytest.raises(ValidationError, match="shell distance must be an int >= 1"):
-            manhattan_shell((3, 3), n, arch8)
-
-    @pytest.mark.parametrize(
-        "center, n", [((-1, 0), 1), ((8, 8), 2), ("ab", 1), (None, 1)], ids=repr
-    )
-    def test_centre_off_the_mesh_rejected(self, arch8, center, n):
-        with pytest.raises(ValidationError, match="outside the 8x8 mesh"):
-            manhattan_shell(center, n, arch8)
+        walk = heuristics._manhattan_order((4, 4), arch8)
+        assert list(islice(walk, 4)) == [(4, 3), (3, 4), (5, 4), (4, 5)]
 
 
 OUTWARD_ARCHES = {
@@ -140,18 +132,24 @@ OUTWARD_ARCHES = {
 
 class TestOutwardWalk:
     @pytest.mark.parametrize(
-        "ring, dist", [(spiral_ring, chebyshev), (manhattan_shell, manhattan)],
+        "walk, ring, dist",
+        [
+            (heuristics._outward, spiral_ring, chebyshev),
+            (heuristics._manhattan_order, manhattan_shell, manhattan),
+        ],
         ids=["spiral_ring", "manhattan_shell"],
     )
     @pytest.mark.parametrize("name", OUTWARD_ARCHES)
-    def test_equals_rings_up_to_the_farthest_tile(self, name, ring, dist):
+    def test_equals_rings_up_to_the_farthest_tile(self, name, walk, ring, dist):
         """From every centre, the walk lists the rings out to the farthest
-        tile's distance, and so every other tile once."""
+        tile's distance, and so every other tile once: ``_outward`` the
+        Chebyshev rings, ``_manhattan_order`` the Manhattan shells of the
+        reference above.  On 1x1 both are empty."""
         arch = OUTWARD_ARCHES[name]
         for center in arch.coords():
             far = farthest(center, arch, dist)
             want = [c for d in range(1, far + 1) for c in ring(center, d, arch)]
-            assert list(heuristics._outward(center, ring, arch)) == want, center
+            assert list(walk(center, arch)) == want, center
             assert sorted(want) == sorted(c for c in arch.coords() if c != center)
 
 
@@ -383,6 +381,18 @@ class TestMapNN:
         place_master(state, (4, 4))
         tile, _ = map_nn(MapRequest("app0", sw_task(), (4, 4), 100, 100), state)
         assert tile == (4, 3)
+
+    @pytest.mark.parametrize("center", [(-1, 0), (8, 8), "ab", None], ids=repr)
+    def test_requester_off_the_mesh_rejected(self, arch8, center):
+        """nn's walk checks its centre.  A requester off the mesh raises
+        ValidationError from ``map_nn``, and one that is not an int pair
+        already when the request is made; ``None`` means no requester, a
+        StateError, so for it only the walk is asked."""
+        with pytest.raises(ValidationError, match="outside the 8x8 mesh"):
+            next(heuristics._manhattan_order(center, arch8))
+        if center is not None:
+            with pytest.raises(ValidationError):
+                map_nn(MapRequest("app0", sw_task(), center, 1, 1), MappingState(arch8))
 
     def test_expands_shells_until_found(self, arch8):
         state = MappingState(arch8)
@@ -957,21 +967,6 @@ class TestCandidateWalk:
                     got = list(heuristics._nearest_free(r, state.free_tiles(kind), arch))
                     assert got == want, (r, kind)
         assert requesters == {"free", "occupied"}
-
-    @pytest.mark.parametrize("policy", RoutePolicy, ids=lambda p: p.value)
-    @pytest.mark.parametrize("kind", ["mmc", "mac", "bn"])
-    def test_places_without_building_shells(self, monkeypatch, kind, policy):
-        """The 10-app 16x16-ra golden workload runs to the same report with
-        ``manhattan_shell`` raising as without: mmc, mac and bn never build
-        a shell, and place every task on the same tile."""
-        scenario = replace(golden_scenario(f"{kind}/16x16-ra/10"), route_policy=policy)
-        want = simulate(scenario)
-
-        def no_shell(*args):
-            raise AssertionError("manhattan_shell called")
-
-        monkeypatch.setattr(heuristics, "manhattan_shell", no_shell)
-        assert simulate(scenario) == want
 
 
 class TestMinLoadTreeScoring:

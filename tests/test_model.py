@@ -774,6 +774,13 @@ class TestLedgerReconstruction:
                 assert each.peak_load() == max(each.by_link_id())
         assert seen == {"failed removal", "raised", "kept", "forgotten", "link listed twice"}
 
+    def test_mesh_without_links_reads_zero(self):
+        """A 1x1 mesh has no links: its peak and total are 0 and its
+        average 0.0."""
+        ledger = ChannelLoadLedger(ArchGraph.uniform(1, 1))
+        assert (ledger.peak_load(), ledger.total_load(), ledger.avg_load()) == (0, 0, 0.0)
+        assert ledger.copy().peak_load() == 0
+
     @pytest.mark.parametrize("seed", range(30))
     def test_running_total_matches_loads(self, seed):
         """``total_load`` is kept up to date through random ``add_path``,
