@@ -424,6 +424,7 @@ def map_channel_load(
     if not free:
         return None, 0
     arch, r = state.arch, req.requester_tile
+    arch.require_in_mesh(r)
     vms, vsm = req.vms, req.vsm
     volume = vms + vsm
     if not volume:
@@ -494,7 +495,8 @@ def map_pl(
     the requester under XY (O(tiles)), two ``min_load_tree`` searches under
     the load-aware router (O(links log tiles)), whose hops may exceed twice
     the distance.  The key (cost, hops, linear index) is unique per tile, so
-    the order the free set is read in does not matter.
+    the order the free set is read in does not matter.  Under XY only the
+    free tiles at the least cost need their hops, so only they get them.
     """
     if req.requester_tile is None:
         raise StateError("path-load placement requires a requester tile")
@@ -508,14 +510,17 @@ def map_pl(
                 return t, len(free)
         there, back = xy_fold(r, ledger, arch)
         idx = list(map(arch.linear_index, free))
-        # Half of each XY hop count.
-        hops: Iterable[int] = [manhattan(r, arch.coord_at(i)) for i in idx]
-    else:
-        there, there_hops = min_load_tree(r, ledger, arch)
-        back, back_hops = min_load_tree(r, ledger, arch, into=True)
-        idx = list(map(arch.linear_index, free))
-        hops = map(add, map(there_hops.__getitem__, idx), map(back_hops.__getitem__, idx))
+        costs = list(map(add, map(there.__getitem__, idx), map(back.__getitem__, idx)))
+        least = min(costs)
+        # Half of each XY hop count, for the cheapest tiles only.
+        cheapest = [j for c, j in zip(costs, idx) if c == least]
+        _, i = min((manhattan(r, arch.coord_at(j)), j) for j in cheapest)
+        return arch.coord_at(i), len(free)
+    there, there_hops = min_load_tree(r, ledger, arch)
+    back, back_hops = min_load_tree(r, ledger, arch, into=True)
+    idx = list(map(arch.linear_index, free))
     costs = map(add, map(there.__getitem__, idx), map(back.__getitem__, idx))
+    hops = map(add, map(there_hops.__getitem__, idx), map(back_hops.__getitem__, idx))
     _, _, i = min(zip(costs, hops, idx))
     return arch.coord_at(i), len(free)
 

@@ -358,7 +358,12 @@ class _Engine:
         self.energy_comm = 0
         self.peak_seen = 0
         self.avg_seen = 0.0
-        self.events: list[EventRecord] = []
+        # Rows as ``_log`` appends them; ``_report`` turns them into records.
+        self.events: list = []
+        self.tile_text = {c: f"{c[0]},{c[1]}" for c in self.arch.coords()}
+        # Each transfer's task and location text, by route key, from its
+        # ``comm_start`` row to its ``comm_end`` row.
+        self.comm_text: dict[tuple[str, str, str, str], tuple[str, str]] = {}
 
     def _check_platform_coverage(self) -> dict[TileKind, int]:
         """Free tiles of each kind; raise if some application can never fit."""
@@ -379,7 +384,12 @@ class _Engine:
         return free
 
     def _log(self, cycle: int, kind: str, app: str, task: str, location: str, detail: str) -> None:
-        self.events.append(EventRecord(cycle, kind, app, task, location, detail))
+        """Append one row: the sort fields of ``_report``, the row's
+        position in logging order, then the rest of its record."""
+        events = self.events
+        events.append(
+            (cycle, _EVENT_KIND_ORDER[kind], app, task, location, len(events), kind, detail)
+        )
 
     # -- event handlers -------------------------------------------------
 
@@ -418,7 +428,7 @@ class _Engine:
         energy = compute_energy(task, self.arch.kind(tile), self.params)
         self.energy_compute += energy
         self._log(
-            t, "compute_end", app_id, tid, _fmt_tile(tile),
+            t, "compute_end", app_id, tid, self.tile_text[tile],
             f"instructions={task.instructions};energy={energy}",
         )
         for edge in run.graph.incoming(tid):
@@ -429,31 +439,35 @@ class _Engine:
         self._count_down(run, t)
 
     def _on_comm_ready(self, t: int, app_id: str, mtid: str, stid: str, direction: str) -> None:
-        path, volume, links = self.state.routes[(app_id, mtid, stid, direction)]
+        key = (app_id, mtid, stid, direction)
+        path, volume, links = self.state.routes[key]
         hops = len(links)
         duration = comm_latency(volume, hops)
         start = self.links_sched.earliest_start(links, t, duration)
         self.links_sched.reserve(links, start, duration)
+        tile_text = self.tile_text
+        label, span = self.comm_text[key] = (
+            f"{mtid}->{stid}:{direction}", f"{tile_text[path[0]]}->{tile_text[path[-1]]}"
+        )
         self._log(
-            start, "comm_start", app_id, f"{mtid}->{stid}:{direction}",
-            _fmt_span(path), f"volume={volume};hops={hops};wait={start - t}",
+            start, "comm_start", app_id, label, span,
+            f"volume={volume};hops={hops};wait={start - t}",
         )
-        heapq.heappush(
-            self.heap, (start + duration, _RANK_COMM_END, (app_id, mtid, stid, direction))
-        )
+        heapq.heappush(self.heap, (start + duration, _RANK_COMM_END, key))
 
     def _on_comm_end(self, t: int, app_id: str, mtid: str, stid: str, direction: str) -> None:
         run = self.by_id[app_id]
-        path, volume, links = self.state.routes[(app_id, mtid, stid, direction)]
+        key = (app_id, mtid, stid, direction)
+        _, volume, links = self.state.routes[key]
         hops = len(links)
         energy = volume * hops * self.params.energy_per_packet_hop
         self.energy_comm += energy
+        label, span = self.comm_text.pop(key)
         self._log(
-            t, "comm_end", app_id, f"{mtid}->{stid}:{direction}",
-            _fmt_span(path), f"volume={volume};hops={hops};energy={energy}",
+            t, "comm_end", app_id, label, span, f"volume={volume};hops={hops};energy={energy}"
         )
         # One transfer per direction: the delivered route releases its links.
-        self.state.remove_route((app_id, mtid, stid, direction))
+        self.state.remove_route(key)
         if direction == DIR_MS:
             self._edge_delivered(run, stid, t)
         self._count_down(run, t)
@@ -475,7 +489,9 @@ class _Engine:
                     self._log(t, "map_deferred", app_id, edge.stid, "", f"examined={examined}")
                 return
             self.state.place(app_id, req.task, slave_tile)
-            self._log(t, "map", app_id, edge.stid, _fmt_tile(slave_tile), f"examined={examined}")
+            self._log(
+                t, "map", app_id, edge.stid, self.tile_text[slave_tile], f"examined={examined}"
+            )
             t += self.params.manager_overhead
         self.deferred.pop(key, None)
         # The slave->master route is pinned later, when the slave has computed
@@ -528,7 +544,7 @@ class _Engine:
         tile = self.state.task_tile(app_id, tid)
         task = run.graph.task(tid)
         cycles = compute_time(task, self.arch.kind(tile), self.params)
-        self._log(t, "compute_start", app_id, tid, _fmt_tile(tile), f"cycles={cycles}")
+        self._log(t, "compute_start", app_id, tid, self.tile_text[tile], f"cycles={cycles}")
         heapq.heappush(self.heap, (t + cycles, _RANK_COMPUTE_END, (app_id, tid)))
 
     def _count_down(self, run: _AppRun, t: int) -> None:
@@ -592,19 +608,24 @@ class _Engine:
                 self.max_held = max(self.max_held, len(self.held))
                 detail += f";cluster={cluster}"
             self._log(t, "admit", graph.app_id, "", "", detail)
-            self._log(t, "map", graph.app_id, initial.id, _fmt_tile(tile), f"examined={examined}")
+            self._log(
+                t, "map", graph.app_id, initial.id, self.tile_text[tile], f"examined={examined}"
+            )
             self._start_compute(run, initial.id, t + self.params.manager_overhead)
 
     # -- reporting --------------------------------------------------------
 
     def _report(self) -> SimReport:
-        kind = self.h.kind.value
-        events = sorted(
-            self.events,
-            key=lambda e: (e.cycle, _EVENT_KIND_ORDER[e.kind], e.app, e.task, e.location),
-        )
+        """The run's report.  The event log is ordered by cycle, then kind
+        in ``_EVENT_KIND_ORDER``, then app, task and location; rows tied on
+        all of these keep their logging order.  The rows are sorted and
+        made records in place, so no second list of the log is built."""
+        events = self.events
+        events.sort()
+        for i, (cycle, _, app, task, location, _, kind, detail) in enumerate(events):
+            events[i] = EventRecord(cycle, kind, app, task, location, detail)
         return SimReport(
-            heuristic=kind,
+            heuristic=self.h.kind.value,
             seed=self.scenario.seed,
             app_count=len(self.apps),
             makespan=max(r.finished_at for r in self.apps),
@@ -619,14 +640,6 @@ class _Engine:
             max_held_clusters=self.max_held,
             event_log=events,
         )
-
-
-def _fmt_tile(c: Coord) -> str:
-    return f"{c[0]},{c[1]}"
-
-
-def _fmt_span(path: Sequence[Coord]) -> str:
-    return f"{_fmt_tile(path[0])}->{_fmt_tile(path[-1])}"
 
 
 def simulate(scenario: Scenario, check: bool = False) -> SimReport:

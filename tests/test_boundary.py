@@ -1,10 +1,12 @@
-"""Cold library entry points reject an argument of the wrong type with
-``ValidationError``, not with the raw error Python raises.  The engine
-passes them only valid data, so the check sits off its normal path: in an
-``except`` clause, or after a test the engine's calls pass."""
+"""Cold library entry points reject an argument of the wrong type, or a tile
+off the mesh, with ``ValidationError``, not with the raw error Python raises
+or a result.  The engine passes them only valid data, so the check sits off
+its normal path: in an ``except`` clause, or after a test the engine's calls
+pass."""
 import pytest
 
 from nocmap import path_cost
+from nocmap.heuristics import MapRequest, map_channel_load
 from nocmap.model import (
     ArchGraph,
     Edge,
@@ -15,6 +17,7 @@ from nocmap.model import (
     TileKind,
     ValidationError,
 )
+from nocmap.routing import RoutePolicy
 from nocmap.sim import PlatformParams, compute_energy, compute_time
 from nocmap.workload import generate_workload, serialize_workload
 
@@ -67,6 +70,12 @@ CASES = [
     (lambda: generate_workload(None), "^expected a GenConfig"),
     (lambda: serialize_workload(None), "^apps must be a sequence of TaskGraph"),
     (lambda: serialize_workload([1]), "^apps must be a sequence of TaskGraph"),
+    (
+        lambda: map_channel_load(
+            MapRequest("a", TASK, (99, 99), 0, 0), _state(), RoutePolicy.XY, False
+        ),
+        r"^coordinate \(99, 99\) outside the 8x8 mesh",
+    ),
 ]
 IDS = [
     "compute_time-task", "compute_time-str-kind", "compute_time-task-kind",
@@ -76,6 +85,7 @@ IDS = [
     "apply_route-none-path", "apply_route-float-path", "outgoing-unknown", "incoming-unknown",
     "task-list-id", "uniform-int-ra", "count_kind-list", "count_kind-str",
     "generate_workload-none", "serialize_workload-none", "serialize_workload-int-app",
+    "map_channel_load-off-mesh-volume-0",
 ]
 
 

@@ -599,3 +599,52 @@ class TestEventLogFile:
             e.cycle = 0
         with pytest.raises(TypeError):
             e[0] = 0
+
+
+class TestEventLogRows:
+    def test_tied_rows_keep_logging_order(self):
+        """Rows sort by cycle, kind rank, app, task and location; rows tied
+        on all five keep the order they were logged in, whatever their
+        detail, and the report's log is the engine's own list of records."""
+        eng = _Engine(Scenario(apps=[single_task_app()], heuristic="ff"))
+        for r in eng.apps:
+            r.admitted_at = r.finished_at = 0
+        rows = [
+            (7, "comm_start", "app0", "t0->t1:ms", "1,0->1,2", "tie=2"),
+            (7, "comm_start", "app0", "t0->t1:ms", "1,0->1,2", "tie=1"),
+            (7, "compute_end", "app0", "t0", "1,0", ""),
+            (3, "release", "app0", "", "", ""),
+            (7, "comm_start", "app0", "t0->t1:ms", "1,0->1,2", "tie=3"),
+        ]
+        for row in rows:
+            eng._log(*row)
+        log = eng._report().event_log
+        assert log == [EventRecord(*rows[i]) for i in (3, 2, 0, 1, 4)]
+        assert all(type(e) is EventRecord for e in log)
+        assert log is eng.events
+
+    def test_transfer_start_and_end_rows_share_their_text(self):
+        """On a golden cell, every transfer logs one ``comm_start`` and one
+        ``comm_end``, with the same task and location text, the end
+        ``comm_latency`` cycles after the start, and a task text naming
+        one direction of an edge of its application."""
+        scenario = golden_scenario("mmc/8x8/10")
+        edges = {
+            (g.app_id, f"{e.mtid}->{e.stid}:{d}")
+            for g in scenario.apps
+            for e in g.edges
+            for d, v in (("ms", e.vms), ("sm", e.vsm))
+            if v >= 1
+        }
+        rows: dict[str, dict] = {"comm_start": {}, "comm_end": {}}
+        for e in simulate(scenario).event_log:
+            if e.kind in rows:
+                assert (e.app, e.task) not in rows[e.kind]
+                rows[e.kind][(e.app, e.task)] = e
+        starts, ends = rows["comm_start"], rows["comm_end"]
+        assert set(starts) == set(ends) == edges
+        for key, start in starts.items():
+            end = ends[key]
+            assert (end.task, end.location) == (start.task, start.location)
+            f = start.fields()
+            assert end.cycle == start.cycle + comm_latency(int(f["volume"]), int(f["hops"]))
