@@ -16,7 +16,7 @@ from .model import (
     compatible,
 )
 from .routing import RoutePolicy, min_load_route, path_cost, route, xy_route
-from .heuristics import ClusterGrid, HeuristicEngine, HeuristicKind, MapRequest, spiral_ring
+from .heuristics import ClusterGrid, HeuristicEngine, HeuristicKind, MapRequest
 from .oracles import route_oracle
 from .sim import (
     DeadlockError,
@@ -67,6 +67,5 @@ __all__ = [
     "route_oracle",
     "serialize_workload",
     "simulate",
-    "spiral_ring",
     "xy_route",
 ]

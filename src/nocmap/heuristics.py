@@ -25,13 +25,15 @@ a mapping-effort proxy.
 as a set, updated as tasks are placed and released, so no heuristic scans
 the mesh to find them.  ff, nn, spiral and ``place_initial`` take the first
 tile of a fixed tile order that is in that set (``_first_free``) and count
-the tiles they look at.  One walk, ``_manhattan_order``, gives the tiles
-around the requester by (Manhattan distance, linear index): nn takes its
-first free tile, and mmc, mac, pl's nearest shell and bn read its free
-tiles nearest first and stop once no tile farther out can win; only pl's
-bulk scoring reads the whole set.  mmc, mac and pl count the free
-compatible candidates, the size of the set, not the tiles they score; bn
-counts its nearest shell.
+the tiles they look at.  Two walks give the tiles around a tile, each
+clipped to the mesh and out to the farthest tile.  ``_outward`` gives the
+Chebyshev rings, each clockwise from the west: spiral and ``place_initial``
+take its first free tile.  ``_manhattan_order`` gives the tiles by
+(Manhattan distance, linear index): nn takes its first free tile, and mmc,
+mac, pl's nearest shell and bn read its free tiles nearest first and stop
+once no tile farther out can win; only pl's bulk scoring reads the whole
+set.  mmc, mac and pl count the free compatible candidates, the size of
+the set, not the tiles they score; bn counts its nearest shell.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import ceil
-from itertools import chain, count, takewhile
+from itertools import chain, takewhile
 from operator import add
 from typing import AbstractSet, Callable, Iterable, Iterator
 
@@ -123,42 +125,36 @@ def _is_pair(c: object) -> bool:
     return type(c) is tuple and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
 
 
-def spiral_ring(center: Coord, hop: int, arch: ArchGraph) -> list[Coord]:
-    """Tiles on the Chebyshev ring of radius ``hop``, clockwise from the west.
+def _outward(center: Coord, arch: ArchGraph) -> Iterator[Coord]:
+    """Every mesh tile but ``center``, Chebyshev ring by ring, nearest first.
 
-    Enumeration starts at (cx-hop, cy), climbs the west edge, crosses the
-    north edge, descends the east edge, crosses the south edge and climbs
-    back towards the start.  Off-mesh positions are skipped; the order of
-    the survivors is preserved.
+    Each ring of radius ``d`` runs clockwise from (cx-d, cy): up the west
+    edge, east along the north edge, down the east edge, west along the
+    south edge and up the west edge back to (cx-d, cy+1).  Each edge is
+    clipped to the mesh, and the rings run out to the farthest tile's
+    Chebyshev distance.  Nothing is listed, so a caller that stops early
+    pays only for the tiles it reached.
     """
     arch.require_in_mesh(center)
-    if not is_int(hop) or hop < 1:
-        raise ValidationError(f"ring radius must be an int >= 1, got {hop!r}")
     cx, cy = center
-    ring: list[Coord] = []
-    ring += [(cx - hop, y) for y in range(cy, cy - hop - 1, -1)]
-    ring += [(x, cy - hop) for x in range(cx - hop + 1, cx + hop + 1)]
-    ring += [(cx + hop, y) for y in range(cy - hop + 1, cy + hop + 1)]
-    ring += [(x, cy + hop) for x in range(cx + hop - 1, cx - hop - 1, -1)]
-    ring += [(cx - hop, y) for y in range(cy + hop - 1, cy, -1)]
-    # The centre is a mesh tile, so each position is a pair of ints.
-    return [c for c in ring if 0 <= c[0] < arch.width and 0 <= c[1] < arch.height]
-
-
-def _outward(center: Coord, arch: ArchGraph) -> Iterator[Coord]:
-    """The tiles of ``spiral_ring(center, 1, arch)``, ``spiral_ring(center,
-    2, arch)``, ... up to the first empty ring, so every mesh tile but
-    ``center`` once.
-
-    No ring is empty before the farthest tile, since a staircase path to it
-    stays on the mesh and each unit step changes the Chebyshev distance by
-    at most 1; every later ring is.
-    """
-    for d in count(1):
-        tiles = spiral_ring(center, d, arch)
-        if not tiles:
-            return
-        yield from tiles
+    w, h = arch.width, arch.height
+    for d in range(1, max(cx, w - 1 - cx, cy, h - 1 - cy) + 1):
+        west, north, east, south = cx - d, cy - d, cx + d, cy + d
+        if west >= 0:
+            for y in range(cy, max(north, 0) - 1, -1):
+                yield (west, y)
+        if north >= 0:
+            for x in range(max(west + 1, 0), min(east + 1, w)):
+                yield (x, north)
+        if east < w:
+            for y in range(max(north + 1, 0), min(south + 1, h)):
+                yield (east, y)
+        if south < h:
+            for x in range(min(east - 1, w - 1), max(west, 0) - 1, -1):
+                yield (x, south)
+        if west >= 0:
+            for y in range(min(south - 1, h - 1), cy, -1):
+                yield (west, y)
 
 
 def _manhattan_order(r: Coord, arch: ArchGraph) -> Iterator[Coord]:
@@ -287,8 +283,8 @@ def place_initial(
     Returns (cluster index, tile, tiles examined), or None when every cluster
     is held or no free compatible tile exists; the caller queues the
     application in that case.  Only the first cluster not held is tried:
-    its centre, then the rings around it, which may reach past other
-    centres, since a cluster is only its centre.
+    its centre, then the ``_outward`` rings around it, which may reach past
+    other centres, since a cluster is only its centre.
     """
     ci = next((ci for ci in grid.admission_order if ci not in held), None)
     if ci is None:
@@ -300,7 +296,9 @@ def place_initial(
 
 
 def map_spiral(req: MapRequest, state: MappingState) -> tuple[Coord | None, int]:
-    """First free compatible tile scanning rings outward from the requester."""
+    """First free compatible tile of the ``_outward`` walk around the
+    requester: the Chebyshev rings, nearest first, each clockwise from the
+    west."""
     if req.requester_tile is None:
         raise StateError("spiral placement requires a requester tile")
     tiles = _outward(req.requester_tile, state.arch)

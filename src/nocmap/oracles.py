@@ -20,7 +20,7 @@ import random
 from functools import wraps
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .heuristics import MapRequest, map_channel_load, map_pl, spiral_ring
+from .heuristics import MapRequest, _outward, map_channel_load, map_pl
 from .model import (
     ArchGraph,
     ChannelLoadLedger,
@@ -286,24 +286,16 @@ def check_placement(states: int = 100) -> Iterator[_Outcome]:
 
 @_tally
 def check_spiral() -> Iterator[_Outcome]:
-    """For each centre of the default 8x8 mesh, ring ``hop`` holds only tiles
-    at Chebyshev distance ``hop``, and the rings out to the farthest tile
-    together visit every other tile exactly once."""
+    """For each centre of the default 8x8 mesh, the spiral walk
+    (``heuristics._outward``) visits every other tile exactly once, and the
+    Chebyshev distance of its tiles from the centre never decreases."""
     arch = ArchGraph.default_8x8()
     for center in arch.coords():
-        seen: list[Coord] = []
-        on_ring = True
-        far = max(max(abs(x - center[0]), abs(y - center[1])) for x, y in arch.coords())
-        for hop in range(1, far + 1):
-            ring = spiral_ring(center, hop, arch)
-            on_ring = on_ring and all(
-                max(abs(c[0] - center[0]), abs(c[1] - center[1])) == hop for c in ring
-            )
-            seen.extend(ring)
+        walk = list(_outward(center, arch))
+        dist = [max(abs(x - center[0]), abs(y - center[1])) for x, y in walk]
         expected = sorted(c for c in arch.coords() if c != center)
-        yield on_ring and sorted(seen) == expected, lambda: (
-            f"centre {center} rings are not a permutation"
-        )
+        good = sorted(walk) == expected and dist == sorted(dist)
+        yield good, lambda: f"centre {center} walk is not a permutation in ring order"
 
 
 class InvariantError(NocError):

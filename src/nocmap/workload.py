@@ -77,7 +77,7 @@ class GenConfig:
                 f"task count range is empty: {self.tasks_min}..{self.tasks_max}"
             )
         p = self.hw_task_probability
-        if not isinstance(p, Real) or not 0.0 <= p <= 1.0:
+        if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
             raise ValidationError(f"hw_task_probability must be a number within [0, 1], got {p!r}")
         if self.vms < 0 or self.vsm < 0 or self.vms + self.vsm < 1:
             raise ValidationError("edge volumes must be non-negative and carry traffic")

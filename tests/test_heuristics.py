@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 
 import pytest
 
@@ -18,7 +18,6 @@ from nocmap.heuristics import (
     map_pl,
     map_spiral,
     place_initial,
-    spiral_ring,
 )
 from nocmap.model import (
     ArchGraph,
@@ -64,6 +63,33 @@ def chebyshev(a, b):
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
+def spiral_ring(center, d, arch):
+    """Reference: the mesh tiles at Chebyshev distance ``d``, by clockwise
+    position on the ring from (cx-d, cy): up the west edge, along the
+    north, down the east, back along the south and up the west again."""
+    cx, cy = center
+
+    def position(c):
+        x, y = c
+        if x == cx - d and y <= cy:
+            return cy - y
+        if y == cy - d:
+            return d + x - (cx - d)
+        if x == cx + d:
+            return 3 * d + y - (cy - d)
+        if y == cy + d:
+            return 5 * d + (cx + d) - x
+        return 7 * d + (cy + d) - y
+
+    return sorted((c for c in arch.coords() if chebyshev(center, c) == d), key=position)
+
+
+def spiral_rings(center, arch):
+    """The ``_outward`` walk around ``center``, split by Chebyshev distance."""
+    walk = heuristics._outward(center, arch)
+    return [list(ring) for _, ring in groupby(walk, key=partial(chebyshev, center))]
+
+
 def manhattan_shell(center, n, arch):
     """Reference: the mesh tiles at Manhattan distance ``n``, raster order."""
     return [c for c in arch.coords() if manhattan(center, c) == n]
@@ -84,25 +110,18 @@ def place_master(state, tile, kind=None):
 
 
 class TestSpiralRing:
+    """The rings of ``_outward``, the one walk of the Chebyshev rings."""
+
     def test_interior_ring_order(self, arch8):
-        assert spiral_ring((4, 4), 1, arch8) == [
+        assert spiral_rings((4, 4), arch8)[0] == [
             (3, 4), (3, 3), (4, 3), (5, 3), (5, 4), (5, 5), (4, 5), (3, 5),
         ]
 
     def test_corner_ring_clipped_order_preserved(self, arch8):
-        assert spiral_ring((0, 0), 1, arch8) == [(1, 0), (1, 1), (0, 1)]
+        assert spiral_rings((0, 0), arch8)[0] == [(1, 0), (1, 1), (0, 1)]
 
     def test_full_interior_ring_size(self, arch8):
-        assert len(spiral_ring((4, 4), 2, arch8)) == 16
-
-    def test_hop_zero_rejected(self, arch8):
-        with pytest.raises(ValidationError):
-            spiral_ring((4, 4), 0, arch8)
-
-    @pytest.mark.parametrize("hop", [1.5, 2.0, "a", None, True], ids=repr)
-    def test_non_int_radius_rejected(self, arch8, hop):
-        with pytest.raises(ValidationError, match="ring radius must be an int >= 1"):
-            spiral_ring((3, 3), hop, arch8)
+        assert [len(ring) for ring in spiral_rings((4, 4), arch8)] == [8, 16, 24, 15]
 
 
 class TestManhattanShell:
@@ -125,6 +144,7 @@ OUTWARD_ARCHES = {
     "6x1": small_arch(6, 1),
     "2x2": small_arch(2, 2),
     "5x3": small_arch(5, 3),
+    "3x7": small_arch(3, 7),
     "8x8": ArchGraph.default_8x8(),
     "16x16-ra": arch_16x16_ra(),
 }
@@ -144,7 +164,7 @@ class TestOutwardWalk:
         """From every centre, the walk lists the rings out to the farthest
         tile's distance, and so every other tile once: ``_outward`` the
         Chebyshev rings, ``_manhattan_order`` the Manhattan shells of the
-        reference above.  On 1x1 both are empty."""
+        references above.  On 1x1 both are empty."""
         arch = OUTWARD_ARCHES[name]
         for center in arch.coords():
             far = farthest(center, arch, dist)
@@ -307,6 +327,18 @@ class TestMapSpiral:
                 expected = ras[0]
                 break
         assert tile == expected == (3, 3)
+
+    @pytest.mark.parametrize("center", [(-1, 0), (8, 8), "ab", None], ids=repr)
+    def test_requester_off_the_mesh_rejected(self, arch8, center):
+        """spiral's walk checks its centre once, before the first tile.  A
+        requester off the mesh raises ValidationError from ``map_spiral``;
+        ``None`` means no requester, a StateError, so for it only the walk
+        is asked."""
+        with pytest.raises(ValidationError, match="outside the 8x8 mesh"):
+            next(heuristics._outward(center, arch8))
+        if center is not None:
+            with pytest.raises(ValidationError):
+                map_spiral(MapRequest("app0", sw_task(), center, 1, 1), MappingState(arch8))
 
     def test_full_mesh_fails(self):
         arch = small_arch(2, 2)

@@ -399,12 +399,14 @@ _T0 = Task("t0", TaskKind.INITIAL, 1)
         lambda: TaskGraph("a", [_T0], [None]),
         lambda: generate_workload(GenConfig(app_count=1, hw_task_probability="x")),
         lambda: generate_workload(GenConfig(app_count=1, hw_task_probability=None)),
+        lambda: generate_workload(GenConfig(app_count=1, hw_task_probability=True)),
         lambda: comm_latency(1.5, 2),
         lambda: comm_latency("a", 1),
     ],
     ids=[
         "parse-None", "parse-int", "graph-tasks-None", "graph-task-None", "graph-edge-None",
-        "gen-probability-str", "gen-probability-None", "latency-float", "latency-str",
+        "gen-probability-str", "gen-probability-None", "gen-probability-bool", "latency-float",
+        "latency-str",
     ],
 )
 def test_entry_point_rejects_wrong_type(call):

@@ -1,8 +1,10 @@
 """The shared oracle checks report a broken implementation as a failure."""
+from itertools import islice
+
 import pytest
 
 from nocmap import oracles
-from nocmap.heuristics import _pl_key, spiral_ring
+from nocmap.heuristics import _outward, _pl_key
 from nocmap.model import TaskKind, TileKind, compatible
 from nocmap.routing import min_load_route
 from nocmap.sim import _Engine, simulate
@@ -42,11 +44,23 @@ def test_placement_check_catches_worst_candidate(monkeypatch):
 
 
 def test_spiral_check_catches_dropped_tile(monkeypatch):
-    monkeypatch.setattr(oracles, "spiral_ring", lambda c, hop, arch: spiral_ring(c, hop, arch)[1:])
+    monkeypatch.setattr(oracles, "_outward", lambda c, arch: islice(_outward(c, arch), 1, None))
     checks, failures, counterexample = oracles.check_spiral()
     assert checks == 64
     assert failures > 0
-    assert "rings are not a permutation" in counterexample
+    assert "walk is not a permutation in ring order" in counterexample
+
+
+def test_spiral_check_catches_ring_out_of_order(monkeypatch):
+    """A walk that visits every tile, but its first eight last, fails."""
+    def near_last(c, arch):
+        walk = list(_outward(c, arch))
+        return walk[8:] + walk[:8]
+
+    monkeypatch.setattr(oracles, "_outward", near_last)
+    checks, failures, _ = oracles.check_spiral()
+    assert checks == 64
+    assert failures > 0
 
 
 def _corrupt_ledger(engine):
