@@ -3,9 +3,10 @@
 Applications are acyclic directed graphs of typed tasks that exchange packet
 volumes over master/slave edges.  The platform is a W x H mesh of
 heterogeneous tiles joined by directed links (two per physical adjacency).
-``MappingState`` tracks which task occupies which tile and which link-level
-route every communication was pinned to, together with the per-link load
-ledger that the placement heuristics and the router query.
+``MappingState`` records the tile each task occupies (``placement``), the
+free tiles of each kind, the link-level route every communication was pinned
+to, and the per-link load ledger that the placement heuristics and the router
+query.
 
 All volumes, loads and instruction counts are exact non-negative integers,
 so ledger bookkeeping is exactly reversible.
@@ -623,22 +624,23 @@ _INITIAL, _SOFTWARE, _HARDWARE = TaskKind.INITIAL, TaskKind.SOFTWARE, TaskKind.H
 class MappingState:
     """Mutable placement/route/ledger state for one platform.
 
-    ``apply_route`` checks a route, resolves its path to link ids once and
-    stores them with it (``PinnedRoute``).  ``remove_route`` and
-    ``release_app`` release a route's load by those ids, without resolving
-    its path again.  A release that would take a load below zero raises
-    ``StateError`` and changes nothing.
+    Each fact has one record.  ``placement`` maps each placed task to its
+    tile.  The free tiles of each tile kind that runs tasks, ISP and RA, are
+    kept as two sets, which ``place`` and ``release_app`` update;
+    ``free_tiles`` gives the set a task kind may use, and ``place`` and
+    ``tile_free`` read occupancy from them.  The sets are built with the
+    state, so they live as long as one ``simulate`` call.
 
-    The free tiles of each tile kind that runs tasks, ISP and RA, are kept
-    as two sets, which ``place`` and ``release_app`` update; ``free_tiles``
-    gives the set a task kind may use.  The sets are built with the state,
-    so they live as long as one ``simulate`` call.
+    ``apply_route`` checks a route, resolves its path to link ids once and
+    stores them with it (``PinnedRoute``).  ``remove_route`` is the only
+    release of a route's load, by those ids, without resolving its path
+    again.  A release that would take a load below zero raises
+    ``StateError`` and changes nothing.
     """
 
     def __init__(self, arch: ArchGraph):
         self.arch = arch
         self.placement: dict[tuple[str, str], Coord] = {}
-        self.tile_owner: dict[Coord, tuple[str, str]] = {}
         self.routes: dict[RouteKey, PinnedRoute] = {}
         self.ledger = ChannelLoadLedger(arch)
         self._free_isp = isp = set(arch.tiles_for(_SOFTWARE))
@@ -657,7 +659,8 @@ class MappingState:
 
     def tile_free(self, c: Coord) -> bool:
         self.arch.require_in_mesh(c)
-        return c not in self.tile_owner
+        pool = self._pool.get(c)
+        return pool is None or c in pool
 
     def task_tile(self, app: str, tid: str) -> Coord | None:
         try:
@@ -667,11 +670,13 @@ class MappingState:
 
     def place(self, app: str, task: Task, c: Coord) -> None:
         tile_kind = self.arch.kind(c)
+        pool = self._pool.get(c)
         try:
             if (app, task.id) in self.placement:
                 raise StateError(f"task ({app!r}, {task.id!r}) already placed")
-            if c in self.tile_owner:
-                raise StateError(f"tile {c} already occupied by {self.tile_owner[c]}")
+            if pool is not None and c not in pool:
+                owner = next(k for k, tile in self.placement.items() if tile == c)
+                raise StateError(f"tile {c} already occupied by {owner}")
             if not compatible(task.kind, tile_kind):
                 raise StateError(
                     f"task kind {task.kind.value} incompatible with tile {c} ({tile_kind.value})"
@@ -681,8 +686,7 @@ class MappingState:
         except AttributeError:
             raise ValidationError(f"task must be a Task, got {task!r}") from None
         self.placement[(app, task.id)] = c
-        self.tile_owner[c] = (app, task.id)
-        self._pool[c].remove(c)
+        pool.remove(c)
 
     def apply_route(
         self,
@@ -742,28 +746,20 @@ class MappingState:
         del self.routes[key]
 
     def release_app(self, app: str) -> None:
-        """Free every tile and route held by the application."""
+        """Free every tile held by the application.
+
+        Its routes must be gone already: only ``remove_route`` releases a
+        route, so an application that still holds one raises ``StateError``
+        naming it, before anything changes."""
         placed = [k for k in self.placement if k[0] == app]
         if not placed:
             raise ValidationError(f"unknown application {app!r}")
-        held = [k for k in self.routes if k[0] == app]
-        shift = self.ledger._shift
-        released: list[tuple[tuple[int, ...], int]] = []
-        try:
-            for rkey in held:
-                _, volume, ids = self.routes[rkey]
-                shift(ids, -volume)
-                released.append((ids, volume))
-        except StateError:
-            for ids, volume in released:  # cannot fail: it restores loads
-                shift(ids, volume)
-            raise
-        for rkey in held:
-            del self.routes[rkey]
+        for rkey in self.routes:
+            if rkey[0] == app:
+                raise StateError(f"application {app!r} still holds route {rkey}")
         pool = self._pool
         for key in placed:
             c = self.placement.pop(key)
-            del self.tile_owner[c]
             pool[c].add(c)
 
     def rebuild_ledger(self) -> ChannelLoadLedger:

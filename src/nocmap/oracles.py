@@ -11,6 +11,10 @@ and acceptance criteria 1-3 both run them.  ``placement_cases`` is the one
 per-seed placement comparison, shared by ``check_placement`` and the
 per-heuristic unit tests.
 
+``free_candidates`` is the one scan of the tiles a task may be placed on
+that the oracles and tests use: it reads ``MappingState.placement``, not
+the free sets the heuristics read.
+
 ``check_engine`` checks the simulation engine's invariants between event
 batches; ``simulate(..., check=True)`` and ``nocmap run --check`` run it.
 """
@@ -100,6 +104,13 @@ def arch_4x4() -> ArchGraph:
     return ArchGraph.uniform(4, 4, manager=(0, 0), ra=((1, 1), (2, 2), (3, 0)))
 
 
+def free_candidates(state: MappingState, kind: TaskKind) -> list[Coord]:
+    """Mesh tiles a task of ``kind`` may run on that no entry of
+    ``state.placement`` holds, in raster order."""
+    arch, held = state.arch, set(state.placement.values())
+    return [c for c in arch.coords() if c not in held and compatible(kind, arch.kind(c))]
+
+
 def random_partial_state(
     arch: ArchGraph, seed: int
 ) -> tuple[MappingState, MapRequest, RoutePolicy]:
@@ -117,8 +128,7 @@ def random_partial_state(
             kind = TaskKind.INITIAL if i == 0 else (
                 TaskKind.HARDWARE if rng.random() < 0.3 else TaskKind.SOFTWARE
             )
-            free = [c for c in arch.coords()
-                    if state.tile_free(c) and compatible(kind, arch.kind(c))]
+            free = free_candidates(state, kind)
             if not free:
                 continue
             tile = free[rng.randrange(len(free))]
@@ -155,9 +165,7 @@ def oracle_channel_load(
     """
     arch = state.arch
     best = best_key = None
-    for tile in arch.coords():
-        if not (state.tile_free(tile) and compatible(req.task.kind, arch.kind(tile))):
-            continue
+    for tile in free_candidates(state, req.task.kind):
         loads = dict(state.ledger.loads())
         trial = state.ledger.copy()
         for volume, src, dst in ((req.vms, req.requester_tile, tile),
@@ -188,9 +196,8 @@ def oracle_path_load(
     """
     arch = state.arch
     best = best_key = None
-    for tile in shell if shell is not None else arch.coords():
-        if not (state.tile_free(tile) and compatible(req.task.kind, arch.kind(tile))):
-            continue
+    tiles = free_candidates(state, req.task.kind)
+    for tile in tiles if shell is None else set(tiles).intersection(shell):
         there = route(policy, req.requester_tile, tile, state.ledger, arch)
         back = route(policy, tile, req.requester_tile, state.ledger, arch)
         cost = sum(state.ledger.load(l) for l in zip(there, there[1:]))
@@ -315,11 +322,11 @@ def check_engine(engine) -> None:
       paths;
     * ``link-schedule``: each link's reservations are sorted and no two
       overlap;
-    * ``placement``: ``placement`` and ``tile_owner`` are inverse maps;
+    * ``placement``: no two placed tasks share a tile;
     * ``free``: each kind's free tile count equals the platform's tiles of
       that kind minus the demand of the admitted, unfinished applications;
     * ``free-tiles``: each task kind's free set (``free_tiles``) holds the
-      tiles it may run on that ``tile_owner`` does not hold.
+      tiles it may run on that no placed task holds.
     """
     state = engine.state
     link_ids, links = engine.arch.link_ids, engine.arch.links()
@@ -347,17 +354,11 @@ def check_engine(engine) -> None:
         for a, b in zip(spans, spans[1:]):
             if a[1] > b[0]:
                 raise InvariantError(f"link-schedule: link {links[link]} holds {a} before {b}")
-    if len(state.placement) != len(state.tile_owner):
+    held = set(state.placement.values())
+    if len(held) != len(state.placement):
         raise InvariantError(
-            f"placement: {len(state.placement)} placed tasks "
-            f"but {len(state.tile_owner)} owned tiles"
+            f"placement: {len(state.placement)} placed tasks sit on {len(held)} tiles"
         )
-    for task, tile in state.placement.items():
-        if state.tile_owner.get(tile) != task:
-            raise InvariantError(
-                f"placement: task {task} sits on {tile}, "
-                f"which tile_owner gives to {state.tile_owner.get(tile)}"
-            )
     running = [r for r in engine.apps if r.admitted_at is not None and r.finished_at is None]
     for kind, free in engine.free.items():
         want_free = engine.arch.count_kind(kind) - sum(r.demand[kind] for r in running)
@@ -368,9 +369,9 @@ def check_engine(engine) -> None:
             )
     for kind in TaskKind:
         got_tiles = state.free_tiles(kind)
-        want_tiles = {c for c in engine.arch.tiles_for(kind) if c not in state.tile_owner}
+        want_tiles = set(engine.arch.tiles_for(kind)) - held
         if got_tiles != want_tiles:
             raise InvariantError(
                 f"free-tiles: {kind.value} tasks may use free tiles {sorted(got_tiles)}, "
-                f"tile_owner leaves {sorted(want_tiles)}"
+                f"placement leaves {sorted(want_tiles)}"
             )

@@ -511,8 +511,8 @@ class _Engine:
         """Route one direction of ``edge`` on the current ledger, pin it and
         queue its transfer as ready at cycle ``t``.
 
-        Placement writes nothing: pins, deliveries and releases are the
-        ledger's only writers, and only pins raise loads, so the running
+        Placement writes nothing: pins and deliveries are the ledger's
+        only writers, and only pins raise loads, so the running
         peak and average are sampled here.  The running peak is exact from
         the pinned path alone: a link's load is at its highest right after
         the pin that last raised it, and that pin sampled it.  It is read

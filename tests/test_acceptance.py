@@ -161,7 +161,9 @@ def test_criterion_7_conservation_and_cleanup(sweep):
         assert comm == report.energy_comm, (app_count, h, seed)
         assert report.total_energy == compute + comm
         assert engine.state.ledger.total_load() == 0
-        assert not engine.state.tile_owner
+        assert not engine.state.placement
+        for kind in TaskKind:
+            assert engine.state.free_tiles(kind) == set(engine.arch.tiles_for(kind))
         assert not engine.state.routes
     _report(
         "criterion-7 conservation and cleanup",

@@ -31,6 +31,7 @@ from nocmap.model import (
 )
 from nocmap.oracles import (
     arch_4x4,
+    free_candidates,
     oracle_channel_load,
     oracle_path_load,
     placement_cases,
@@ -455,9 +456,7 @@ class TestMapMMC:
         req = MapRequest("app0", sw_task(), (1, 2), 100, 100)
         tile, examined = map_channel_load(req, state, RoutePolicy.XY, False)
         assert tile == (0, 2)  # hop-1 candidate with the smallest linear index
-        free_compat = [c for c in arch.coords()
-                       if state.tile_free(c) and arch.kind(c) is TileKind.ISP]
-        assert examined == len(free_compat)
+        assert examined == len(free_candidates(state, TaskKind.SOFTWARE))
 
     def test_avoids_preloaded_link_on_2x2(self):
         arch = small_arch(2, 2)
@@ -545,7 +544,8 @@ class TestMapMMC:
             "pl": oracle_path_load(req, state, RoutePolicy.XY),
         }
         ledger = state.ledger.copy()
-        before = (ledger, dict(state.placement), dict(state.tile_owner), dict(state.routes))
+        before = (ledger, dict(state.placement), dict(state.routes),
+                  {kind: set(state.free_tiles(kind)) for kind in TaskKind})
 
         def refuse(*args):
             raise AssertionError("placement wrote the state's ledger")
@@ -562,7 +562,8 @@ class TestMapMMC:
             for kind in HeuristicKind:
                 HeuristicEngine(kind, policy).place(req, state)
         place_initial(ClusterGrid.for_mesh(state.arch), set(), state)
-        assert (state.ledger, state.placement, state.tile_owner, state.routes) == before
+        assert (state.ledger, state.placement, state.routes,
+                {kind: state.free_tiles(kind) for kind in TaskKind}) == before
         assert state.ledger.total_load() == ledger.total_load()
 
 
@@ -640,10 +641,11 @@ class TestMapBN:
         state, req, policy = random_partial_state(arch_4x4(), seed)
         arch = state.arch
         got, _ = map_bn(req, state, policy)
+        free = free_candidates(state, req.task.kind)
         expected = None
         for n in range(1, farthest(req.requester_tile, arch, manhattan) + 1):
             shell = manhattan_shell(req.requester_tile, n, arch)
-            if any(state.tile_free(c) and compatible(req.task.kind, arch.kind(c)) for c in shell):
+            if any(c in free for c in shell):
                 expected = oracle_path_load(req, state, policy, shell=shell)
                 break
         assert got == expected
@@ -655,8 +657,7 @@ class TestMapBN:
         from distance 1 or more, never the requester's own tile."""
         state, drawn, policy = random_partial_state(arch_4x4(), seed)
         arch = state.arch
-        free = [c for c in arch.coords()
-                if state.tile_free(c) and compatible(drawn.task.kind, arch.kind(c))]
+        free = free_candidates(state, drawn.task.kind)
         assert drawn.requester_tile not in free
         for r in (drawn.requester_tile, free[seed % len(free)]):
             req = replace(drawn, requester_tile=r)
@@ -701,8 +702,7 @@ class TestXYFoldScoring:
             initial = MapRequest(drawn.app, Task("i", TaskKind.INITIAL, 100), arch.manager, 0, 0)
             for req in (drawn, replace(drawn, vms=0), replace(drawn, vsm=0), initial):
                 case = (seed, req.vms, req.vsm)
-                cands = [c for c in arch.coords()
-                         if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
+                cands = free_candidates(state, req.task.kind)
                 for policy in RoutePolicy:
                     for average_first in (False, True):
                         want = oracle_channel_load(req, state, policy, average_first)
@@ -741,8 +741,7 @@ class TestPLNearestShell:
                 state.ledger.set_load(link, rng.choice((0, 0, 0, 1, 2)))
             for r in (drawn.requester_tile, rng.choice(list(arch.coords()))):
                 req = replace(drawn, requester_tile=r)
-                cands = [c for c in arch.coords()
-                         if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
+                cands = free_candidates(state, req.task.kind)
                 for policy in RoutePolicy:
                     want = oracle_path_load(req, state, policy)
                     assert map_pl(req, state, policy) == (want, len(cands)), (seed, r, policy)
@@ -924,8 +923,7 @@ class TestXYWalk:
                 if a[1] == b[1] == ry or a[0] == b[0] == rx:
                     state.ledger.set_load((a, b), rng.randint(0, 400))
             for req in (drawn, replace(drawn, vms=0), replace(drawn, vsm=0)):
-                cands = [c for c in arch.coords()
-                         if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
+                cands = free_candidates(state, req.task.kind)
                 floor = max(state.ledger.peak_load(), req.vms, req.vsm)
                 for (policy, average_first), kinds in seen.items():
                     want = oracle_channel_load(req, state, policy, average_first)
@@ -987,9 +985,9 @@ class TestCandidateWalk:
                 if c != arch.manager and rng.random() < share:
                     kind = TaskKind.HARDWARE if arch.kind(c) is TileKind.RA else TaskKind.SOFTWARE
                     state.place("app0", Task(f"t{c}", kind, 1), c)
-            occupied = list(state.tile_owner)
+            occupied = list(state.placement.values())
             for kind in TaskKind:
-                cands = [c for c in arch.tiles_for(kind) if c not in state.tile_owner]
+                cands = free_candidates(state, kind)
                 for on, tiles in (("free", cands), ("occupied", occupied)):
                     if not tiles:
                         continue
@@ -1012,8 +1010,7 @@ class TestMinLoadTreeScoring:
         for seed in range(200):
             state, req, _ = random_partial_state(arch, seed)
             r = req.requester_tile
-            cands = [c for c in arch.coords()
-                     if state.tile_free(c) and compatible(req.task.kind, arch.kind(c))]
+            cands = free_candidates(state, req.task.kind)
             scored = cands + [r]
             want = partial(heuristics._pl_key, req, state, policy=policy)
             there = min_load_tree(r, state.ledger, arch)
@@ -1058,10 +1055,7 @@ class TestHeuristicProperties:
         metric (Manhattan for nn, Chebyshev for spiral); the two distances
         are within a factor of two of each other."""
         state, req, policy = random_partial_state(arch_4x4(), seed)
-        free = [
-            c for c in state.arch.coords()
-            if state.tile_free(c) and compatible(req.task.kind, state.arch.kind(c))
-        ]
+        free = free_candidates(state, req.task.kind)
         if not free:
             return
         r = req.requester_tile

@@ -20,7 +20,7 @@ from nocmap.model import (
     compatible,
     manhattan,
 )
-from nocmap.oracles import random_ledger
+from nocmap.oracles import free_candidates, random_ledger
 from nocmap.sim import comm_latency
 from nocmap.workload import GenConfig, generate_workload, parse_workload
 
@@ -564,10 +564,12 @@ class TestMappingState:
         state = MappingState(arch)
         _place_chain(state, "a", [(1, 0), (1, 1)])
         state.apply_route("a", "t0", "t1", "ms", ((1, 0), (1, 1)), 100)
+        state.remove_route(("a", "t0", "t1", "ms"))
         state.release_app("a")
         assert state.ledger.total_load() == 0
         assert not state.placement
-        assert not state.tile_owner
+        for kind in TaskKind:
+            assert state.free_tiles(kind) == set(arch.tiles_for(kind)), kind
 
     def test_release_keeps_other_apps(self):
         arch = small_arch(4, 4)
@@ -576,6 +578,7 @@ class TestMappingState:
         _place_chain(state, "b", [(2, 0), (2, 1)])
         state.apply_route("a", "t0", "t1", "ms", ((1, 0), (1, 1)), 100)
         state.apply_route("b", "t0", "t1", "ms", ((2, 0), (2, 1)), 70)
+        state.remove_route(("a", "t0", "t1", "ms"))
         state.release_app("a")
         assert state.ledger == state.rebuild_ledger()
         assert state.ledger.load(((2, 0), (2, 1))) == 70
@@ -586,11 +589,39 @@ class TestMappingState:
         with pytest.raises(ValidationError):
             state.release_app("ghost")
 
+    def test_release_refuses_an_app_holding_a_route(self):
+        """Only ``remove_route`` releases a route: ``release_app`` on an
+        application that still holds one raises ``StateError`` naming it,
+        and changes no placement, free set, route or load."""
+        state = MappingState(small_arch(4, 4, ra=((2, 2),)))
+        _place_chain(state, "a", [(1, 0), (3, 0), (3, 2)])
+        state.place("a", Task("h", TaskKind.HARDWARE, 1), (2, 2))
+        _place_chain(state, "b", [(0, 1), (0, 3)])
+        state.apply_route("a", "t0", "t1", "ms", ((1, 0), (2, 0), (3, 0)), 10)
+        state.apply_route("a", "t0", "t2", "ms", ((1, 0), (2, 0), (3, 0), (3, 1), (3, 2)), 5)
+        state.apply_route("b", "t0", "t1", "ms", ((0, 1), (0, 2), (0, 3)), 7)
+        state.remove_route(("a", "t0", "t1", "ms"))
+
+        def snapshot():
+            return (dict(state.placement), {k: set(state.free_tiles(k)) for k in TaskKind},
+                    dict(state.routes), state.ledger.copy(), state.ledger.total_load())
+
+        before = snapshot()
+        held = re.escape("application 'a' still holds route ('a', 't0', 't2', 'ms')")
+        with pytest.raises(StateError, match=held):
+            state.release_app("a")
+        assert snapshot() == before
+        state.remove_route(("a", "t0", "t2", "ms"))
+        state.release_app("a")
+        assert {app for app, _ in state.placement} == {"b"}
+        assert state.free_tiles(TaskKind.HARDWARE) == {(2, 2)}
+        assert state.ledger.total_load() == 14
+
     def test_remove_and_release_match_rebuild(self, monkeypatch):
         """A route's path is resolved to link ids once, when it is pinned;
-        ``remove_route`` and ``release_app`` release it by the stored ids.
-        After every step of a mixed pin/release sequence the ledger equals a
-        rebuild from the surviving routes' paths."""
+        ``remove_route`` releases it by the stored ids.  After every step of
+        a mixed pin/remove/release sequence the ledger equals a rebuild from
+        the surviving routes' paths."""
         resolved = []
         real_on_path = ChannelLoadLedger._on_path
 
@@ -621,11 +652,14 @@ class TestMappingState:
         assert state.ledger.total_load() == 180 + 18 + 16
         c_there = ((3, 3), (2, 3), (2, 2), (2, 1), (1, 1), (1, 2), (1, 3))
         step(state.apply_route, "c", "t0", "t1", "ms", c_there, 3)
+        step(state.remove_route, ("b", "t0", "t1", "ms"))
+        step(state.remove_route, ("b", "t0", "t1", "sm"))
         step(state.release_app, "b")
         assert state.ledger.total_load() == 180 + 18
         step(state.apply_route, "c", "t0", "t1", "sm", c_there[::-1], 2)
         step(state.remove_route, ("c", "t0", "t1", "ms"))
         assert list(state.routes) == [("a", "t0", "t1", "ms"), ("c", "t0", "t1", "sm")]
+        step(state.remove_route, ("c", "t0", "t1", "sm"))
         step(state.release_app, "c")
         assert state.ledger.total_load() == 180
         assert list(state.routes) == [("a", "t0", "t1", "ms")]
@@ -639,8 +673,7 @@ class TestMappingState:
 
         def consistent():
             for kind in TaskKind:
-                want = {c for c in arch.tiles_for(kind) if c not in state.tile_owner}
-                assert state.free_tiles(kind) == want, kind
+                assert state.free_tiles(kind) == set(free_candidates(state, kind)), kind
 
         consistent()
         _place_chain(state, "a", [(1, 0), (3, 0)])
@@ -662,8 +695,7 @@ class TestMappingState:
             consistent()
         _place_chain(state, "b", [(0, 1), (0, 3)])
         state.apply_route("b", "t0", "t1", "ms", ((0, 1), (0, 2), (0, 3)), 7)
-        state.ledger.set_load(((0, 2), (0, 3)), 3)
-        with pytest.raises(StateError, match="would go negative"):
+        with pytest.raises(StateError, match="still holds route"):
             state.release_app("b")
         consistent()
         with pytest.raises(ValidationError):
@@ -672,13 +704,29 @@ class TestMappingState:
         state.release_app("a")
         consistent()
         assert state.free_tiles(TaskKind.HARDWARE) == {(1, 1), (2, 2)}
-        state.ledger.set_load(((0, 2), (0, 3)), 7)
+        state.remove_route(("b", "t0", "t1", "ms"))
         state.release_app("b")
         consistent()
         assert len(state.free_tiles(TaskKind.INITIAL)) == 13
         for kind in ("software", None, TileKind.ISP, ["software"]):
             with pytest.raises(ValidationError, match="task kind must be a TaskKind"):
                 state.free_tiles(kind)
+
+    def test_tile_free_follows_place_and_release(self):
+        """``tile_free`` is False exactly on the tiles placed tasks hold.
+        The manager tile holds no task, so it reads as free throughout."""
+        arch = small_arch(3, 2, ra=((2, 1),))
+        state = MappingState(arch)
+
+        def free():
+            return [c for c in arch.coords() if state.tile_free(c)]
+
+        assert free() == list(arch.coords())
+        _place_chain(state, "a", [(1, 0), (0, 1)])
+        state.place("a", Task("h", TaskKind.HARDWARE, 1), (2, 1))
+        assert free() == [(0, 0), (2, 0), (1, 1)]
+        state.release_app("a")
+        assert free() == list(arch.coords())
 
     def test_remove_route_roundtrip(self):
         arch = small_arch(4, 4)
@@ -707,11 +755,7 @@ class TestLedgerReconstruction:
             if op < 0.5 or not live:
                 app = f"app{next_app}"
                 next_app += 1
-                tiles = [
-                    c
-                    for c in arch.coords()
-                    if state.tile_free(c) and arch.kind(c) is TileKind.ISP
-                ]
+                tiles = free_candidates(state, TaskKind.SOFTWARE)
                 if len(tiles) < 2:
                     continue
                 rng.shuffle(tiles)
@@ -724,6 +768,7 @@ class TestLedgerReconstruction:
                 live[app] = [("t0", path)]
             else:
                 app = rng.choice(sorted(live))
+                state.remove_route((app, "t0", "t1", "ms"))
                 state.release_app(app)
                 del live[app]
             rebuilt = state.rebuild_ledger()
@@ -927,9 +972,7 @@ class TestLedgerReconstruction:
     def test_over_release_rejected(self):
         """A release that would take a load below zero raises ``StateError``
         and changes nothing, whether it comes through the ledger or through
-        ``remove_route`` and ``release_app``, which release by the link ids
-        stored at the pin.  ``release_app`` undoes the routes it released
-        before the one that fails, and frees no tile."""
+        ``remove_route``, which releases by the link ids stored at the pin."""
         arch = small_arch(3, 3)
         ledger = ChannelLoadLedger(arch)
         ledger.add_path(((0, 1), (1, 1)), 50)
@@ -947,25 +990,22 @@ class TestLedgerReconstruction:
         def rejected(call, *args):
             snapshot = (
                 state.ledger.loads(), state.ledger.total_load(), dict(state.routes),
-                dict(state.placement), dict(state.tile_owner),
+                dict(state.placement), {k: set(state.free_tiles(k)) for k in TaskKind},
             )
             with pytest.raises(StateError, match="would go negative"):
                 call(*args)
             assert snapshot == (
                 state.ledger.loads(), state.ledger.total_load(), state.routes,
-                state.placement, state.tile_owner,
+                state.placement, {k: state.free_tiles(k) for k in TaskKind},
             )
 
-        # Each of a's routes alone fits on the shared link; both do not.
-        state.ledger.set_load(((2, 0), (3, 0)), 12)
-        rejected(state.release_app, "a")
         # A link of a's second route only.
         state.ledger.set_load(((3, 1), (3, 2)), 4)
         rejected(state.remove_route, ("a", "t0", "t2", "ms"))
-        rejected(state.release_app, "a")
-        state.ledger.set_load(((2, 0), (3, 0)), 15)
         state.ledger.set_load(((3, 1), (3, 2)), 5)
         assert state.ledger == state.rebuild_ledger()
+        state.remove_route(("a", "t0", "t1", "ms"))
+        state.remove_route(("a", "t0", "t2", "ms"))
         state.release_app("a")
         assert state.ledger == state.rebuild_ledger()
         assert state.ledger.total_load() == 14

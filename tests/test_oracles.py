@@ -5,7 +5,7 @@ import pytest
 
 from nocmap import oracles
 from nocmap.heuristics import _outward, _pl_key
-from nocmap.model import TaskKind, TileKind, compatible
+from nocmap.model import MappingState, Task, TaskKind, TileKind
 from nocmap.routing import min_load_route
 from nocmap.sim import _Engine, simulate
 
@@ -32,8 +32,7 @@ def test_routing_check_catches_hop_first_router(monkeypatch):
 
 def test_placement_check_catches_worst_candidate(monkeypatch):
     def worst_pl(req, state, policy):
-        cands = [c for c in state.arch.coords()
-                 if state.tile_free(c) and compatible(req.task.kind, state.arch.kind(c))]
+        cands = oracles.free_candidates(state, req.task.kind)
         return max(cands, key=lambda t: _pl_key(req, state, t, policy), default=None), len(cands)
 
     monkeypatch.setattr(oracles, "map_pl", worst_pl)
@@ -41,6 +40,24 @@ def test_placement_check_catches_worst_candidate(monkeypatch):
     assert checks == 30
     assert failures > 0
     assert counterexample.startswith("heuristic pl seed ")
+
+
+def test_free_candidates_read_placement_only():
+    """``free_candidates`` lists the compatible tiles no placed task holds,
+    in raster order, from ``placement`` alone: emptying the free sets the
+    heuristics read does not change it."""
+    state = MappingState(oracles.arch_4x4())
+    state.place("a", Task("t0", TaskKind.INITIAL, 1), (1, 0))
+    state.place("a", Task("h", TaskKind.HARDWARE, 1), (2, 2))
+    want = {
+        TaskKind.HARDWARE: [(3, 0), (1, 1)],
+        TaskKind.SOFTWARE: [c for c in state.arch.coords()
+                            if c not in ((0, 0), (1, 0), (3, 0), (1, 1), (2, 2))],
+    }
+    want[TaskKind.INITIAL] = want[TaskKind.SOFTWARE]
+    for kind in TaskKind:
+        state.free_tiles(kind).clear()
+        assert oracles.free_candidates(state, kind) == want[kind], kind
 
 
 def test_spiral_check_catches_dropped_tile(monkeypatch):
@@ -89,10 +106,13 @@ def _corrupt_link_schedule(engine):
     return False
 
 
-def _corrupt_tile_owner(engine):
-    if engine.state.tile_owner:
-        tile = next(iter(engine.state.tile_owner))
-        engine.state.tile_owner[tile] = ("intruder", "t0")
+def _corrupt_placement(engine):
+    """Move one placed task onto another placed task's tile; the free sets
+    and the counts stay."""
+    placement = engine.state.placement
+    if len(placement) >= 2:
+        first, second = islice(placement, 2)
+        placement[second] = placement[first]
         return True
     return False
 
@@ -103,7 +123,7 @@ def _corrupt_free(engine):
 
 
 def _corrupt_free_tiles(engine):
-    """Drop one tile from a free set; ``tile_owner`` and the counts stay."""
+    """Drop one tile from a free set; ``placement`` and the counts stay."""
     free = engine.state.free_tiles(TaskKind.SOFTWARE)
     if free:
         free.remove(min(free))
@@ -122,7 +142,7 @@ def _corrupt_kept_peak(engine):
     (_corrupt_ledger, "ledger"),
     (_corrupt_route_link_ids, "routes"),
     (_corrupt_link_schedule, "link-schedule"),
-    (_corrupt_tile_owner, "placement"),
+    (_corrupt_placement, "placement"),
     (_corrupt_free, "free"),
     (_corrupt_free_tiles, "free-tiles"),
     (_corrupt_kept_peak, "peak"),

@@ -3,7 +3,9 @@
 Each drawn scenario must either finish or raise ``DeadlockError``, and the
 latter only without the admission guard.  A finished run must account for
 every task and every transfer exactly once, report the energies its event
-log sums to, and leave the mapping state empty.
+log sums to, and leave the mapping state empty.  Every heuristic runs under
+its default router, XY and ``mdijkstra``, with ``check_engine`` after each
+event batch.
 """
 from collections import Counter
 
@@ -66,6 +68,7 @@ def scenarios(draw):
     return Scenario(
         apps=apps,
         heuristic=draw(st.sampled_from(HEURISTIC_NAMES)),
+        route_policy=draw(st.sampled_from((None, "xy", "mdijkstra"))),
         params=PlatformParams(manager_overhead=draw(st.sampled_from((0, 5)))),
         arrivals=arrivals,
         arch=arch,
@@ -82,7 +85,7 @@ def _energy(events, kind):
 def test_simulate_finishes_and_accounts_for_everything(scenario):
     engine = _Engine(scenario)
     try:
-        report = engine.run()
+        report = engine.run(check=True)
     except DeadlockError:
         assert not scenario.admission_guard
         return
@@ -103,6 +106,7 @@ def test_simulate_finishes_and_accounts_for_everything(scenario):
     assert report.total_energy == report.energy_compute + report.energy_comm
     assert engine.state.ledger.total_load() == 0
     assert not engine.state.placement
-    assert not engine.state.tile_owner
+    for kind in TaskKind:
+        assert engine.state.free_tiles(kind) == set(engine.arch.tiles_for(kind))
     assert not engine.state.routes
     assert not engine.held

@@ -497,8 +497,9 @@ class TestConservationAndCausality:
         engine.run()
         assert engine.state.ledger.total_load() == 0
         assert engine.state.ledger.peak_load() == 0
-        assert not engine.state.tile_owner
         assert not engine.state.placement
+        for kind in TaskKind:
+            assert engine.state.free_tiles(kind) == set(engine.arch.tiles_for(kind))
         assert not engine.state.routes
         assert not engine.held
 
