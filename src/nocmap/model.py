@@ -3,10 +3,10 @@
 Applications are acyclic directed graphs of typed tasks that exchange packet
 volumes over master/slave edges.  The platform is a W x H mesh of
 heterogeneous tiles joined by directed links (two per physical adjacency).
-``MappingState`` records the tile each task occupies (``placement``), the
-free tiles of each kind, the link-level route every communication was pinned
-to, and the per-link load ledger that the placement heuristics and the router
-query.
+Each task kind runs on one tile kind (``compatible``).  ``MappingState``
+records the tile each task occupies (``placement``), the free tiles of each
+tile kind, the link-level route every communication was pinned to, and the
+per-link load ledger that the placement heuristics and the router query.
 
 All volumes, loads and instruction counts are exact non-negative integers,
 so ledger bookkeeping is exactly reversible.
@@ -52,17 +52,24 @@ class TileKind(Enum):
     MANAGER = "manager"  # admission/mapping controller, runs no app tasks
 
 
+# The tile kind each task kind runs on: the only statement of that rule.
+_RUNS_ON = {
+    TaskKind.INITIAL: TileKind.ISP,
+    TaskKind.SOFTWARE: TileKind.ISP,
+    TaskKind.HARDWARE: TileKind.RA,
+}
+# The tile kinds that run tasks, in table order.
+_TASK_TILE_KINDS = tuple(dict.fromkeys(_RUNS_ON.values()))
+
+
 def compatible(task_kind: TaskKind, tile_kind: TileKind) -> bool:
     """True iff a task of this kind may execute on a tile of this kind.
 
     Hardware tasks bind to reconfigurable tiles, software and initial tasks
-    to instruction-set processors.  The manager tile never runs app tasks.
+    to instruction-set processors.  The manager tile never runs app tasks,
+    and a first argument that is not a ``TaskKind`` gives False.
     """
-    if tile_kind is TileKind.RA:
-        return task_kind is TaskKind.HARDWARE
-    if tile_kind is TileKind.ISP:
-        return task_kind in (TaskKind.SOFTWARE, TaskKind.INITIAL)
-    return False
+    return isinstance(task_kind, TaskKind) and _RUNS_ON[task_kind] is tile_kind
 
 
 def manhattan(a: Coord, b: Coord) -> int:
@@ -616,20 +623,15 @@ RouteKey = tuple[str, str, str, str]  # (app, mtid, stid, direction)
 PinnedRoute = tuple[tuple[Coord, ...], int, tuple[int, ...]]
 
 
-# Task kinds as module names: ``free_tiles`` tests a kind by identity, which
-# costs less than hashing the enum member or reading it through its class.
-_INITIAL, _SOFTWARE, _HARDWARE = TaskKind.INITIAL, TaskKind.SOFTWARE, TaskKind.HARDWARE
-
-
 class MappingState:
     """Mutable placement/route/ledger state for one platform.
 
     Each fact has one record.  ``placement`` maps each placed task to its
-    tile.  The free tiles of each tile kind that runs tasks, ISP and RA, are
-    kept as two sets, which ``place`` and ``release_app`` update;
-    ``free_tiles`` gives the set a task kind may use, and ``place`` and
-    ``tile_free`` read occupancy from them.  The sets are built with the
-    state, so they live as long as one ``simulate`` call.
+    tile.  The free tiles of each tile kind that runs tasks are kept in one
+    set per kind, which ``place`` and ``release_app`` update; task kinds
+    that run on one tile kind share its set.  ``free_tiles`` gives the set a task kind
+    may use, and ``place`` reads occupancy from the sets.  The sets are
+    built with the state, so they live as long as one ``simulate`` call.
 
     ``apply_route`` checks a route, resolves its path to link ids once and
     stores them with it (``PinnedRoute``).  ``remove_route`` is the only
@@ -643,24 +645,18 @@ class MappingState:
         self.placement: dict[tuple[str, str], Coord] = {}
         self.routes: dict[RouteKey, PinnedRoute] = {}
         self.ledger = ChannelLoadLedger(arch)
-        self._free_isp = isp = set(arch.tiles_for(_SOFTWARE))
-        self._free_ra = ra = set(arch.tiles_for(_HARDWARE))
-        # The free set each tile that runs tasks belongs in.
-        self._pool = dict.fromkeys(isp, isp) | dict.fromkeys(ra, ra)
+        free = {k: {c for c in arch.coords() if arch.kind(c) is k} for k in _TASK_TILE_KINDS}
+        # The free set of each task kind, and of each tile that runs tasks.
+        self._free = {t: free[k] for t, k in _RUNS_ON.items()}
+        self._pool = {c: pool for pool in free.values() for c in pool}
 
     def free_tiles(self, kind: TaskKind) -> AbstractSet[Coord]:
         """Free tiles a task of ``kind`` may run on: the state's own set,
         which callers read but must not change."""
-        if kind is _HARDWARE:
-            return self._free_ra
-        if kind is _SOFTWARE or kind is _INITIAL:
-            return self._free_isp
-        raise _not_task_kind(kind)
-
-    def tile_free(self, c: Coord) -> bool:
-        self.arch.require_in_mesh(c)
-        pool = self._pool.get(c)
-        return pool is None or c in pool
+        try:
+            return self._free[kind]
+        except (KeyError, TypeError):  # TypeError: an unhashable kind
+            raise _not_task_kind(kind) from None
 
     def task_tile(self, app: str, tid: str) -> Coord | None:
         try:

@@ -42,9 +42,10 @@ from .model import (
     StateError,
     Task,
     TaskGraph,
-    TaskKind,
     TileKind,
     ValidationError,
+    _RUNS_ON,
+    _TASK_TILE_KINDS,
     compatible,
     is_int,
 )
@@ -83,8 +84,7 @@ class PlatformParams:
                 raise ValidationError(
                     f"{table} must map tile kinds to integers, got {per_kind!r}"
                 )
-            values += [(f"{table}[{k.value}]", per_kind.get(k))
-                       for k in (TileKind.ISP, TileKind.RA)]
+            values += [(f"{table}[{k.value}]", per_kind.get(k)) for k in _TASK_TILE_KINDS]
         for name, value in values:
             if not is_int(value) or value < 0:
                 raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
@@ -287,9 +287,9 @@ class _AppRun:
         self.index = index
         self.graph = graph
         self.arrival = arrival
-        self.demand = {TileKind.ISP: 0, TileKind.RA: 0}
+        self.demand = dict.fromkeys(_TASK_TILE_KINDS, 0)
         for t in graph.tasks:
-            self.demand[TileKind.RA if t.kind is TaskKind.HARDWARE else TileKind.ISP] += 1
+            self.demand[_RUNS_ON[t.kind]] += 1
         self.admitted_at: int | None = None
         self.finished_at: int | None = None
         self.cluster: int | None = None
@@ -373,7 +373,7 @@ class _Engine:
                 raise ValidationError(
                     f"platform has no compatible tiles for {task_kind.value} tasks"
                 )
-        free = {k: self.arch.count_kind(k) for k in (TileKind.ISP, TileKind.RA)}
+        free = {k: self.arch.count_kind(k) for k in _TASK_TILE_KINDS}
         for r in self.apps:
             for kind, need in r.demand.items():
                 if need > free[kind]:

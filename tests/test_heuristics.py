@@ -321,9 +321,10 @@ class TestMapSpiral:
         tile, _ = map_spiral(MapRequest("app0", hw_task(), (4, 4), 100, 100), state)
         # independent recomputation: nearest ring, first RA position within it
         expected = None
+        held = set(state.placement.values())
         for hop in range(1, farthest((4, 4), arch8, chebyshev) + 1):
             ras = [c for c in spiral_ring((4, 4), hop, arch8)
-                   if state.tile_free(c) and arch8.kind(c) is TileKind.RA]
+                   if c not in held and arch8.kind(c) is TileKind.RA]
             if ras:
                 expected = ras[0]
                 break
@@ -433,8 +434,9 @@ class TestMapNN:
         for c in manhattan_shell((4, 4), 1, arch8):
             state.place("x", Task(f"b{c}", TaskKind.SOFTWARE, 1), c)
         tile, _ = map_nn(MapRequest("app0", sw_task(), (4, 4), 100, 100), state)
+        held = set(state.placement.values())
         shell2 = [c for c in manhattan_shell((4, 4), 2, arch8)
-                  if state.tile_free(c) and arch8.kind(c) is TileKind.ISP]
+                  if c not in held and arch8.kind(c) is TileKind.ISP]
         assert tile == shell2[0]
 
     def test_full_mesh_fails(self):
@@ -514,8 +516,9 @@ class TestMapMMC:
         arch = small_arch(4, 2, manager=(3, 1))
         state = MappingState(arch)
         place_master(state, (0, 0))
+        held = set(state.placement.values())
         for c in arch.coords():
-            if state.tile_free(c) and c not in (arch.manager, (2, 1), other):
+            if c not in held and c not in (arch.manager, (2, 1), other):
                 state.place("blk", Task(f"b{c}", TaskKind.SOFTWARE, 1), c)
         for link in (((0, 0), (1, 0)), ((2, 0), (1, 0)), ((1, 1), (0, 1)), ((1, 1), (2, 1))):
             state.ledger.set_load(link, 2)
@@ -895,8 +898,9 @@ class TestXYWalk:
         R's row over E->R (13 with vsm 4): it is skipped unrouted."""
         state = MappingState(small_arch(5, 5))
         place_master(state, R)
+        held = set(state.placement.values())
         for c in state.arch.coords():
-            if state.tile_free(c) and c not in (state.arch.manager, W, other):
+            if c not in held and c not in (state.arch.manager, W, other):
                 state.place("blk", Task(f"b{c}", TaskKind.SOFTWARE, 1), c)
         state.ledger.set_load((R, W), 2)
         state.ledger.set_load(link, load)
@@ -1033,7 +1037,7 @@ class TestHeuristicProperties:
         for kind, engine in engines.items():
             tile = engine.place(req, state)
             if tile is not None:
-                assert state.tile_free(tile)
+                assert tile in free_candidates(state, req.task.kind)
                 assert compatible(req.task.kind, state.arch.kind(tile))
 
     @pytest.mark.parametrize("seed", range(15))

@@ -72,6 +72,10 @@ class TestCompatible:
             (TaskKind.SOFTWARE, TileKind.MANAGER, False),
             (TaskKind.INITIAL, TileKind.MANAGER, False),
             (TaskKind.HARDWARE, TileKind.MANAGER, False),
+            (None, TileKind.ISP, False),
+            ("software", TileKind.ISP, False),
+            (["software"], TileKind.ISP, False),
+            (TileKind.ISP, TileKind.ISP, False),
         ],
     )
     def test_truth_table(self, task_kind, tile_kind, expected):
@@ -137,7 +141,6 @@ class TestArchGraph:
             lambda: arch.require_in_mesh(c),
             lambda: arch.kind(c),
             lambda: arch.neighbors(c),
-            lambda: state.tile_free(c),
             lambda: state.place("a", Task("t0", TaskKind.SOFTWARE, 1), c),
             lambda: xy_route(c, (2, 0), arch),
             lambda: xy_route((2, 0), c, arch),
@@ -461,10 +464,9 @@ class TestMappingState:
             lambda s: s.remove_route(["a", "t0", "t1", "ms"]),
             lambda s: s.apply_route(["a"], "t0", "t1", "ms", ((1, 0), (1, 1)), 1),
             lambda s: s.task_tile(["a"], "t0"),
-            lambda s: s.tile_free([1, 0]),
             lambda s: s.place(["a"], Task("t2", TaskKind.SOFTWARE, 1), (2, 0)),
         ],
-        ids=["remove_route", "apply_route", "task_tile", "tile_free", "place"],
+        ids=["remove_route", "apply_route", "task_tile", "place"],
     )
     def test_list_key_or_tile_rejected(self, call):
         """A list where a key or a tile belongs is invalid input, not a raw
@@ -711,22 +713,6 @@ class TestMappingState:
         for kind in ("software", None, TileKind.ISP, ["software"]):
             with pytest.raises(ValidationError, match="task kind must be a TaskKind"):
                 state.free_tiles(kind)
-
-    def test_tile_free_follows_place_and_release(self):
-        """``tile_free`` is False exactly on the tiles placed tasks hold.
-        The manager tile holds no task, so it reads as free throughout."""
-        arch = small_arch(3, 2, ra=((2, 1),))
-        state = MappingState(arch)
-
-        def free():
-            return [c for c in arch.coords() if state.tile_free(c)]
-
-        assert free() == list(arch.coords())
-        _place_chain(state, "a", [(1, 0), (0, 1)])
-        state.place("a", Task("h", TaskKind.HARDWARE, 1), (2, 1))
-        assert free() == [(0, 0), (2, 0), (1, 1)]
-        state.release_app("a")
-        assert free() == list(arch.coords())
 
     def test_remove_route_roundtrip(self):
         arch = small_arch(4, 4)
